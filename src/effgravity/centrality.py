@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import effective_distance as ed
-from .graph import Graph, hop_distances
+from .graph import Graph, gravity_sum
 
 MEASURES = ("dc", "bc", "cc", "ec", "pagerank", "gm", "effg")
 
@@ -131,12 +131,8 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
 
 def closeness_centrality(graph: Graph) -> ScoreVector:
     """Reciprocal of the summed hop distance to all reachable peers; 0 with no peers."""
-    scores = np.zeros(graph.n, dtype=np.float64)
-    for i in range(graph.n):
-        row = hop_distances(graph, i)
-        total = int(row[row > 0].sum())
-        if total > 0:
-            scores[i] = 1.0 / total
+    total = graph.hop_sums.distance
+    scores = np.divide(1.0, total, out=np.zeros(graph.n), where=total > 0)
     return ScoreVector("cc", scores)
 
 
@@ -237,35 +233,32 @@ def gravity_centrality(graph: Graph) -> ScoreVector:
     score(i) = degree(i) * sum over reachable j != i of degree(j)/d(i,j)^2,
     with no interaction radius cutoff. Unreachable pairs contribute nothing.
     """
-    degrees = graph.degrees.astype(np.float64)
-    scores = np.zeros(graph.n, dtype=np.float64)
-    for i in range(graph.n):
-        row = hop_distances(graph, i)
-        mask = row > 0
-        scores[i] = degrees[i] * float(np.sum(degrees[mask] / row[mask] ** 2))
-    return ScoreVector("gm", scores)
+    return ScoreVector("gm", graph.degrees.astype(np.float64) * graph.hop_sums.gravity)
 
 
-def effg_centrality(graph: Graph, distance_matrix: np.ndarray) -> ScoreVector:
+def effg_centrality(graph: Graph, distance_matrix: np.ndarray | None = None) -> ScoreVector:
     """Degree-gravity score over effective distances.
 
     Same gravity sum as :func:`gravity_centrality` but separation is the
-    outbound effective-distance row of ``distance_matrix`` (asymmetric).
+    outbound effective-distance row of each source (asymmetric), computed
+    one row at a time unless a precomputed ``distance_matrix`` is passed.
     Infinite entries, including the diagonal, contribute nothing.
     """
     n = graph.n
-    if distance_matrix.shape != (n, n):
+    if distance_matrix is None:
+        rows = (ed.effective_distances(graph, i) for i in range(n))
+    elif distance_matrix.shape != (n, n):
         raise ValueError(
             f"distance matrix shape {distance_matrix.shape} does not match "
             f"graph with {n} nodes"
         )
+    else:
+        rows = distance_matrix
     degrees = graph.degrees.astype(np.float64)
-    scores = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        row = distance_matrix[i]
-        mask = np.isfinite(row)
-        scores[i] = degrees[i] * float(np.sum(degrees[mask] / row[mask] ** 2))
-    return ScoreVector("effg", scores)
+    gravity = np.array(
+        [gravity_sum(degrees, row, np.isfinite(row)) for row in rows], dtype=np.float64
+    )
+    return ScoreVector("effg", degrees * gravity)
 
 
 def compute_scores(
@@ -278,30 +271,21 @@ def compute_scores(
 ) -> Mapping[str, ScoreVector]:
     """Compute several measures at once, in the order requested.
 
-    The effective-distance matrix needed by ``effg`` is computed on demand
-    (or pass a precomputed one). Unknown measure names raise ValueError.
+    ``effg`` streams effective-distance rows unless a precomputed
+    ``distance_matrix`` is passed. Unknown measure names raise ValueError.
     """
     unknown = [name for name in measures if name not in MEASURES]
     if unknown:
         raise ValueError(
             f"unknown measures {unknown}; valid names are {', '.join(MEASURES)}"
         )
-    results: dict[str, ScoreVector] = {}
-    for name in measures:
-        if name == "dc":
-            results[name] = degree_centrality(graph)
-        elif name == "bc":
-            results[name] = betweenness_centrality(graph)
-        elif name == "cc":
-            results[name] = closeness_centrality(graph)
-        elif name == "ec":
-            results[name] = eigenvector_centrality(graph, tol=tol, max_iter=max_iter)
-        elif name == "pagerank":
-            results[name] = pagerank(graph, tol=tol, max_iter=max_iter, damping=damping)
-        elif name == "gm":
-            results[name] = gravity_centrality(graph)
-        elif name == "effg":
-            if distance_matrix is None:
-                distance_matrix = ed.effective_distance_matrix(graph)
-            results[name] = effg_centrality(graph, distance_matrix)
-    return results
+    scorers = {
+        "dc": lambda: degree_centrality(graph),
+        "bc": lambda: betweenness_centrality(graph),
+        "cc": lambda: closeness_centrality(graph),
+        "ec": lambda: eigenvector_centrality(graph, tol=tol, max_iter=max_iter),
+        "pagerank": lambda: pagerank(graph, tol=tol, max_iter=max_iter, damping=damping),
+        "gm": lambda: gravity_centrality(graph),
+        "effg": lambda: effg_centrality(graph, distance_matrix),
+    }
+    return {name: scorers[name]() for name in measures}

@@ -13,6 +13,8 @@ import argparse
 import csv
 import json
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -27,10 +29,10 @@ from .centrality import (
     compute_scores,
     rank,
 )
-from .effective_distance import effective_distance_matrix
 from .epidemics import SIConfig, spreading_power, top_k_infection_curves
 from .evaluation import (
     TAU_CONVENTIONS,
+    clamp_betas,
     rank_vs_spread,
     tau_vs_beta_sweep,
     top_k_overlap,
@@ -90,13 +92,9 @@ def _write_json(path: Path, payload) -> None:
         handle.write("\n")
 
 
-def _write_config(out_dir: Path, command: str, args: argparse.Namespace, extra: dict) -> None:
-    resolved = {
-        "command": command,
-        "input": str(args.input),
-        "version": __version__,
-    }
-    resolved.update(extra)
+def _write_config(out_dir: Path, args: argparse.Namespace) -> None:
+    resolved = {key: value for key, value in vars(args).items() if key not in ("func", "out")}
+    resolved["version"] = __version__
     _write_json(out_dir / "config.json", resolved)
 
 
@@ -140,7 +138,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         header = list(record)
         row = ["nan" if record[key] is None else _fmt(record[key]) for key in header]
         _write_csv(out / "stats.csv", header, [row])
-    _write_config(out, "stats", args, {"format": args.format})
+    _write_config(out, args)
     return 0
 
 
@@ -167,27 +165,16 @@ def cmd_rank(args: argparse.Namespace) -> int:
                 for node in ranking.order
             ]
             _write_csv(out / f"scores_{name}.csv", ["node_label", "score", "rank"], rows)
-    _write_config(
-        out,
-        "rank",
-        args,
-        {"measures": args.measures, "damping": args.damping, "format": args.format},
-    )
+    _write_config(out, args)
     return 0
 
 
 def cmd_spread(args: argparse.Namespace) -> int:
+    config = SIConfig(beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed)
     graph = _load_graph(args)
     if args.k > graph.n:
         raise ValueError(f"k={args.k} exceeds the graph's {graph.n} nodes")
-    distance_matrix = (
-        effective_distance_matrix(graph) if "effg" in args.measures else None
-    )
-    scores = compute_scores(
-        graph, args.measures, damping=args.damping, distance_matrix=distance_matrix
-    )
-    rankings = _rankings(scores)
-    config = SIConfig(beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed)
+    rankings = _rankings(compute_scores(graph, args.measures, damping=args.damping))
     curves = top_k_infection_curves(
         graph, [(name, rankings[name]) for name in args.measures], args.k, config
     )
@@ -205,40 +192,29 @@ def cmd_spread(args: argparse.Namespace) -> int:
         )
     else:
         _write_csv(out / "spread.csv", header, rows)
-    _write_config(
-        out,
-        "spread",
-        args,
-        {
-            "measures": args.measures,
-            "beta": args.beta,
-            "t_max": args.t_max,
-            "runs": args.runs,
-            "seed": args.seed,
-            "k": args.k,
-            "damping": args.damping,
-            "format": args.format,
-        },
-    )
+    _write_config(out, args)
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
-    if args.k > graph.n:
-        raise ValueError(f"k={args.k} exceeds the graph's {graph.n} nodes")
-    distance_matrix = (
-        effective_distance_matrix(graph) if "effg" in args.measures else None
+    spread_config = SIConfig(
+        beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed
     )
-    scores = compute_scores(
-        graph, args.measures, damping=args.damping, distance_matrix=distance_matrix
-    )
-    rankings = _rankings(scores)
-    out = _out_dir(args)
-
     sweep_config = SIConfig(
         beta=DEFAULT_BETA, t_max=args.t_max_sweep, runs=args.runs, seed=args.seed
     )
+    with warnings.catch_warnings():
+        # checked here before any work; the sweep itself warns about clamping
+        warnings.simplefilter("ignore")
+        for beta in clamp_betas(args.beta_grid):
+            replace(sweep_config, beta=beta)
+    graph = _load_graph(args)
+    if args.k > graph.n:
+        raise ValueError(f"k={args.k} exceeds the graph's {graph.n} nodes")
+    scores = compute_scores(graph, args.measures, damping=args.damping)
+    rankings = _rankings(scores)
+    out = _out_dir(args)
+
     sweep = tau_vs_beta_sweep(
         graph,
         [scores[name] for name in args.measures],
@@ -256,9 +232,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             report = top_k_overlap(rankings[name_a], rankings[name_b], args.k)
             overlap_rows.append((name_a, name_b, report.k, report.shared))
 
-    spread_config = SIConfig(
-        beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed
-    )
     power = spreading_power(graph, spread_config)
     spread_tables = {}
     for name in args.measures:
@@ -300,24 +273,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 ["rank", "node_label", "mean_final"],
                 rows,
             )
-    _write_config(
-        out,
-        "evaluate",
-        args,
-        {
-            "measures": args.measures,
-            "beta": args.beta,
-            "beta_grid": args.beta_grid,
-            "t_max": args.t_max,
-            "t_max_sweep": args.t_max_sweep,
-            "runs": args.runs,
-            "seed": args.seed,
-            "k": args.k,
-            "tau_convention": args.tau_convention,
-            "damping": args.damping,
-            "format": args.format,
-        },
-    )
+    _write_config(out, args)
     return 0
 
 

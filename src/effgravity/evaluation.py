@@ -119,18 +119,21 @@ def tau_vs_beta_sweep(
 ) -> list[tuple[str, float, RankComparison]]:
     """Correlate each measure with simulated spreading power across betas.
 
-    For every beta the single-seed spreading power of all nodes is computed
-    once (config.beta is replaced by the clamped beta) and each measure's
+    The single-seed spreading power of all nodes is computed once per
+    distinct clamped beta (config.beta is replaced by it) and each measure's
     score vector is correlated against it. Rows keep the requested beta
     values; order is (beta, measure).
     """
     requested = list(betas)
     clamped = clamp_betas(requested)
+    ground_truth = {
+        beta: spreading_power(graph, replace(config, beta=beta))
+        for beta in dict.fromkeys(clamped)
+    }
     rows: list[tuple[str, float, RankComparison]] = []
     for beta_requested, beta in zip(requested, clamped):
-        ground_truth = spreading_power(graph, replace(config, beta=beta))
         for sv in score_vectors:
-            comparison = kendall_tau(sv.scores, ground_truth, convention=convention)
+            comparison = kendall_tau(sv.scores, ground_truth[beta], convention=convention)
             rows.append((sv.measure, float(beta_requested), comparison))
     return rows
 

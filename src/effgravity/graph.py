@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +31,14 @@ class ParseError(ValueError):
             message = f"line {line_number}: {message}"
         super().__init__(message)
         self.line_number = line_number
+
+
+class HopSums(NamedTuple):
+    """Per-node sums over the peers j != i reachable from i, at hop distance d(i, j)."""
+
+    distance: np.ndarray  # sum of d(i, j), int64
+    reachable: np.ndarray  # number of such peers, int64
+    gravity: np.ndarray  # sum of degree(j) / d(i, j)^2, float64
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,27 @@ class Graph:
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         src.setflags(write=False)
         return src
+
+    @cached_property
+    def hop_sums(self) -> HopSums:
+        """One breadth-first search per source, reduced to per-node sums.
+
+        Closeness, the gravity score and the topology statistics all read
+        these, so the all-pairs hop pass runs once per graph.
+        """
+        degrees = self.degrees.astype(np.float64)
+        distance = np.zeros(self.n, dtype=np.int64)
+        reachable = np.zeros(self.n, dtype=np.int64)
+        gravity = np.zeros(self.n, dtype=np.float64)
+        for source in range(self.n):
+            row = hop_distances(self, source)
+            mask = row > 0
+            distance[source] = row[mask].sum()
+            reachable[source] = mask.sum()
+            gravity[source] = gravity_sum(degrees, row, mask)
+        for array in (distance, reachable, gravity):
+            array.setflags(write=False)
+        return HopSums(distance, reachable, gravity)
 
     @cached_property
     def label_to_index(self) -> dict[str, int]:
@@ -245,6 +274,11 @@ def hop_distances(graph: Graph, source: int) -> np.ndarray:
     return dist
 
 
+def gravity_sum(degrees: np.ndarray, row: np.ndarray, mask: np.ndarray) -> float:
+    """Sum of degrees[j] / row[j]^2 over the targets j selected by ``mask``."""
+    return float(np.sum(degrees[mask] / row[mask] ** 2))
+
+
 @dataclass(frozen=True)
 class TopologyStats:
     """Whole-graph summary record.
@@ -271,13 +305,8 @@ def topology_stats(graph: Graph) -> TopologyStats:
     if n == 0:
         raise ValueError("topology statistics are undefined for an empty graph")
     m = graph.m
-    total_distance = 0
-    reachable_pairs = 0
-    for source in range(n):
-        row = hop_distances(graph, source)
-        mask = row > 0
-        total_distance += int(row[mask].sum())
-        reachable_pairs += int(mask.sum())
+    total_distance = int(graph.hop_sums.distance.sum())
+    reachable_pairs = int(graph.hop_sums.reachable.sum())
     ordered_pairs = n * (n - 1)
     avg_distance = total_distance / reachable_pairs if reachable_pairs else 0.0
     unreachable_fraction = (

@@ -37,6 +37,56 @@ def random_connected_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     return Graph.from_edges(n, sorted(edges))
 
 
+def oracle_graphs(seed: int = 0) -> list[Graph]:
+    """Seeded random graphs covering connected, disconnected and edgeless cases.
+
+    The sparse ones break into components and leave nodes isolated, which
+    exercises the unreachable-pair and zero-distance branches of the hop
+    reducers.
+    """
+    rng = np.random.default_rng(seed)
+    graphs = [Graph.from_edges(1, []), Graph.from_edges(4, [])]
+    for n, p in ((9, 0.1), (14, 0.12), (20, 0.08), (16, 0.4)):
+        graphs.append(random_graph(rng, n, p))
+    graphs.append(random_connected_graph(rng, 18, 0.15))
+    graphs.append(Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]))
+    return graphs
+
+
+def hop_distance_totals_per_source(graph: Graph) -> tuple[int, int]:
+    """Summed hop distance and count over reachable ordered pairs, one BFS per source."""
+    total_distance = 0
+    reachable_pairs = 0
+    for source in range(graph.n):
+        row = hop_distances(graph, source)
+        mask = row > 0
+        total_distance += int(row[mask].sum())
+        reachable_pairs += int(mask.sum())
+    return total_distance, reachable_pairs
+
+
+def closeness_per_source(graph: Graph) -> np.ndarray:
+    """Reciprocal summed hop distance per node, one BFS per source; 0 with no peers."""
+    scores = np.zeros(graph.n, dtype=np.float64)
+    for i in range(graph.n):
+        row = hop_distances(graph, i)
+        total = int(row[row > 0].sum())
+        if total > 0:
+            scores[i] = 1.0 / total
+    return scores
+
+
+def gravity_per_source(graph: Graph) -> np.ndarray:
+    """deg(i) * sum of deg(j) / d(i, j)^2 over reachable j, one BFS per source."""
+    degrees = graph.degrees.astype(np.float64)
+    scores = np.zeros(graph.n, dtype=np.float64)
+    for i in range(graph.n):
+        row = hop_distances(graph, i)
+        mask = row > 0
+        scores[i] = degrees[i] * float(np.sum(degrees[mask] / row[mask] ** 2))
+    return scores
+
+
 def effective_distance_bruteforce(graph: Graph) -> np.ndarray:
     """Enumerate every simple path, track its probability product, and take
     the minimum of 1 - log2(product) per ordered pair."""

@@ -17,9 +17,16 @@ from effgravity import (
     pagerank,
     parse_edge_list,
     rank,
+    topology_stats,
 )
 from conftest import SEVEN_NODE_DEGREES, SEVEN_NODE_EFFG
-from helpers import betweenness_bruteforce, random_graph
+from helpers import (
+    betweenness_bruteforce,
+    closeness_per_source,
+    gravity_per_source,
+    oracle_graphs,
+    random_graph,
+)
 
 
 def complete_graph(n):
@@ -223,6 +230,37 @@ def test_effg_isolated_node_scores_zero():
 def test_effg_dimension_mismatch(seven_node_graph):
     with pytest.raises(ValueError):
         effg_centrality(seven_node_graph, np.zeros((3, 3)))
+
+
+def test_closeness_and_gravity_match_per_source_oracles():
+    for graph in oracle_graphs(seed=1):
+        assert np.array_equal(closeness_centrality(graph).scores, closeness_per_source(graph))
+        assert np.array_equal(gravity_centrality(graph).scores, gravity_per_source(graph))
+
+
+def test_streamed_effg_matches_matrix_path():
+    for graph in oracle_graphs(seed=2):
+        streamed = effg_centrality(graph).scores
+        dense = effg_centrality(graph, effective_distance_matrix(graph)).scores
+        assert np.array_equal(streamed, dense)
+
+
+def test_cc_gm_and_stats_share_one_hop_pass(monkeypatch):
+    import effgravity.centrality
+    import effgravity.graph
+
+    graph = random_graph(np.random.default_rng(4), 12, 0.3)
+    calls = []
+    original = effgravity.graph.hop_distances
+    def counted(graph, source):
+        calls.append(source)
+        return original(graph, source)
+
+    monkeypatch.setattr(effgravity.graph, "hop_distances", counted)
+    monkeypatch.setattr(effgravity.centrality, "hop_distances", counted, raising=False)
+    compute_scores(graph, ["cc", "gm"])
+    topology_stats(graph)
+    assert sorted(calls) == list(range(graph.n))
 
 
 def test_effg_with_hop_distances_reduces_to_gravity():

@@ -1,9 +1,12 @@
+import argparse
 import csv
 import json
 
 import pytest
 
-from effgravity.cli import main
+import effgravity.cli
+import effgravity.effective_distance
+from effgravity.cli import build_parser, main
 from conftest import SEVEN_NODE_EDGE_LIST
 
 
@@ -304,3 +307,62 @@ def test_evaluate_json_format(tmp_path, seven_node_file):
     payload = json.loads((out / "evaluate.json").read_text())
     assert {"tau_sweep", "overlap", "rank_vs_spread"} <= set(payload)
     assert payload["tau_sweep"][0]["measure"] == "dc"
+
+
+SMALL_RUNS = {
+    "stats": [],
+    "rank": ["--measures", "dc,effg"],
+    "spread": ["--measures", "dc,effg", "--k", "2", "--runs", "2", "--t-max", "2"],
+    "evaluate": [
+        "--measures", "dc,effg", "--beta-grid", "0.2", "--runs", "2",
+        "--t-max", "2", "--t-max-sweep", "2", "--k", "2",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_config_records_every_option(tmp_path, seven_node_file, command):
+    subparsers = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    dests = {action.dest for action in subparsers.choices[command]._actions}
+    out = tmp_path / "out"
+    argv = [command, "--input", str(seven_node_file), "--out", str(out)]
+    assert main(argv + SMALL_RUNS[command]) == 0
+    config = json.loads((out / "config.json").read_text())
+    assert set(config) == (dests - {"help", "out"}) | {"command", "version"}
+    assert config["command"] == command
+
+
+@pytest.mark.parametrize("command", ["rank", "spread", "evaluate"])
+def test_effg_builds_no_distance_matrix(tmp_path, seven_node_file, monkeypatch, command):
+    def refuse(graph):
+        raise AssertionError("the n x n effective-distance matrix was built")
+
+    monkeypatch.setattr(effgravity.effective_distance, "effective_distance_matrix", refuse)
+    monkeypatch.setattr(effgravity.cli, "effective_distance_matrix", refuse, raising=False)
+    argv = [command, "--input", str(seven_node_file), "--out", str(tmp_path / "out")]
+    assert main(argv + SMALL_RUNS[command]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--beta", "1.5"],
+        ["evaluate", "--t-max", "-1"],
+        ["evaluate", "--beta-grid", "0.2,-1"],
+        ["spread", "--runs", "0"],
+    ],
+)
+def test_bad_si_arguments_fail_before_any_work(tmp_path, seven_node_file, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scores computed before the SI arguments were checked")
+
+    monkeypatch.setattr(effgravity.cli, "compute_scores", refuse)
+    out = tmp_path / "out"
+    # --k fits the graph, so only the SI arguments are wrong
+    argv += ["--k", "2", "--input", str(seven_node_file), "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()

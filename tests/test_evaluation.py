@@ -151,6 +151,29 @@ def test_sweep_clamps_betas_above_one(seven_node_graph):
     assert rows[0][1] == 1.2  # requested value is what the table reports
 
 
+def test_sweep_simulates_each_distinct_clamped_beta_once(seven_node_graph, monkeypatch):
+    import effgravity.evaluation
+    from effgravity.cli import DEFAULT_BETA_GRID
+
+    betas = [float(token) for token in DEFAULT_BETA_GRID.split(",")]
+    calls = []
+    original = effgravity.evaluation.spreading_power
+    monkeypatch.setattr(
+        effgravity.evaluation,
+        "spreading_power",
+        lambda graph, config: calls.append(config.beta) or original(graph, config),
+    )
+    cfg = SIConfig(beta=0.2, t_max=2, runs=3, seed=1)
+    with pytest.warns(UserWarning, match="clamped"):
+        rows = tau_vs_beta_sweep(
+            seven_node_graph, [degree_centrality(seven_node_graph)], betas, cfg
+        )
+    assert calls == [0.2, 0.4, 0.6, 0.8, 1.0]
+    assert [beta for _, beta, _ in rows] == betas
+    taus = {beta: comparison for _, beta, comparison in rows}
+    assert taus[1.0] == taus[1.6]
+
+
 def test_sweep_rejects_negative_beta(seven_node_graph):
     cfg = SIConfig(beta=0.2, t_max=2, runs=2, seed=1)
     with pytest.raises(ValueError):

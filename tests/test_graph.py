@@ -11,7 +11,7 @@ from effgravity import (
     topology_stats,
 )
 from conftest import SEVEN_NODE_DEGREES
-from helpers import random_graph
+from helpers import hop_distance_totals_per_source, oracle_graphs, random_graph
 
 
 def test_parse_triangle():
@@ -209,6 +209,19 @@ def test_topology_stats_empty_graph_rejected():
         topology_stats(Graph.from_edges(0, []))
 
 
+def test_topology_stats_distances_match_per_source_oracle():
+    graphs = oracle_graphs()
+    assert any(np.any(g.degrees == 0) for g in graphs)  # isolated nodes covered
+    for graph in graphs:
+        total, reachable = hop_distance_totals_per_source(graph)
+        ordered = graph.n * (graph.n - 1)
+        stats = topology_stats(graph)
+        assert stats.avg_distance == (total / reachable if reachable else 0.0)
+        assert stats.unreachable_pair_fraction == (
+            1.0 - reachable / ordered if ordered else 0.0
+        )
+
+
 def test_topology_stats_seven_node(seven_node_graph):
     stats = topology_stats(seven_node_graph)
     assert stats.avg_degree == pytest.approx(20 / 7)
@@ -221,3 +234,5 @@ def test_graph_is_read_only(seven_node_graph):
         seven_node_graph.indices[0] = 3
     with pytest.raises(ValueError):
         seven_node_graph.degrees[0] = 3
+    with pytest.raises(ValueError):
+        seven_node_graph.hop_sums.gravity[0] = 1.0
