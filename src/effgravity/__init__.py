@@ -24,10 +24,8 @@ from .centrality import (
     rank,
 )
 from .effective_distance import (
-    TransitionRow,
     effective_distance_matrix,
     effective_distances,
-    transition_probabilities,
     write_matrix_csv,
 )
 from .epidemics import (
@@ -74,7 +72,6 @@ __all__ = [
     "SIOutcome",
     "ScoreVector",
     "TopologyStats",
-    "TransitionRow",
     "betweenness_centrality",
     "clamp_betas",
     "closeness_centrality",
@@ -98,6 +95,5 @@ __all__ = [
     "top_k_infection_curves",
     "top_k_overlap",
     "topology_stats",
-    "transition_probabilities",
     "write_matrix_csv",
 ]

@@ -115,6 +115,11 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return graph
 
 
+def _check_damping(args: argparse.Namespace) -> None:
+    if not 0.0 < args.damping <= 1.0:
+        raise ValueError(f"damping must be in (0, 1], got {args.damping}")
+
+
 def _rankings(scores: Mapping[str, ScoreVector]) -> dict[str, Ranking]:
     return {name: rank(sv) for name, sv in scores.items()}
 
@@ -143,6 +148,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    _check_damping(args)
     graph = _load_graph(args)
     scores = compute_scores(graph, args.measures, damping=args.damping)
     rankings = _rankings(scores)
@@ -170,6 +176,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_spread(args: argparse.Namespace) -> int:
+    _check_damping(args)
+    if args.k < 1:
+        raise ValueError(f"k must be >= 1, got {args.k}")
     config = SIConfig(beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed)
     graph = _load_graph(args)
     if args.k > graph.n:
@@ -197,6 +206,7 @@ def cmd_spread(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_damping(args)
     spread_config = SIConfig(
         beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed
     )

@@ -13,36 +13,11 @@ the self-distance is infinite (a walk never "arrives" at its start).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
 from .graph import Graph
-
-
-@dataclass(frozen=True)
-class TransitionRow:
-    """Single-step transition probabilities out of one node."""
-
-    source: int
-    probs: np.ndarray
-    isolated: bool
-
-
-def transition_probabilities(graph: Graph, node: int) -> TransitionRow:
-    """Dense row of one-step probabilities: 1/degree at neighbors, 0 elsewhere.
-
-    An isolated node yields an all-zero row with ``isolated=True`` rather
-    than an error.
-    """
-    graph.check_node(node)
-    probs = np.zeros(graph.n, dtype=np.float64)
-    nbrs = graph.neighbors(node)
-    if nbrs.size == 0:
-        return TransitionRow(source=node, probs=probs, isolated=True)
-    probs[nbrs] = 1.0 / nbrs.size
-    return TransitionRow(source=node, probs=probs, isolated=False)
 
 
 def effective_distances(graph: Graph, source: int) -> np.ndarray:

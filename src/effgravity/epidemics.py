@@ -64,53 +64,70 @@ class SIOutcome:
         return float(self.per_run_finals.mean())
 
 
-def _run_si(
-    graph: Graph, seed_nodes: np.ndarray, beta: float, t_max: int, rng: np.random.Generator
-) -> np.ndarray:
-    src = graph.edge_sources
-    dst = graph.indices
-    infected = np.zeros(graph.n, dtype=bool)
-    infected[seed_nodes] = True
-    curve = np.empty(t_max + 1, dtype=np.int64)
-    curve[0] = int(infected.sum())
-    for t in range(1, t_max + 1):
-        exposed = infected[src] & ~infected[dst]
-        if not exposed.any():
-            # no susceptible node borders an infected one: frozen from here on
-            curve[t:] = curve[t - 1]
-            break
-        draws = rng.random(dst.size)
-        hits = exposed & (draws < beta)
-        if hits.any():
-            infected[dst[hits]] = True
-        curve[t] = int(infected.sum())
-    return curve
+# Budget, in (seed set, node or adjacency slot) pairs, for one block of
+# spreading_power's single-node seed sets: every per-step array of the
+# engine then stays near a megabyte, and a Jazz-sized graph (2m ~ 5k slots)
+# simulates all of its nodes in one block.
+_BLOCK_CELLS = 1 << 20
 
 
-def _seed_array(graph: Graph, seeds: Iterable[int]) -> np.ndarray:
-    seed_nodes = np.unique(np.asarray(list(seeds), dtype=np.int64))
+def _infected_counts(graph: Graph, seed_masks: np.ndarray, config: SIConfig) -> np.ndarray:
+    """Per-run infected counts, shape (runs, seed sets, t_max + 1).
+
+    ``seed_masks`` is a boolean (seed sets, n) array. All seed sets advance
+    together: run r builds one generator and draws one uniform per
+    adjacency slot per step, and every seed set reads those same draws. A
+    slot whose draw is below beta is open, and a node becomes infected when
+    the source of any of its open incoming slots was infected before the
+    step.
+    """
+    sets, n = seed_masks.shape
+    src, dst = graph.edge_sources, graph.indices
+    # one byte per (node, seed set), padded to whole 64-bit words per node, so
+    # the OR over a node's incoming slots handles eight seed sets at a time
+    width = -(-sets // 8) * 8
+    counts = np.empty((config.runs, sets, config.t_max + 1), dtype=np.int64)
+    counts[:, :, 0] = np.count_nonzero(seed_masks, axis=1)
+    for run in range(config.runs):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, run)))
+        infected = np.zeros((n, width), dtype=bool)
+        infected[:, :sets] = seed_masks.T
+        words = infected.view(np.uint64)
+        for t in range(1, config.t_max + 1):
+            opened = np.flatnonzero(rng.random(dst.size) < config.beta)
+            # group the open slots by target, one reduceat segment per node
+            opened = opened[np.argsort(dst[opened])]
+            targets = dst[opened]
+            starts = np.flatnonzero(np.diff(targets, prepend=-1))
+            nodes = targets[starts]
+            fresh = np.bitwise_or.reduceat(words[src[opened]], starts, axis=0) & ~words[nodes]
+            words[nodes] |= fresh
+            counts[run, :, t] = counts[run, :, t - 1] + np.count_nonzero(
+                fresh.view(bool)[:, :sets], axis=0
+            )
+    return counts
+
+
+def _seed_mask(graph: Graph, seeds: Iterable[int]) -> np.ndarray:
+    seed_nodes = np.asarray(list(seeds), dtype=np.int64)
     if seed_nodes.size == 0:
         raise ValueError("seed set must not be empty")
-    if seed_nodes[0] < 0 or seed_nodes[-1] >= graph.n:
+    if seed_nodes.min() < 0 or seed_nodes.max() >= graph.n:
         raise ValueError(
             f"seed nodes must be in [0, {graph.n}), got range "
-            f"[{seed_nodes[0]}, {seed_nodes[-1]}]"
+            f"[{seed_nodes.min()}, {seed_nodes.max()}]"
         )
-    return seed_nodes
+    mask = np.zeros(graph.n, dtype=bool)
+    mask[seed_nodes] = True
+    return mask
 
 
 def simulate_si(graph: Graph, seeds: Iterable[int], config: SIConfig) -> SIOutcome:
     """Run an ensemble of spreading trajectories from one seed set.
 
-    The outcome is bit-identical for identical (graph, seeds, config). Runs
-    are independent given their derived streams and could execute in
-    parallel; they are reduced here in run order.
+    The outcome is bit-identical for identical (graph, seeds, config).
     """
-    seed_nodes = _seed_array(graph, seeds)
-    curves = np.empty((config.runs, config.t_max + 1), dtype=np.int64)
-    for run in range(config.runs):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, run)))
-        curves[run] = _run_si(graph, seed_nodes, config.beta, config.t_max, rng)
+    curves = _infected_counts(graph, _seed_mask(graph, seeds)[None], config)[:, 0]
     curves.setflags(write=False)
     return SIOutcome(run_curves=curves)
 
@@ -120,11 +137,16 @@ def spreading_power(graph: Graph, config: SIConfig) -> np.ndarray:
 
     This is the simulation ground truth that rankings are correlated
     against. Every node's ensemble reuses the same derived streams (common
-    random numbers), so scores are directly comparable across nodes.
+    random numbers), so scores are directly comparable across nodes. Nodes
+    are simulated in blocks that share each run's draws.
     """
-    power = np.empty(graph.n, dtype=np.float64)
-    for node in range(graph.n):
-        power[node] = simulate_si(graph, (node,), config).final_mean
+    n = graph.n
+    block = max(1, _BLOCK_CELLS // max(graph.indices.size, n))
+    power = np.empty(n, dtype=np.float64)
+    for start in range(0, n, block):
+        seeds = np.eye(min(block, n - start), n, k=start, dtype=bool)
+        finals = _infected_counts(graph, seeds, config)[:, :, -1]
+        power[start : start + block] = finals.mean(axis=0)
     return power
 
 
@@ -142,8 +164,8 @@ def top_k_infection_curves(
     """
     if not 0 < k <= graph.n:
         raise ValueError(f"k must be in [1, {graph.n}], got {k}")
-    curves: dict[str, np.ndarray] = {}
-    for name, ranking in rankings:
-        outcome = simulate_si(graph, ranking.top(k), config)
-        curves[name] = outcome.f_curve
-    return curves
+    seeds = np.zeros((len(rankings), graph.n), dtype=bool)
+    for row, (_, ranking) in zip(seeds, rankings):
+        row[ranking.top(k)] = True
+    means = _infected_counts(graph, seeds, config).mean(axis=0)
+    return {name: mean for (name, _), mean in zip(rankings, means)}

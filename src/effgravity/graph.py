@@ -158,13 +158,6 @@ class Graph:
         self.check_node(i)
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
-    def has_edge(self, i: int, j: int) -> bool:
-        self.check_node(i)
-        self.check_node(j)
-        row = self.indices[self.indptr[i] : self.indptr[i + 1]]
-        pos = np.searchsorted(row, j)
-        return pos < row.size and row[pos] == j
-
     def check_node(self, i: int) -> None:
         if not 0 <= i < self.n:
             raise ValueError(f"node index {i} out of range for {self.n} nodes")

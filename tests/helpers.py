@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 
-from effgravity import Graph, hop_distances
+from effgravity import Graph, SIConfig, hop_distances
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -85,6 +85,37 @@ def gravity_per_source(graph: Graph) -> np.ndarray:
         mask = row > 0
         scores[i] = degrees[i] * float(np.sum(degrees[mask] / row[mask] ** 2))
     return scores
+
+
+def si_curves_per_seed_set(graph: Graph, seed_sets, config: SIConfig) -> np.ndarray:
+    """Per-run infected counts, shape (runs, seed sets, t_max + 1), simulated
+    one seed set and one run at a time.
+
+    Each (seed set, run) rebuilds the run's generator from (seed, run) and
+    draws one uniform per adjacency slot per step until no infected node
+    borders a susceptible one; from then on the count stays put.
+    """
+    src = graph.edge_sources
+    dst = graph.indices
+    curves = np.empty((config.runs, len(seed_sets), config.t_max + 1), dtype=np.int64)
+    for index, seeds in enumerate(seed_sets):
+        for run in range(config.runs):
+            rng = np.random.default_rng(np.random.SeedSequence((config.seed, run)))
+            infected = np.zeros(graph.n, dtype=bool)
+            infected[list(seeds)] = True
+            curve = curves[run, index]
+            curve[0] = int(infected.sum())
+            for t in range(1, config.t_max + 1):
+                exposed = infected[src] & ~infected[dst]
+                if not exposed.any():
+                    curve[t:] = curve[t - 1]
+                    break
+                draws = rng.random(dst.size)
+                hits = exposed & (draws < config.beta)
+                if hits.any():
+                    infected[dst[hits]] = True
+                curve[t] = int(infected.sum())
+    return curves
 
 
 def effective_distance_bruteforce(graph: Graph) -> np.ndarray:

@@ -347,22 +347,27 @@ def test_effg_builds_no_distance_matrix(tmp_path, seven_node_file, monkeypatch, 
     assert main(argv + SMALL_RUNS[command]) == 0
 
 
+# --k fits the graph where it is given, so only the named argument is wrong
 @pytest.mark.parametrize(
     "argv",
     [
-        ["evaluate", "--beta", "1.5"],
-        ["evaluate", "--t-max", "-1"],
-        ["evaluate", "--beta-grid", "0.2,-1"],
-        ["spread", "--runs", "0"],
+        ["evaluate", "--beta", "1.5", "--k", "2"],
+        ["evaluate", "--t-max", "-1", "--k", "2"],
+        ["evaluate", "--beta-grid", "0.2,-1", "--k", "2"],
+        ["spread", "--runs", "0", "--k", "2"],
+        ["rank", "--measures", "dc", "--damping", "nan"],
+        ["rank", "--damping", "2"],
+        ["spread", "--damping", "0", "--k", "2"],
+        ["evaluate", "--damping", "-0.5", "--k", "2"],
+        ["spread", "--k", "0"],
     ],
 )
 def test_bad_si_arguments_fail_before_any_work(tmp_path, seven_node_file, monkeypatch, argv):
     def refuse(*args, **kwargs):
-        raise AssertionError("scores computed before the SI arguments were checked")
+        raise AssertionError("scores computed before the arguments were checked")
 
     monkeypatch.setattr(effgravity.cli, "compute_scores", refuse)
     out = tmp_path / "out"
-    # --k fits the graph, so only the SI arguments are wrong
-    argv += ["--k", "2", "--input", str(seven_node_file), "--out", str(out)]
+    argv += ["--input", str(seven_node_file), "--out", str(out)]
     assert main(argv) == 2
     assert not out.exists()

@@ -9,37 +9,9 @@ from effgravity import (
     effective_distance_matrix,
     effective_distances,
     parse_edge_list,
-    transition_probabilities,
     write_matrix_csv,
 )
 from helpers import effective_distance_bruteforce, random_connected_graph, random_graph
-
-
-def test_transition_row_splits_evenly(seven_node_graph):
-    row = transition_probabilities(seven_node_graph, 1)  # node "2", degree 2
-    assert row.probs[0] == pytest.approx(0.5)
-    assert row.probs[4] == pytest.approx(0.5)
-    assert row.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert not row.isolated
-
-
-def test_transition_row_degree_one(seven_node_graph):
-    row = transition_probabilities(seven_node_graph, 6)  # node "7", degree 1
-    assert row.probs[0] == pytest.approx(1.0)
-    assert row.probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_transition_row_zero_on_diagonal_and_non_neighbors(seven_node_graph):
-    row = transition_probabilities(seven_node_graph, 1)
-    assert row.probs[1] == 0.0
-    assert row.probs[2] == 0.0  # nodes "2" and "3" are not adjacent
-
-
-def test_transition_row_isolated_node():
-    graph, _ = parse_edge_list("1 1\n2 3\n")
-    row = transition_probabilities(graph, 0)
-    assert row.isolated
-    assert np.all(row.probs == 0.0)
 
 
 def test_seven_node_row_from_node_2(seven_node_graph):

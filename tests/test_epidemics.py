@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import effgravity.epidemics
 from effgravity import (
     Graph,
     SIConfig,
+    closeness_centrality,
     degree_centrality,
     hop_distances,
     parse_edge_list,
@@ -12,7 +16,7 @@ from effgravity import (
     spreading_power,
     top_k_infection_curves,
 )
-from helpers import random_connected_graph
+from helpers import oracle_graphs, random_connected_graph, si_curves_per_seed_set
 
 
 def star_graph(leaves):
@@ -210,3 +214,76 @@ def test_outcome_summary_fields(seven_node_graph):
     assert outcome.per_run_finals.shape == (12,)
     assert outcome.final_mean == pytest.approx(outcome.f_curve[-1])
     assert outcome.f_curve[0] == 1.0
+
+
+@pytest.mark.parametrize("t_max", [0, 1, 6])
+@pytest.mark.parametrize("beta", [0.0, 0.35, 1.0])
+def test_public_simulations_match_per_seed_set_oracle(beta, t_max):
+    for index, graph in enumerate(oracle_graphs()):
+        config = SIConfig(beta=beta, t_max=t_max, runs=3, seed=index)
+        singles = [[node] for node in range(graph.n)]
+        finals = si_curves_per_seed_set(graph, singles, config)[:, :, -1]
+        assert spreading_power(graph, config).tobytes() == finals.mean(axis=0).tobytes()
+
+        seed_sets = [[0], list(range(0, graph.n, 2)), list(range(graph.n))]
+        oracle = si_curves_per_seed_set(graph, seed_sets, config)
+        for column, seeds in enumerate(seed_sets):
+            outcome = simulate_si(graph, seeds, config)
+            assert outcome.run_curves.tobytes() == oracle[:, column].tobytes()
+
+        rankings = [
+            ("dc", rank(degree_centrality(graph))),
+            ("cc", rank(closeness_centrality(graph))),
+        ]
+        k = max(1, graph.n // 3)
+        oracle = si_curves_per_seed_set(graph, [r.top(k) for _, r in rankings], config)
+        curves = top_k_infection_curves(graph, rankings, k, config)
+        for column, (name, _) in enumerate(rankings):
+            assert curves[name].tobytes() == oracle[:, column].mean(axis=0).tobytes()
+
+
+def test_spreading_power_blocks_match_oracle(monkeypatch):
+    graph = random_connected_graph(np.random.default_rng(71), 18, 0.15)
+    config = SIConfig(beta=0.35, t_max=6, runs=5, seed=8)
+    # four single-node seed sets per block: blocks of 4, 4, 4, 4 and 2 nodes
+    monkeypatch.setattr(effgravity.epidemics, "_BLOCK_CELLS", 4 * graph.indices.size)
+    blocks = []
+    engine = effgravity.epidemics._infected_counts
+
+    def counting_engine(graph, seed_masks, config):
+        blocks.append(len(seed_masks))
+        return engine(graph, seed_masks, config)
+
+    monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counting_engine)
+    finals = si_curves_per_seed_set(graph, [[node] for node in range(graph.n)], config)[:, :, -1]
+    assert spreading_power(graph, config).tobytes() == finals.mean(axis=0).tobytes()
+    assert blocks == [4, 4, 4, 4, 2]
+
+
+@st.composite
+def si_cases(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    seed_sets = draw(
+        st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=n), min_size=1, max_size=12)
+    )
+    config = SIConfig(
+        beta=draw(st.floats(0.0, 1.0)),
+        t_max=draw(st.integers(0, 5)),
+        runs=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return Graph.from_edges(n, edges), seed_sets, config
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(si_cases())
+def test_shared_draw_engine_matches_per_seed_set_oracle(case):
+    # up to 12 seed sets, so some cases span two 64-bit words per node
+    graph, seed_sets, config = case
+    masks = np.zeros((len(seed_sets), graph.n), dtype=bool)
+    for row, seeds in zip(masks, seed_sets):
+        row[seeds] = True
+    counts = effgravity.epidemics._infected_counts(graph, masks, config)
+    assert counts.tobytes() == si_curves_per_seed_set(graph, seed_sets, config).tobytes()
