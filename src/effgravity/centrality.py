@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import effective_distance as ed
-from .graph import Graph, gravity_sum
+from .graph import _NOT_SEEN, Graph, _adjacency_slots, _first_occurrences, gravity_sum
 
 MEASURES = ("dc", "bc", "cc", "ec", "pagerank", "gm", "effg")
 
@@ -91,41 +91,48 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
     """Count, per node, the fraction of shortest paths passing through it.
 
     Sums N_jk(i)/N_jk over unordered pairs {j, k} with i strictly interior.
-    Uses the standard dependency-accumulation scheme over per-source BFS
-    shortest-path DAGs, then halves to convert ordered pairs to unordered.
-    Disconnected pairs contribute nothing.
+    Uses Brandes' dependency accumulation over each source's BFS
+    shortest-path DAG, one whole BFS level at a time, then halves to convert
+    ordered pairs to unordered. Disconnected pairs contribute nothing.
+
+    Each level is kept in the order a FIFO queue would visit it, and the
+    backward pass walks each level in reverse, so every path count and
+    dependency receives its additions in the same order as the node-by-node
+    algorithm and the scores match it bit for bit.
     """
     n = graph.n
-    indptr, indices = graph.indptr, graph.indices
+    indices, edge_sources = graph.indices, graph.edge_sources
     bc = np.zeros(n, dtype=np.float64)
+    first_seen = np.full(n, _NOT_SEEN)
     for s in range(n):
         sigma = np.zeros(n, dtype=np.float64)
         sigma[s] = 1.0
         dist = np.full(n, -1, dtype=np.int64)
         dist[s] = 0
-        preds: list[list[int]] = [[] for _ in range(n)]
-        stack: list[int] = []
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            stack.append(u)
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                v = int(v)
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-                if dist[v] == dist[u] + 1:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
+        levels = [np.array([s], dtype=np.int64)]
+        while True:
+            depth = len(levels)
+            slots = _adjacency_slots(graph, levels[-1])
+            targets = indices[slots]
+            fresh = _first_occurrences(targets[dist[targets] < 0], first_seen)
+            if not fresh.size:
+                break
+            dist[fresh] = depth
+            on_dag = dist[targets] == depth
+            np.add.at(sigma, targets[on_dag], sigma[edge_sources[slots[on_dag]]])
+            levels.append(fresh)
         delta = np.zeros(n, dtype=np.float64)
-        for w in reversed(stack):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for u in preds[w]:
-                delta[u] += sigma[u] * coeff
-            if w != s:
-                bc[w] += delta[w]
+        for depth in range(len(levels) - 1, 0, -1):
+            level = levels[depth][::-1]
+            coeff = (1.0 + delta[level]) / sigma[level]
+            preds = indices[_adjacency_slots(graph, level)]
+            on_dag = dist[preds] == depth - 1
+            preds = preds[on_dag]
+            np.add.at(
+                delta, preds, sigma[preds] * np.repeat(coeff, graph.degrees[level])[on_dag]
+            )
+        delta[s] = 0.0
+        bc += delta
     return ScoreVector("bc", bc / 2.0)
 
 

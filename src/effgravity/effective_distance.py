@@ -5,19 +5,20 @@ probability of any walk from m to n under uniform single-step transitions
 (1/degree per neighbor). The constant 1 is added once per pair, not per hop.
 Because each step multiplies the probability by 1/degree of the node being
 left, the optimal walk is a shortest path under per-edge weight
-``log2(degree(u))`` for the edge leaving u, which is what the Dijkstra pass
-below computes. The quantity is asymmetric even on undirected graphs, and
-the self-distance is infinite (a walk never "arrives" at its start).
+``log2(degree(u))`` for the edge leaving u. :func:`effective_distances`
+finds those shortest paths by label correction, relaxing in each round the
+edges out of every node whose distance dropped in the round before. The
+quantity is asymmetric even on undirected graphs, and the self-distance is
+infinite (a walk never "arrives" at its start).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import IO
 
 import numpy as np
 
-from .graph import Graph
+from .graph import _NOT_SEEN, Graph, _adjacency_slots, _first_occurrences
 
 
 def effective_distances(graph: Graph, source: int) -> np.ndarray:
@@ -33,19 +34,19 @@ def effective_distances(graph: Graph, source: int) -> np.ndarray:
     leave_cost = np.log2(np.maximum(graph.degrees, 1)).astype(np.float64)
     dist = np.full(n, np.inf, dtype=np.float64)
     dist[source] = 0.0
-    done = np.zeros(n, dtype=bool)
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    indptr, indices = graph.indptr, graph.indices
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        du = d + leave_cost[u]
-        for v in indices[indptr[u] : indptr[u + 1]]:
-            if du < dist[v]:
-                dist[v] = du
-                heapq.heappush(heap, (du, int(v)))
+    dropped = np.array([source], dtype=np.int64)
+    first_seen = np.full(n, _NOT_SEEN)
+    while dropped.size:
+        targets = graph.indices[_adjacency_slots(graph, dropped)]
+        candidates = np.repeat(dist[dropped] + leave_cost[dropped], graph.degrees[dropped])
+        # Only strictly lower labels enter the next round, so the rounds end.
+        # Adding a non-negative cost is monotone in floating point, so the
+        # fixpoint is the least float path sum, which is what a heap Dijkstra
+        # returns too, bit for bit.
+        better = candidates < dist[targets]
+        targets = targets[better]
+        np.minimum.at(dist, targets, candidates[better])
+        dropped = _first_occurrences(targets, first_seen)
     result = dist + 1.0
     result[source] = np.inf
     return result

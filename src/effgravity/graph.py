@@ -8,7 +8,6 @@ boundary.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -250,20 +249,56 @@ def load_edge_list(path) -> tuple[Graph, ParseReport]:
         return parse_edge_list(handle)
 
 
+def _adjacency_slots(graph: Graph, nodes: np.ndarray) -> np.ndarray:
+    """Indices into ``graph.indices`` of every neighbor of the non-empty
+    ``nodes``.
+
+    The slots come node by node in the order of ``nodes``, each node's in
+    ascending neighbor order, as a loop over ``nodes`` would visit them.
+    """
+    counts = graph.degrees[nodes]
+    ends = np.cumsum(counts)
+    return np.repeat(graph.indptr[nodes] - (ends - counts), counts) + np.arange(ends[-1])
+
+
+# Marks an unused entry of the scratch array that _first_occurrences takes.
+_NOT_SEEN = np.iinfo(np.int64).max
+
+
+def _first_occurrences(values: np.ndarray, first_seen: np.ndarray) -> np.ndarray:
+    """Distinct entries of ``values`` in the order they first appear.
+
+    ``first_seen`` is int64 scratch indexed by value. It must hold
+    ``_NOT_SEEN`` wherever ``values`` points, and it does again on return, so
+    a caller allocates it once (``np.full(n, _NOT_SEEN)``) for many calls.
+    Unlike ``np.unique`` it does not sort, and it does not import
+    ``numpy.ma``, which ``np.unique`` does on first use in numpy 2.4 and
+    which adds about 1.6 MB to a process's peak RSS.
+    """
+    position = np.arange(values.size)
+    np.minimum.at(first_seen, values, position)
+    distinct = values[first_seen[values] == position]
+    first_seen[distinct] = _NOT_SEEN
+    return distinct
+
+
 def hop_distances(graph: Graph, source: int) -> np.ndarray:
-    """Breadth-first hop counts from ``source``; UNREACHABLE where no path exists."""
+    """Breadth-first hop counts from ``source``; UNREACHABLE where no path exists.
+
+    The search advances one whole level at a time: the unvisited neighbors
+    of the current level form the next one.
+    """
     graph.check_node(source)
     dist = np.full(graph.n, UNREACHABLE, dtype=np.int64)
     dist[source] = 0
-    queue: deque[int] = deque([source])
-    indptr, indices = graph.indptr, graph.indices
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in indices[indptr[u] : indptr[u + 1]]:
-            if dist[v] < 0:
-                dist[v] = du
-                queue.append(int(v))
+    frontier = np.array([source], dtype=np.int64)
+    first_seen = np.full(graph.n, _NOT_SEEN)
+    level = 0
+    while frontier.size:
+        level += 1
+        targets = graph.indices[_adjacency_slots(graph, frontier)]
+        frontier = _first_occurrences(targets[dist[targets] == UNREACHABLE], first_seen)
+        dist[frontier] = level
     return dist
 
 

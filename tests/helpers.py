@@ -7,12 +7,13 @@ algorithms.
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 
-from effgravity import Graph, SIConfig, hop_distances
+from effgravity import UNREACHABLE, Graph, SIConfig, hop_distances
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -51,6 +52,142 @@ def oracle_graphs(seed: int = 0) -> list[Graph]:
     graphs.append(random_connected_graph(rng, 18, 0.15))
     graphs.append(Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]))
     return graphs
+
+
+def ba_graph_with_leaves(rng: np.random.Generator, n: int, k: int, leaves: int) -> Graph:
+    """Preferential attachment (a star on k + 1 nodes, then k degree-biased
+    links per new node) plus ``leaves`` pendant nodes hung on random nodes.
+
+    A pendant leaf has degree 1, so the edge leaving it costs log2(1) = 0 in
+    the effective-distance weighting.
+    """
+    edges = [(k, j) for j in range(k)]
+    pool = [v for edge in edges for v in edge]
+    for new in range(k + 1, n):
+        targets: set[int] = set()
+        while len(targets) < k:
+            targets.add(pool[int(rng.integers(len(pool)))])
+        for t in sorted(targets):
+            edges.append((t, new))
+            pool += [t, new]
+    for leaf in range(n, n + leaves):
+        edges.append((int(rng.integers(n)), leaf))
+    return Graph.from_edges(n + leaves, edges)
+
+
+def layered_graph(rng: np.random.Generator, layers: int, width: int, p: float) -> Graph:
+    """Random links between consecutive layers of ``width`` nodes; the first
+    node of each layer links to every node of the next, so all are reached.
+
+    Shortest-path counts multiply from layer to layer and soon pass 2**53,
+    where float sums stop being exact and their order shows in the result.
+    """
+    edges = []
+    for layer in range(layers - 1):
+        here = range(layer * width, (layer + 1) * width)
+        for u in here:
+            for v in range((layer + 1) * width, (layer + 2) * width):
+                if u == here[0] or rng.random() < p:
+                    edges.append((u, v))
+    return Graph.from_edges(layers * width, edges)
+
+
+def engine_graphs() -> list[Graph]:
+    """The oracle graphs plus shapes that stress one part of the per-source
+    sweeps each: a star and a path (widest and longest levels), a cycle
+    (two fronts meeting), a preferential-attachment graph with zero-cost
+    leaf edges, isolated nodes among two components, and a layered graph
+    whose path counts are too large to sum exactly.
+    """
+    rng = np.random.default_rng(5)
+    return oracle_graphs() + [
+        Graph.from_edges(9, [(0, i) for i in range(1, 9)]),
+        Graph.from_edges(12, [(i, i + 1) for i in range(11)]),
+        Graph.from_edges(11, [(i, (i + 1) % 11) for i in range(11)]),
+        ba_graph_with_leaves(rng, 60, 3, 15),
+        Graph.from_edges(10, [(1, 2), (2, 4), (4, 1), (6, 7), (7, 8)]),
+        layered_graph(rng, 30, 7, 0.6),
+    ]
+
+
+def hop_distances_by_queue(graph: Graph, source: int) -> np.ndarray:
+    """Breadth-first hop counts from ``source`` with a FIFO queue, one node at a time."""
+    graph.check_node(source)
+    dist = np.full(graph.n, UNREACHABLE, dtype=np.int64)
+    dist[source] = 0
+    queue: deque[int] = deque([source])
+    indptr, indices = graph.indptr, graph.indices
+    while queue:
+        u = queue.popleft()
+        du = dist[u] + 1
+        for v in indices[indptr[u] : indptr[u + 1]]:
+            if dist[v] < 0:
+                dist[v] = du
+                queue.append(int(v))
+    return dist
+
+
+def effective_distances_by_heap(graph: Graph, source: int) -> np.ndarray:
+    """Effective distances from ``source`` by a binary-heap Dijkstra, one node at a time."""
+    graph.check_node(source)
+    n = graph.n
+    # weight of every edge leaving u; isolated nodes have no outgoing edges
+    leave_cost = np.log2(np.maximum(graph.degrees, 1)).astype(np.float64)
+    dist = np.full(n, np.inf, dtype=np.float64)
+    dist[source] = 0.0
+    done = np.zeros(n, dtype=bool)
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    indptr, indices = graph.indptr, graph.indices
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        du = d + leave_cost[u]
+        for v in indices[indptr[u] : indptr[u + 1]]:
+            if du < dist[v]:
+                dist[v] = du
+                heapq.heappush(heap, (du, int(v)))
+    result = dist + 1.0
+    result[source] = np.inf
+    return result
+
+
+def betweenness_by_stack(graph: Graph) -> np.ndarray:
+    """Brandes betweenness (unordered pairs) with a per-source queue and a
+    stack, one node and one predecessor at a time."""
+    n = graph.n
+    indptr, indices = graph.indptr, graph.indices
+    bc = np.zeros(n, dtype=np.float64)
+    for s in range(n):
+        sigma = np.zeros(n, dtype=np.float64)
+        sigma[s] = 1.0
+        dist = np.full(n, -1, dtype=np.int64)
+        dist[s] = 0
+        preds: list[list[int]] = [[] for _ in range(n)]
+        stack: list[int] = []
+        queue = [s]
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            stack.append(u)
+            for v in indices[indptr[u] : indptr[u + 1]]:
+                v = int(v)
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+                if dist[v] == dist[u] + 1:
+                    sigma[v] += sigma[u]
+                    preds[v].append(u)
+        delta = np.zeros(n, dtype=np.float64)
+        for w in reversed(stack):
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for u in preds[w]:
+                delta[u] += sigma[u] * coeff
+            if w != s:
+                bc[w] += delta[w]
+    return bc / 2.0
 
 
 def hop_distance_totals_per_source(graph: Graph) -> tuple[int, int]:

@@ -1,6 +1,10 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -371,3 +375,14 @@ def test_bad_si_arguments_fail_before_any_work(tmp_path, seven_node_file, monkey
     argv += ["--input", str(seven_node_file), "--out", str(out)]
     assert main(argv) == 2
     assert not out.exists()
+
+
+def test_cli_import_does_not_pull_scipy():
+    # importing scipy roughly doubles a CLI process's peak RSS, so no module
+    # the CLI imports may bring it in, even indirectly
+    env = dict(os.environ)
+    package_root = str(Path(effgravity.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    check = "import sys, effgravity.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

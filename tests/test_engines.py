@@ -1,0 +1,172 @@
+"""The three per-source sweeps (hop BFS, effective-distance label correction
+and Brandes betweenness) against the node-at-a-time loops in
+``tests/helpers.py``, against networkx, and against properties of the
+effective distance itself.
+
+The loop oracles do the same float operations in the same order, so their
+results must agree byte for byte; networkx sums in its own order, so it is
+compared with a tolerance.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from effgravity import (
+    UNREACHABLE,
+    Graph,
+    betweenness_centrality,
+    closeness_centrality,
+    effective_distance_matrix,
+    effective_distances,
+    effg_centrality,
+    gravity_centrality,
+    hop_distances,
+)
+from effgravity.graph import _NOT_SEEN, _adjacency_slots, _first_occurrences
+from helpers import (
+    betweenness_by_stack,
+    effective_distances_by_heap,
+    engine_graphs,
+    hop_distances_by_queue,
+)
+
+GRAPHS = engine_graphs()
+GRAPH_IDS = [f"graph{i}-n{g.n}-m{g.m}" for i, g in enumerate(GRAPHS)]
+
+
+def assert_sweeps_match_oracles(graph: Graph) -> None:
+    for s in range(graph.n):
+        assert hop_distances(graph, s).tobytes() == hop_distances_by_queue(graph, s).tobytes()
+        heap_row = effective_distances_by_heap(graph, s)
+        assert effective_distances(graph, s).tobytes() == heap_row.tobytes()
+    if graph.n:
+        heap_matrix = np.stack([effective_distances_by_heap(graph, s) for s in range(graph.n)])
+        assert effective_distance_matrix(graph).tobytes() == heap_matrix.tobytes()
+    assert betweenness_centrality(graph).scores.tobytes() == betweenness_by_stack(graph).tobytes()
+
+
+@pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
+def test_sweeps_match_node_at_a_time_oracles(graph):
+    assert_sweeps_match_oracles(graph)
+
+
+def test_adjacency_slots_follow_the_given_node_order():
+    graph = Graph.from_edges(5, [(0, 1), (0, 3), (1, 2), (3, 4), (2, 4)])
+    nodes = np.array([3, 0, 4, 3])
+    want = np.concatenate([np.arange(graph.indptr[u], graph.indptr[u + 1]) for u in nodes])
+    assert np.array_equal(_adjacency_slots(graph, nodes), want)
+
+
+def test_first_occurrences_keep_appearance_order_and_restore_scratch():
+    first_seen = np.full(6, _NOT_SEEN)
+    values = np.array([4, 1, 4, 0, 1, 5, 0])
+    assert _first_occurrences(values, first_seen).tolist() == [4, 1, 0, 5]
+    assert np.all(first_seen == _NOT_SEEN)
+    assert _first_occurrences(np.array([5, 4, 5]), first_seen).tolist() == [5, 4]
+
+
+@st.composite
+def graphs(draw, max_nodes: int = 10):
+    n = draw(st.integers(1, max_nodes))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(graphs())
+def test_sweeps_match_oracles_on_random_graphs(graph):
+    assert_sweeps_match_oracles(graph)
+
+
+# --- networkx differentials -------------------------------------------------
+
+def to_networkx(graph: Graph) -> nx.Graph:
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(range(graph.n))
+    nx_graph.add_edges_from(graph.edges())
+    return nx_graph
+
+
+@pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
+def test_hop_rows_match_networkx(graph):
+    # networkx leaves unreachable targets out of its dict; the library marks
+    # them UNREACHABLE. Both put the source at 0.
+    nx_graph = to_networkx(graph)
+    for s in range(graph.n):
+        want = np.full(graph.n, UNREACHABLE, dtype=np.int64)
+        for target, hops in nx.single_source_shortest_path_length(nx_graph, s).items():
+            want[target] = hops
+        assert np.array_equal(hop_distances(graph, s), want)
+
+
+@pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
+def test_effective_rows_match_networkx_dijkstra(graph):
+    # networkx returns the plain path cost on a DiGraph whose edge u -> v
+    # weighs log2 deg(u), with 0 at the source and no entry for unreachable
+    # targets. The library adds the constant 1 once per pair and reports inf
+    # for the source itself and for unreachable targets.
+    degrees = graph.degrees
+    directed = nx.DiGraph()
+    directed.add_nodes_from(range(graph.n))
+    for u, v in graph.edges():
+        directed.add_edge(u, v, weight=math.log2(degrees[u]))
+        directed.add_edge(v, u, weight=math.log2(degrees[v]))
+    for s in range(graph.n):
+        want = np.full(graph.n, np.inf)
+        for target, cost in nx.single_source_dijkstra_path_length(directed, s).items():
+            if target != s:
+                want[target] = cost + 1.0
+        np.testing.assert_allclose(effective_distances(graph, s), want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
+def test_betweenness_matches_networkx(graph):
+    # normalized=False on an undirected networkx graph already counts each
+    # unordered pair once, which is the library's halved convention.
+    want = nx.betweenness_centrality(to_networkx(graph), normalized=False)
+    want = np.array([want[i] for i in range(graph.n)])
+    np.testing.assert_allclose(betweenness_centrality(graph).scores, want, rtol=1e-12, atol=1e-9)
+
+
+# --- effective-distance properties -------------------------------------------
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(graphs())
+def test_neighbor_distance_is_one_plus_log2_degree(graph):
+    matrix = effective_distance_matrix(graph)
+    leave_cost = np.log2(np.maximum(graph.degrees, 1).astype(np.float64))
+    for u, v in graph.edges():
+        assert matrix[u, v] == 1.0 + leave_cost[u]
+        assert matrix[v, u] == 1.0 + leave_cost[v]
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(graphs())
+def test_effective_distance_triangle_inequality(graph):
+    # D(u, w) <= D(u, v) + D(v, w) - 1 over distinct u, v, w: the walk via v
+    # pays each leg's path cost, and the constant 1 only once.
+    matrix = effective_distance_matrix(graph)
+    for u, v, w in itertools.permutations(range(graph.n), 3):
+        assert matrix[u, w] <= matrix[u, v] + matrix[v, w] - 1.0 + 1e-12
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_relabeling_permutes_distance_scores(data):
+    graph = data.draw(graphs())
+    perm = np.array(data.draw(st.permutations(range(graph.n))))
+    relabeled = Graph.from_edges(graph.n, [(int(perm[u]), int(perm[v])) for u, v in graph.edges()])
+    for measure in (betweenness_centrality, closeness_centrality, gravity_centrality,
+                    effg_centrality):
+        original = measure(graph).scores
+        np.testing.assert_allclose(measure(relabeled).scores[perm], original,
+                                   rtol=1e-12, atol=1e-12)
