@@ -55,14 +55,6 @@ class SIOutcome:
         """Ensemble mean infected count at t = 0 .. t_max."""
         return self.run_curves.mean(axis=0)
 
-    @property
-    def per_run_finals(self) -> np.ndarray:
-        return self.run_curves[:, -1]
-
-    @property
-    def final_mean(self) -> float:
-        return float(self.per_run_finals.mean())
-
 
 # Budget, in (seed set, node or adjacency slot) pairs, for one block of
 # spreading_power's single-node seed sets: every per-step array of the
@@ -80,12 +72,20 @@ def _infected_counts(graph: Graph, seed_masks: np.ndarray, config: SIConfig) -> 
     slot whose draw is below beta is open, and a node becomes infected when
     the source of any of its open incoming slots was infected before the
     step.
+
+    Every run still draws one uniform per slot per step, but only the open
+    slots whose source is infected in some seed set and whose target is
+    susceptible in some seed set are grouped and reduced: any other open
+    slot would only OR zero bits into its target.
     """
     sets, n = seed_masks.shape
     src, dst = graph.edge_sources, graph.indices
     # one byte per (node, seed set), padded to whole 64-bit words per node, so
     # the OR over a node's incoming slots handles eight seed sets at a time
     width = -(-sets // 8) * 8
+    full = np.zeros(width, dtype=bool)
+    full[:sets] = True
+    full = full.view(np.uint64)
     counts = np.empty((config.runs, sets, config.t_max + 1), dtype=np.int64)
     counts[:, :, 0] = np.count_nonzero(seed_masks, axis=1)
     for run in range(config.runs):
@@ -93,15 +93,26 @@ def _infected_counts(graph: Graph, seed_masks: np.ndarray, config: SIConfig) -> 
         infected = np.zeros((n, width), dtype=bool)
         infected[:, :sets] = seed_masks.T
         words = infected.view(np.uint64)
+        # per node: infected in some seed set, and infected in every seed set
+        touched = seed_masks.any(axis=0)
+        saturated = seed_masks.all(axis=0)
         for t in range(1, config.t_max + 1):
             opened = np.flatnonzero(rng.random(dst.size) < config.beta)
+            opened = opened[touched[src[opened]] & ~saturated[dst[opened]]]
+            if opened.size == 0:
+                counts[run, :, t] = counts[run, :, t - 1]
+                continue
             # group the open slots by target, one reduceat segment per node
             opened = opened[np.argsort(dst[opened])]
             targets = dst[opened]
             starts = np.flatnonzero(np.diff(targets, prepend=-1))
             nodes = targets[starts]
-            fresh = np.bitwise_or.reduceat(words[src[opened]], starts, axis=0) & ~words[nodes]
-            words[nodes] |= fresh
+            before = words[nodes]
+            fresh = np.bitwise_or.reduceat(words[src[opened]], starts, axis=0) & ~before
+            after = before | fresh
+            words[nodes] = after
+            touched[nodes] = True
+            saturated[nodes] = (after == full).all(axis=1)
             counts[run, :, t] = counts[run, :, t - 1] + np.count_nonzero(
                 fresh.view(bool)[:, :sets], axis=0
             )
@@ -109,9 +120,12 @@ def _infected_counts(graph: Graph, seed_masks: np.ndarray, config: SIConfig) -> 
 
 
 def _seed_mask(graph: Graph, seeds: Iterable[int]) -> np.ndarray:
-    seed_nodes = np.asarray(list(seeds), dtype=np.int64)
+    seed_nodes = np.asarray(list(seeds))
     if seed_nodes.size == 0:
         raise ValueError("seed set must not be empty")
+    # a float or bool seed would otherwise be cast to some node silently
+    if seed_nodes.dtype.kind not in "iu":
+        raise ValueError(f"seed nodes must be integers, got dtype {seed_nodes.dtype}")
     if seed_nodes.min() < 0 or seed_nodes.max() >= graph.n:
         raise ValueError(
             f"seed nodes must be in [0, {graph.n}), got range "

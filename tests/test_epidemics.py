@@ -211,9 +211,24 @@ def test_top_k_out_of_range_rejected(seven_node_graph):
 def test_outcome_summary_fields(seven_node_graph):
     cfg = SIConfig(beta=0.5, t_max=6, runs=12, seed=4)
     outcome = simulate_si(seven_node_graph, [0], cfg)
-    assert outcome.per_run_finals.shape == (12,)
-    assert outcome.final_mean == pytest.approx(outcome.f_curve[-1])
     assert outcome.f_curve[0] == 1.0
+
+
+@pytest.mark.parametrize("seeds", [[1.7], [True], [0, 2.0], np.array([1.0]), ["1"]])
+def test_non_integer_seeds_rejected(seeds):
+    # casting would seed node 1 for 1.7 and for True
+    graph = Graph.from_edges(3, [(0, 1), (1, 2)])
+    cfg = SIConfig(beta=0.5, t_max=2, runs=2, seed=0)
+    with pytest.raises(ValueError, match="integers"):
+        simulate_si(graph, seeds, cfg)
+
+
+def test_numpy_integer_seeds_accepted():
+    graph = Graph.from_edges(3, [(0, 1), (1, 2)])
+    cfg = SIConfig(beta=0.5, t_max=2, runs=3, seed=0)
+    expected = simulate_si(graph, [1], cfg).run_curves.tobytes()
+    for seeds in ([np.int32(1)], np.array([1], dtype=np.uint8), range(1, 2)):
+        assert simulate_si(graph, seeds, cfg).run_curves.tobytes() == expected
 
 
 @pytest.mark.parametrize("t_max", [0, 1, 6])
@@ -260,6 +275,66 @@ def test_spreading_power_blocks_match_oracle(monkeypatch):
     assert blocks == [4, 4, 4, 4, 2]
 
 
+def assert_engine_matches_oracle(graph, seed_sets, config):
+    masks = np.zeros((len(seed_sets), graph.n), dtype=bool)
+    for row, seeds in zip(masks, seed_sets):
+        row[seeds] = True
+    counts = effgravity.epidemics._infected_counts(graph, masks, config)
+    oracle = si_curves_per_seed_set(graph, seed_sets, config)
+    assert counts.tobytes() == oracle.tobytes()
+    return counts
+
+
+def test_engine_many_words_per_node_matches_oracle():
+    # 70 seed sets: nine 64-bit words per node, the last one padded; seeds
+    # come from nodes 0..9 only, so the other 20 are reached by spreading
+    rng = np.random.default_rng(83)
+    graph = random_connected_graph(rng, 30, 0.08)
+    seed_sets = [
+        sorted(rng.choice(10, size=int(rng.integers(1, 4)), replace=False).tolist())
+        for _ in range(70)
+    ]
+    for beta in (0.2, 0.6):
+        config = SIConfig(beta=beta, t_max=8, runs=4, seed=5)
+        counts = assert_engine_matches_oracle(graph, seed_sets, config)
+        assert counts[:, :, -1].max() > counts[:, :, 0].max()
+
+
+def test_engine_leaves_untouched_component_alone():
+    # every seed lies on the path 0..7; the triangle 8, 9, 10 is never reached
+    edges = [(i, i + 1) for i in range(7)] + [(8, 9), (9, 10), (8, 10)]
+    graph = Graph.from_edges(11, edges)
+    seed_sets = [[0], [1], [0, 1], [0]]
+    config = SIConfig(beta=0.7, t_max=9, runs=5, seed=17)
+    counts = assert_engine_matches_oracle(graph, seed_sets, config)
+    assert counts.max() == 8
+
+
+def test_engine_beta_one_saturates_every_seed_set():
+    rng = np.random.default_rng(97)
+    graph = random_connected_graph(rng, 16, 0.1)
+    diameter = max(int(hop_distances(graph, s).max()) for s in range(graph.n))
+    seed_sets = [[node] for node in range(graph.n)] + [[0, 9]]
+    config = SIConfig(beta=1.0, t_max=diameter + 3, runs=2, seed=4)
+    counts = assert_engine_matches_oracle(graph, seed_sets, config)
+    # every set is saturated by step `diameter`, so later steps keep no slot
+    assert np.all(counts[:, :, diameter:] == graph.n)
+
+
+def test_engine_every_set_saturated_from_the_start():
+    rng = np.random.default_rng(101)
+    graph = random_connected_graph(rng, 12, 0.2)
+    config = SIConfig(beta=0.5, t_max=4, runs=3, seed=6)
+    everything = list(range(graph.n))
+    counts = assert_engine_matches_oracle(graph, [everything] * 9, config)
+    assert np.all(counts == graph.n)
+    rankings = [("dc", rank(degree_centrality(graph))), ("cc", rank(closeness_centrality(graph)))]
+    curves = top_k_infection_curves(graph, rankings, graph.n, config)
+    oracle = si_curves_per_seed_set(graph, [everything], config)[:, 0].mean(axis=0)
+    for name, _ in rankings:
+        assert curves[name].tobytes() == oracle.tobytes()
+
+
 @st.composite
 def si_cases(draw):
     n = draw(st.integers(1, 9))
@@ -282,8 +357,4 @@ def si_cases(draw):
 def test_shared_draw_engine_matches_per_seed_set_oracle(case):
     # up to 12 seed sets, so some cases span two 64-bit words per node
     graph, seed_sets, config = case
-    masks = np.zeros((len(seed_sets), graph.n), dtype=bool)
-    for row, seeds in zip(masks, seed_sets):
-        row[seeds] = True
-    counts = effgravity.epidemics._infected_counts(graph, masks, config)
-    assert counts.tobytes() == si_curves_per_seed_set(graph, seed_sets, config).tobytes()
+    assert_engine_matches_oracle(graph, seed_sets, config)
