@@ -274,12 +274,11 @@ def compute_scores(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     damping: float = 1.0,
-    distance_matrix: np.ndarray | None = None,
 ) -> Mapping[str, ScoreVector]:
     """Compute several measures at once, in the order requested.
 
-    ``effg`` streams effective-distance rows unless a precomputed
-    ``distance_matrix`` is passed. Unknown measure names raise ValueError.
+    ``effg`` streams effective-distance rows, so no n x n matrix is built.
+    Unknown measure names raise ValueError.
     """
     unknown = [name for name in measures if name not in MEASURES]
     if unknown:
@@ -293,6 +292,6 @@ def compute_scores(
         "ec": lambda: eigenvector_centrality(graph, tol=tol, max_iter=max_iter),
         "pagerank": lambda: pagerank(graph, tol=tol, max_iter=max_iter, damping=damping),
         "gm": lambda: gravity_centrality(graph),
-        "effg": lambda: effg_centrality(graph, distance_matrix),
+        "effg": lambda: effg_centrality(graph),
     }
     return {name: scorers[name]() for name in measures}

@@ -120,6 +120,11 @@ def _check_damping(args: argparse.Namespace) -> None:
         raise ValueError(f"damping must be in (0, 1], got {args.damping}")
 
 
+def _check_k(args: argparse.Namespace) -> None:
+    if args.k < 1:
+        raise ValueError(f"k must be >= 1, got {args.k}")
+
+
 def _rankings(scores: Mapping[str, ScoreVector]) -> dict[str, Ranking]:
     return {name: rank(sv) for name, sv in scores.items()}
 
@@ -177,8 +182,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 def cmd_spread(args: argparse.Namespace) -> int:
     _check_damping(args)
-    if args.k < 1:
-        raise ValueError(f"k must be >= 1, got {args.k}")
+    _check_k(args)
     config = SIConfig(beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed)
     graph = _load_graph(args)
     if args.k > graph.n:
@@ -207,6 +211,7 @@ def cmd_spread(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_damping(args)
+    _check_k(args)
     spread_config = SIConfig(
         beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed
     )

@@ -69,10 +69,11 @@ class Graph:
         edges: Iterable[tuple[int, int]],
         labels: Sequence[str] | None = None,
     ) -> "Graph":
-        """Build a graph from unique loop-free index pairs.
+        """Build a graph from unique loop-free integer index pairs.
 
-        Raises ValueError on self-loops, duplicate edges (in either
-        orientation) or out-of-range endpoints; use :func:`parse_edge_list`
+        Raises ValueError on non-integer endpoints and on the first pair, in
+        input order, that is out of range, a self-loop or a repeat of an
+        earlier pair (in either orientation); use :func:`parse_edge_list`
         for inputs that need cleaning.
         """
         if labels is None:
@@ -81,26 +82,21 @@ class Graph:
             labels = tuple(labels)
         if len(labels) != n:
             raise ValueError(f"expected {n} labels, got {len(labels)}")
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([len(a) for a in adjacency])
-        indices = np.fromiter(
-            (w for a in adjacency for w in sorted(a)), dtype=np.int64, count=int(indptr[-1])
-        )
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
+        pairs = np.array(list(edges) or np.empty((0, 2), dtype=np.int64))
+        if pairs.dtype.kind not in "iu" or pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be pairs of integer node indices")
+        u, v = pairs.astype(np.int64).T
+        bad = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n) | (u == v)
+        indptr, indices, repeated = _csr(n, u[~bad], v[~bad])
+        faults = np.concatenate([np.flatnonzero(bad)[:1], np.flatnonzero(~bad)[repeated][:1]])
+        if faults.size:
+            i = int(faults.min())
+            a, b = int(u[i]), int(v[i])
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a}, {b}) out of range for {n} nodes")
+            if a == b:
+                raise ValueError(f"self-loop at node {a}")
+            raise ValueError(f"duplicate edge ({a}, {b})")
         return cls(indptr=indptr, indices=indices, labels=labels)
 
     @property
@@ -145,14 +141,6 @@ class Graph:
             array.setflags(write=False)
         return HopSums(distance, reachable, gravity)
 
-    @cached_property
-    def label_to_index(self) -> dict[str, int]:
-        return {label: i for i, label in enumerate(self.labels)}
-
-    def degree(self, i: int) -> int:
-        self.check_node(i)
-        return int(self.indptr[i + 1] - self.indptr[i])
-
     def neighbors(self, i: int) -> np.ndarray:
         self.check_node(i)
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
@@ -162,11 +150,9 @@ class Graph:
             raise ValueError(f"node index {i} out of range for {self.n} nodes")
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each undirected edge once as (u, v) with u < v."""
-        for u in range(self.n):
-            for v in self.indices[self.indptr[u] : self.indptr[u + 1]]:
-                if v > u:
-                    yield u, int(v)
+        """Yield each undirected edge once as (u, v) with u < v, ordered by (u, v)."""
+        upper = self.edge_sources < self.indices
+        return zip(self.edge_sources[upper].tolist(), self.indices[upper].tolist())
 
     def to_edge_list(self) -> str:
         """Serialize as edge-list text, one edge per line.
@@ -175,11 +161,7 @@ class Graph:
         a <= b, sorted by (a, b). Nodes without any edge are not
         representable in this format.
         """
-        pairs = []
-        for u, v in self.edges():
-            lu, lv = self.labels[u], self.labels[v]
-            pairs.append((lu, lv) if lu <= lv else (lv, lu))
-        pairs.sort()
+        pairs = sorted(tuple(sorted((self.labels[u], self.labels[v]))) for u, v in self.edges())
         return "".join(f"{a} {b}\n" for a, b in pairs)
 
 
@@ -198,55 +180,66 @@ def parse_edge_list(
     split into exactly two tokens, and for input containing no nodes at all.
     """
     if isinstance(source, bytes):
-        lines: Iterable[str] = source.decode("utf-8").splitlines()
+        lines: Iterable[str] = source.decode("utf-8-sig").splitlines()
     elif isinstance(source, str):
         lines = source.splitlines()
     else:
         lines = source
 
-    label_to_index: dict[str, int] = {}
-    labels: list[str] = []
-    edge_set: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    loops = 0
-    duplicates = 0
+    tokens: list[str] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith(comment_prefixes):
             continue
-        tokens = line.replace(",", " ").split()
-        if len(tokens) != 2:
+        pair = line.replace(",", " ").split()
+        if len(pair) != 2:
             raise ParseError(
-                f"expected two node labels, got {len(tokens)}: {raw.rstrip()!r}", lineno
+                f"expected two node labels, got {len(pair)}: {raw.rstrip()!r}", lineno
             )
-        pair = []
-        for token in tokens:
-            index = label_to_index.get(token)
-            if index is None:
-                index = len(labels)
-                label_to_index[token] = index
-                labels.append(token)
-            pair.append(index)
-        u, v = pair
-        if u == v:
-            loops += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in edge_set:
-            duplicates += 1
-            continue
-        edge_set.add(key)
-        edges.append(key)
+        tokens += pair
+    labels = tuple(dict.fromkeys(tokens))
     if not labels:
         raise ParseError("no nodes found in edge-list input")
-    graph = Graph.from_edges(len(labels), edges, tuple(labels))
-    return graph, ParseReport(loops_dropped=loops, duplicates_merged=duplicates)
+    index = dict(zip(labels, range(len(labels))))
+    ends = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    u, v = ends[0::2], ends[1::2]
+    loop = u == v
+    indptr, indices, repeated = _csr(len(labels), u[~loop], v[~loop])
+    report = ParseReport(loops_dropped=int(loop.sum()), duplicates_merged=int(repeated.sum()))
+    return Graph(indptr=indptr, indices=indices, labels=labels), report
 
 
 def load_edge_list(path) -> tuple[Graph, ParseReport]:
-    """Read and parse an edge-list file."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Read and parse an edge-list file; a leading byte-order mark is ignored."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_edge_list(handle)
+
+
+def _csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric adjacency of the loop-free, in-range int64 pairs (u[i], v[i]).
+
+    Returns read-only ``indptr`` and ``indices`` (each row ascending) and a
+    mask of the pairs that repeat an earlier pair in either orientation;
+    those add nothing. A stable sort of the keys ``min * n + max`` puts each
+    pair right after its earlier repeats, so comparing neighbouring keys
+    marks every occurrence but the first.
+    """
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeat = np.zeros(keys.size, dtype=bool)
+    repeat[1:] = ordered[1:] == ordered[:-1]
+    repeated = np.empty_like(repeat)
+    repeated[order] = repeat
+    edges = ordered[~repeat]
+    low, high = np.divmod(edges, n)
+    # every edge in both orientations, keyed source * n + target
+    rows, indices = np.divmod(np.sort(np.concatenate([edges, high * n + low])), n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return indptr, indices, repeated
 
 
 def _adjacency_slots(graph: Graph, nodes: np.ndarray) -> np.ndarray:

@@ -10,10 +10,12 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter, deque
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from effgravity import UNREACHABLE, Graph, SIConfig, hop_distances
+from effgravity import UNREACHABLE, Graph, ParseError, ParseReport, SIConfig, hop_distances
+from effgravity.graph import COMMENT_PREFIXES
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -108,6 +110,103 @@ def engine_graphs() -> list[Graph]:
         Graph.from_edges(10, [(1, 2), (2, 4), (4, 1), (6, 7), (7, 8)]),
         layered_graph(rng, 30, 7, 0.6),
     ]
+
+
+def from_edges_by_lists(
+    n: int,
+    edges: Iterable[tuple[int, int]],
+    labels: Sequence[str] | None = None,
+) -> Graph:
+    """``Graph.from_edges`` with a Python set of seen pairs and one Python
+    list of neighbors per node, checking each pair in input order."""
+    if labels is None:
+        labels = tuple(str(i) for i in range(n))
+    else:
+        labels = tuple(labels)
+    if len(labels) != n:
+        raise ValueError(f"expected {n} labels, got {len(labels)}")
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(a) for a in adjacency])
+    indices = np.fromiter(
+        (w for a in adjacency for w in sorted(a)), dtype=np.int64, count=int(indptr[-1])
+    )
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return Graph(indptr=indptr, indices=indices, labels=labels)
+
+
+def edges_by_rows(graph: Graph):
+    """``Graph.edges`` row by row: each edge once as (u, v) with u < v."""
+    for u in range(graph.n):
+        for v in graph.indices[graph.indptr[u] : graph.indptr[u + 1]]:
+            if v > u:
+                yield u, int(v)
+
+
+def parse_edge_list_by_set(
+    source: str | bytes | Iterable[str],
+    comment_prefixes: tuple[str, ...] = COMMENT_PREFIXES,
+) -> tuple[Graph, ParseReport]:
+    """``parse_edge_list`` one line at a time, with a Python set of the kept
+    pairs, building through :func:`from_edges_by_lists`. Bytes are decoded
+    as plain UTF-8, so this oracle does not skip a byte-order mark."""
+    if isinstance(source, bytes):
+        lines: Iterable[str] = source.decode("utf-8").splitlines()
+    elif isinstance(source, str):
+        lines = source.splitlines()
+    else:
+        lines = source
+
+    label_to_index: dict[str, int] = {}
+    labels: list[str] = []
+    edge_set: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
+    loops = 0
+    duplicates = 0
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith(comment_prefixes):
+            continue
+        tokens = line.replace(",", " ").split()
+        if len(tokens) != 2:
+            raise ParseError(
+                f"expected two node labels, got {len(tokens)}: {raw.rstrip()!r}", lineno
+            )
+        pair = []
+        for token in tokens:
+            index = label_to_index.get(token)
+            if index is None:
+                index = len(labels)
+                label_to_index[token] = index
+                labels.append(token)
+            pair.append(index)
+        u, v = pair
+        if u == v:
+            loops += 1
+            continue
+        key = (u, v) if u < v else (v, u)
+        if key in edge_set:
+            duplicates += 1
+            continue
+        edge_set.add(key)
+        edges.append(key)
+    if not labels:
+        raise ParseError("no nodes found in edge-list input")
+    graph = from_edges_by_lists(len(labels), edges, tuple(labels))
+    return graph, ParseReport(loops_dropped=loops, duplicates_merged=duplicates)
 
 
 def hop_distances_by_queue(graph: Graph, source: int) -> np.ndarray:

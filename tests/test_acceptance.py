@@ -262,8 +262,7 @@ def test_criterion_7_jazz_dataset_checks():
         failures.append(f"avg degree {stats.avg_degree:.4f} != 27.6970")
 
     measures = ["dc", "bc", "cc", "ec", "pagerank", "gm", "effg"]
-    matrix = effective_distance_matrix(graph)
-    scores = compute_scores(graph, measures, distance_matrix=matrix)
+    scores = compute_scores(graph, measures)
     rankings = {name: rank(sv) for name, sv in scores.items()}
 
     si_config = SIConfig(beta=0.2, t_max=20, runs=50, seed=2020)

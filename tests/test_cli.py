@@ -364,6 +364,8 @@ def test_effg_builds_no_distance_matrix(tmp_path, seven_node_file, monkeypatch, 
         ["spread", "--damping", "0", "--k", "2"],
         ["evaluate", "--damping", "-0.5", "--k", "2"],
         ["spread", "--k", "0"],
+        ["evaluate", "--k", "-1"],
+        ["evaluate", "--k", "0"],
     ],
 )
 def test_bad_si_arguments_fail_before_any_work(tmp_path, seven_node_file, monkeypatch, argv):

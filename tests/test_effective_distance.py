@@ -93,7 +93,7 @@ def test_first_hop_lower_bound():
         graph = random_connected_graph(rng, int(rng.integers(2, 12)), 0.3)
         matrix = effective_distance_matrix(graph)
         for i in range(graph.n):
-            bound = 1.0 + math.log2(graph.degree(i))
+            bound = 1.0 + math.log2(graph.degrees[i])
             finite = np.isfinite(matrix[i])
             assert np.all(matrix[i][finite] >= bound - 1e-12)
 

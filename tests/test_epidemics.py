@@ -337,15 +337,31 @@ def test_engine_every_set_saturated_from_the_start():
 
 @st.composite
 def si_cases(draw):
-    n = draw(st.integers(1, 9))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # two blocks with no edge between them, so at least two components
+    n = draw(st.integers(2, 10))
+    split = draw(st.integers(1, n - 1))
+    pairs = [
+        (i, j)
+        for block in (range(split), range(split, n))
+        for i in block
+        for j in block
+        if i < j
+    ]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    seed_sets = draw(
-        st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=n), min_size=1, max_size=12)
+    # a few distinct seed sets from a pool of at most three nodes, each
+    # repeated up to nine times in a row: nodes are reached by some sets
+    # steps before others, and a run of eight equal sets fills a whole
+    # 64-bit word per node, so one word can be saturated while another is not
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    distinct = draw(
+        st.lists(st.lists(st.sampled_from(pool), min_size=1, unique=True), min_size=1, max_size=3)
     )
+    seed_sets = [
+        seeds for seeds in distinct for _ in range(draw(st.integers(1, 9)))
+    ]
     config = SIConfig(
-        beta=draw(st.floats(0.0, 1.0)),
-        t_max=draw(st.integers(0, 5)),
+        beta=draw(st.sampled_from([1.0, 0.9]) | st.floats(0.0, 1.0)),
+        t_max=draw(st.integers(2, 6)),
         runs=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 2**32)),
     )
@@ -355,6 +371,6 @@ def si_cases(draw):
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(si_cases())
 def test_shared_draw_engine_matches_per_seed_set_oracle(case):
-    # up to 12 seed sets, so some cases span two 64-bit words per node
+    # up to 27 seed sets, so many cases span two or more 64-bit words per node
     graph, seed_sets, config = case
     assert_engine_matches_oracle(graph, seed_sets, config)

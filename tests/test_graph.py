@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effgravity import (
     UNREACHABLE,
@@ -7,11 +11,20 @@ from effgravity import (
     ParseError,
     ParseReport,
     hop_distances,
+    load_edge_list,
     parse_edge_list,
     topology_stats,
 )
 from conftest import SEVEN_NODE_DEGREES
-from helpers import hop_distance_totals_per_source, oracle_graphs, random_graph
+from helpers import (
+    edges_by_rows,
+    engine_graphs,
+    from_edges_by_lists,
+    hop_distance_totals_per_source,
+    oracle_graphs,
+    parse_edge_list_by_set,
+    random_graph,
+)
 
 
 def test_parse_triangle():
@@ -57,6 +70,20 @@ def test_parse_accepts_bytes_and_open_files(tmp_path):
     assert from_file.labels == graph.labels
 
 
+def test_parse_ignores_a_leading_byte_order_mark():
+    graph, _ = parse_edge_list(b"\xef\xbb\xbf1 2\n1 3\n")
+    assert graph.labels == ("1", "2", "3")
+
+
+def test_load_ignores_a_byte_order_mark_before_a_comment(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(b"\xef\xbb\xbf# header\n1 2\n1 3\n")
+    from_file, report = load_edge_list(path)
+    assert from_file.labels == ("1", "2", "3")
+    assert from_file.m == 2
+    assert report == ParseReport(0, 0)
+
+
 def test_parse_skips_comments_and_blank_lines():
     graph, _ = parse_edge_list("# comment\n% other comment\n\n1 2\n")
     assert graph.n == 2
@@ -78,19 +105,18 @@ def test_parse_empty_input_is_an_error():
 def test_first_appearance_indexing():
     graph, _ = parse_edge_list("b a\nc a\n")
     assert graph.labels == ("b", "a", "c")
-    assert graph.label_to_index == {"b": 0, "a": 1, "c": 2}
 
 
 def test_degree_accessors(seven_node_graph):
-    assert seven_node_graph.degree(0) == 6
-    assert seven_node_graph.degree(6) == 1
+    assert seven_node_graph.degrees[0] == 6
+    assert seven_node_graph.degrees[6] == 1
     with pytest.raises(ValueError):
-        seven_node_graph.degree(7)
+        seven_node_graph.neighbors(7)
 
 
 def test_loop_only_node_is_isolated_with_degree_zero():
     graph, _ = parse_edge_list("1 1\n2 3\n")
-    assert graph.degree(0) == 0
+    assert graph.degrees[0] == 0
 
 
 def test_from_edges_rejects_degenerate_input():
@@ -100,6 +126,109 @@ def test_from_edges_rejects_degenerate_input():
         Graph.from_edges(2, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+
+
+def assert_same_graph(graph, oracle):
+    assert graph.indptr.tobytes() == oracle.indptr.tobytes()
+    assert graph.indices.tobytes() == oracle.indices.tobytes()
+    assert graph.labels == oracle.labels
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (5, 0), (1, 1), (1, 0)], r"edge \(5, 0\) out of range for 3 nodes"),
+        ([(0, 1), (-1, 2), (0, 1)], r"edge \(-1, 2\) out of range for 3 nodes"),
+        ([(0, 1), (7, 7), (2, 2)], r"edge \(7, 7\) out of range for 3 nodes"),
+        ([(0, 1), (2, 2), (9, 1), (1, 0)], r"self-loop at node 2"),
+        ([(0, 1), (1, 0), (2, 2), (9, 9)], r"duplicate edge \(1, 0\)"),
+        # the first repeat in input order, not the first repeated pair
+        ([(0, 1), (1, 2), (2, 1), (0, 1)], r"duplicate edge \(2, 1\)"),
+    ],
+)
+def test_from_edges_reports_the_first_fault_in_input_order(edges, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        from_edges_by_lists(3, edges)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph.from_edges(3, edges)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[(0, 1.5)], [(0, 1), (1.0, 2.0)], [("0", "1")], np.array([[0.0, 2.0]]), [(0, 1, 2)]],
+)
+def test_from_edges_rejects_non_integer_endpoints(edges):
+    # a float endpoint must not be truncated to an index
+    with pytest.raises(ValueError, match="integer"):
+        Graph.from_edges(3, edges)
+
+
+def test_from_edges_accepts_numpy_integer_pairs():
+    edges = np.array([[2, 0], [1, 2]], dtype=np.int32)
+    assert_same_graph(Graph.from_edges(3, edges), from_edges_by_lists(3, edges.tolist()))
+    assert list(Graph.from_edges(3, iter(edges.tolist())).edges()) == [(0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("graph", engine_graphs(), ids=lambda g: f"n{g.n}-m{g.m}")
+def test_builder_matches_set_oracle_on_engine_graph_edges(graph):
+    rng = np.random.default_rng(graph.n + graph.m)
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges()]
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    assert_same_graph(Graph.from_edges(graph.n, edges), from_edges_by_lists(graph.n, edges))
+    assert_same_graph(graph, from_edges_by_lists(graph.n, graph.edges()))
+    assert list(graph.edges()) == list(edges_by_rows(graph))
+    # the same edges as text, with every third one repeated reversed and a
+    # self-loop on every fifth node
+    lines = [f"{u} {v}" for u, v in edges]
+    lines += [f"{v},{u}" for u, v in edges[::3]] + [f"{u} {u}" for u in range(0, graph.n, 5)]
+    text = "\n".join(lines[i] for i in rng.permutation(len(lines)))
+    parsed, report = parse_edge_list(text)
+    oracle, oracle_report = parse_edge_list_by_set(text)
+    assert_same_graph(parsed, oracle)
+    assert report == oracle_report
+
+
+LABELS = st.sampled_from(["a", "b", "c", "1", "2", "10", "x-y", "\u00e9"])
+PADDING = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def edge_list_lines(draw):
+    kind = draw(st.sampled_from(["edge", "edge", "edge", "comment", "blank"]))
+    if kind == "edge":
+        # labels from a small pool, so loops, repeats and both orientations are common
+        separator = draw(st.sampled_from([" ", ",", "\t", ", ", " ,", "   "]))
+        return draw(PADDING) + draw(LABELS) + separator + draw(LABELS) + draw(PADDING)
+    if kind == "comment":
+        prefix = draw(st.sampled_from(["#", "%", " #", "\t%"]))
+        return prefix + draw(st.text(alphabet="ab1 ,#%", max_size=6))
+    return draw(PADDING)
+
+
+MALFORMED = st.tuples(st.integers(0, 25), st.sampled_from(["a", "a b c", "1,2,3", " a,,b c"]))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(edge_list_lines(), max_size=25),
+    st.sampled_from(["\n", "\r\n"]),
+    st.none() | MALFORMED,
+)
+def test_parse_matches_set_oracle_on_messy_text(lines, newline, malformed):
+    if malformed is not None:
+        position, line = malformed
+        lines.insert(position, line)
+    text = newline.join(lines)
+    try:
+        oracle, oracle_report = parse_edge_list_by_set(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError, match=f"^{re.escape(str(exc))}$"):
+            parse_edge_list(text)
+        return
+    graph, report = parse_edge_list(text)
+    assert_same_graph(graph, oracle)
+    assert report == oracle_report
+    assert list(graph.edges()) == list(edges_by_rows(oracle))
 
 
 def test_hop_distances_seven_node(seven_node_graph):
@@ -173,7 +302,7 @@ def test_serialize_round_trip_random():
         by_label = lambda g: {
             g.labels[u]: sorted(g.labels[v] for v in g.neighbors(u))
             for u in range(g.n)
-            if g.degree(u) > 0
+            if g.degrees[u] > 0
         }
         assert by_label(graph) == by_label(reparsed)
 
