@@ -193,12 +193,12 @@ def pagerank(
 ) -> ScoreVector:
     """Random-walk influence scores by fixed-point iteration.
 
-    Updates x(i) <- sum over neighbors j of x(j)/degree(j), starting from
-    the uniform distribution, until the L1 change drops to tol. The default
-    damping of 1.0 is the undamped update, which diverges on bipartite
-    structure (period-2 oscillation); pass damping < 1 for the damped form
-    (1-d)/n_active + d * sum. Isolated nodes are pinned to score 0 and
-    excluded from the uniform start and the damping redistribution.
+    Updates x(i) <- (1-d)/n_active + d * sum over neighbors j of
+    x(j)/degree(j), with d the damping, starting from the uniform
+    distribution, until the L1 change drops to tol. The default d = 1.0 is
+    the undamped update, which diverges on bipartite structure (period-2
+    oscillation); pass d < 1 to damp it. Isolated nodes are pinned to score
+    0 and excluded from the uniform start and the damping redistribution.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping}")
@@ -215,10 +215,7 @@ def pagerank(
     delta = np.inf
     for iteration in range(1, max_iter + 1):
         spread = _neighbor_sums(graph, x / safe_degrees)
-        if damping < 1.0:
-            x_next = np.where(active, (1.0 - damping) / n_active + damping * spread, 0.0)
-        else:
-            x_next = spread
+        x_next = np.where(active, (1.0 - damping) / n_active + damping * spread, 0.0)
         delta = float(np.abs(x_next - x).sum())
         x = x_next
         if delta <= tol:
@@ -271,8 +268,6 @@ def effg_centrality(graph: Graph, distance_matrix: np.ndarray | None = None) -> 
 def compute_scores(
     graph: Graph,
     measures: Sequence[str],
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     damping: float = 1.0,
 ) -> Mapping[str, ScoreVector]:
     """Compute several measures at once, in the order requested.
@@ -289,8 +284,8 @@ def compute_scores(
         "dc": lambda: degree_centrality(graph),
         "bc": lambda: betweenness_centrality(graph),
         "cc": lambda: closeness_centrality(graph),
-        "ec": lambda: eigenvector_centrality(graph, tol=tol, max_iter=max_iter),
-        "pagerank": lambda: pagerank(graph, tol=tol, max_iter=max_iter, damping=damping),
+        "ec": lambda: eigenvector_centrality(graph),
+        "pagerank": lambda: pagerank(graph, damping=damping),
         "gm": lambda: gravity_centrality(graph),
         "effg": lambda: effg_centrality(graph),
     }

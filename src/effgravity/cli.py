@@ -1,10 +1,11 @@
 """Command-line front end: stats, rank, spread, evaluate.
 
-Every command reads one edge-list file, writes its tables into an output
-directory, and drops a ``config.json`` there with the fully resolved
-parameters (including the master seed) so any output can be reproduced
-byte for byte. Exit codes: 0 success, 1 computation error such as
-non-convergence, 2 usage or I/O error.
+Every command reads one edge-list file and returns its tables as data.
+:func:`main` alone creates the output directory, once the command has
+succeeded, writes the tables there, and drops a ``config.json`` beside them
+with the fully resolved parameters (including the master seed) so any
+output can be reproduced byte for byte. Exit codes: 0 success, 1
+computation error such as non-convergence, 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ import csv
 import json
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Any, Mapping, Sequence
 
 from . import __version__
 from .centrality import (
@@ -47,6 +46,11 @@ DEFAULT_RUNS = 50
 DEFAULT_SPREAD_K = 100
 DEFAULT_OVERLAP_K = 20
 
+# A command's output files by name: (header, rows) for a .csv file, the
+# payload itself for a .json file. Rows may be a generator, which main
+# consumes while it writes the file.
+Outputs = dict[str, Any]
+
 
 def _parse_measures(value: str) -> list[str]:
     names = [token.strip() for token in value.split(",") if token.strip()]
@@ -72,36 +76,17 @@ def _parse_beta_grid(value: str) -> list[float]:
     return betas
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return "inf" if np.isinf(value) else repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _write_config(out_dir: Path, args: argparse.Namespace) -> None:
-    resolved = {key: value for key, value in vars(args).items() if key not in ("func", "out")}
-    resolved["version"] = __version__
-    _write_json(out_dir / "config.json", resolved)
-
-
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -129,35 +114,25 @@ def _rankings(scores: Mapping[str, ScoreVector]) -> dict[str, Ranking]:
     return {name: rank(sv) for name, sv in scores.items()}
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
-    stats = topology_stats(graph)
-    out = _out_dir(args)
-    record = {
-        "n": stats.n,
-        "m": stats.m,
-        "avg_degree": stats.avg_degree,
-        "avg_distance": stats.avg_distance,
-        "clustering": stats.clustering,
-        "assortativity": stats.assortativity,
-        "unreachable_pair_fraction": stats.unreachable_pair_fraction,
-    }
+def _score_rows(graph: Graph, sv: ScoreVector, ranking: Ranking):
+    # lazy, so main holds one measure's rows at a time, not all of them
+    for node in ranking.order:
+        yield graph.labels[node], float(sv.scores[node]), int(ranking.ranks[node])
+
+
+def cmd_stats(args: argparse.Namespace) -> Outputs:
+    record = asdict(topology_stats(_load_graph(args)))
     if args.format == "json":
-        _write_json(out / "stats.json", record)
-    else:
-        header = list(record)
-        row = ["nan" if record[key] is None else _fmt(record[key]) for key in header]
-        _write_csv(out / "stats.csv", header, [row])
-    _write_config(out, args)
-    return 0
+        return {"stats.json": record}
+    row = ["nan" if value is None else value for value in record.values()]
+    return {"stats.csv": (list(record), [row])}
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
+def cmd_rank(args: argparse.Namespace) -> Outputs:
     _check_damping(args)
     graph = _load_graph(args)
     scores = compute_scores(graph, args.measures, damping=args.damping)
     rankings = _rankings(scores)
-    out = _out_dir(args)
     if args.format == "json":
         payload = {
             name: {
@@ -167,20 +142,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
             }
             for name, sv in scores.items()
         }
-        _write_json(out / "rank.json", payload)
-    else:
-        for name, sv in scores.items():
-            ranking = rankings[name]
-            rows = [
-                (graph.labels[node], float(sv.scores[node]), int(ranking.ranks[node]))
-                for node in ranking.order
-            ]
-            _write_csv(out / f"scores_{name}.csv", ["node_label", "score", "rank"], rows)
-    _write_config(out, args)
-    return 0
+        return {"rank.json": payload}
+    return {
+        f"scores_{name}.csv": (["node_label", "score", "rank"], _score_rows(graph, sv, rankings[name]))
+        for name, sv in scores.items()
+    }
 
 
-def cmd_spread(args: argparse.Namespace) -> int:
+def cmd_spread(args: argparse.Namespace) -> Outputs:
     _check_damping(args)
     _check_k(args)
     config = SIConfig(beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed)
@@ -191,44 +160,31 @@ def cmd_spread(args: argparse.Namespace) -> int:
     curves = top_k_infection_curves(
         graph, [(name, rankings[name]) for name in args.measures], args.k, config
     )
-    out = _out_dir(args)
-    header = ["t"] + [f"F_{name}" for name in args.measures]
-    rows = [
-        [t] + [float(curves[name][t]) for name in args.measures]
-        for t in range(args.t_max + 1)
-    ]
+    steps = range(args.t_max + 1)
     if args.format == "json":
-        _write_json(
-            out / "spread.json",
-            {"t": list(range(args.t_max + 1))}
-            | {f"F_{name}": [float(v) for v in curves[name]] for name in args.measures},
-        )
-    else:
-        _write_csv(out / "spread.csv", header, rows)
-    _write_config(out, args)
-    return 0
+        return {
+            "spread.json": {"t": list(steps)}
+            | {f"F_{name}": [float(v) for v in curves[name]] for name in args.measures}
+        }
+    header = ["t"] + [f"F_{name}" for name in args.measures]
+    rows = [[t] + [float(curves[name][t]) for name in args.measures] for t in steps]
+    return {"spread.csv": (header, rows)}
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> Outputs:
     _check_damping(args)
     _check_k(args)
-    spread_config = SIConfig(
-        beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed
-    )
-    sweep_config = SIConfig(
-        beta=DEFAULT_BETA, t_max=args.t_max_sweep, runs=args.runs, seed=args.seed
-    )
+    spread_config = SIConfig(beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed)
+    sweep_config = SIConfig(beta=DEFAULT_BETA, t_max=args.t_max_sweep, runs=args.runs, seed=args.seed)
     with warnings.catch_warnings():
         # checked here before any work; the sweep itself warns about clamping
         warnings.simplefilter("ignore")
-        for beta in clamp_betas(args.beta_grid):
-            replace(sweep_config, beta=beta)
+        clamp_betas(args.beta_grid)
     graph = _load_graph(args)
     if args.k > graph.n:
         raise ValueError(f"k={args.k} exceeds the graph's {graph.n} nodes")
     scores = compute_scores(graph, args.measures, damping=args.damping)
     rankings = _rankings(scores)
-    out = _out_dir(args)
 
     sweep = tau_vs_beta_sweep(
         graph,
@@ -237,9 +193,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         sweep_config,
         convention=args.tau_convention,
     )
-    sweep_rows = [
-        (name, beta, comparison.tau) for name, beta, comparison in sweep
-    ]
+    sweep_rows = [(name, beta, comparison.tau) for name, beta, comparison in sweep]
 
     overlap_rows = []
     for i, name_a in enumerate(args.measures):
@@ -257,39 +211,31 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ]
 
     if args.format == "json":
-        _write_json(
-            out / "evaluate.json",
-            {
-                "tau_sweep": [
-                    {"measure": name, "beta": beta, "tau": tau}
-                    for name, beta, tau in sweep_rows
-                ],
-                "overlap": [
-                    {"measure_a": a, "measure_b": b, "k": k, "shared": shared}
-                    for a, b, k, shared in overlap_rows
-                ],
-                "rank_vs_spread": {
-                    name: [
-                        {"rank": position, "node_label": label, "mean_final": mean_final}
-                        for position, label, mean_final in rows
-                    ]
-                    for name, rows in spread_tables.items()
-                },
+        payload = {
+            "tau_sweep": [
+                {"measure": name, "beta": beta, "tau": tau}
+                for name, beta, tau in sweep_rows
+            ],
+            "overlap": [
+                {"measure_a": a, "measure_b": b, "k": k, "shared": shared}
+                for a, b, k, shared in overlap_rows
+            ],
+            "rank_vs_spread": {
+                name: [
+                    {"rank": position, "node_label": label, "mean_final": mean_final}
+                    for position, label, mean_final in rows
+                ]
+                for name, rows in spread_tables.items()
             },
-        )
-    else:
-        _write_csv(out / "tau_sweep.csv", ["measure", "beta", "tau"], sweep_rows)
-        _write_csv(
-            out / "overlap.csv", ["measure_a", "measure_b", "k", "shared"], overlap_rows
-        )
-        for name, rows in spread_tables.items():
-            _write_csv(
-                out / f"rank_vs_spread_{name}.csv",
-                ["rank", "node_label", "mean_final"],
-                rows,
-            )
-    _write_config(out, args)
-    return 0
+        }
+        return {"evaluate.json": payload}
+    return {
+        "tau_sweep.csv": (["measure", "beta", "tau"], sweep_rows),
+        "overlap.csv": (["measure_a", "measure_b", "k", "shared"], overlap_rows),
+    } | {
+        f"rank_vs_spread_{name}.csv": (["rank", "node_label", "mean_final"], rows)
+        for name, rows in spread_tables.items()
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,13 +323,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        outputs = args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in outputs.items():
+            if name.endswith(".csv"):
+                _write_csv(out / name, *content)
+            else:
+                _write_json(out / name, content)
+        config = {key: value for key, value in vars(args).items() if key not in ("func", "out")}
+        _write_json(out / "config.json", config | {"version": __version__})
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def run() -> None:

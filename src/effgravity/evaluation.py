@@ -95,7 +95,7 @@ def clamp_betas(betas: Sequence[float]) -> list[float]:
     clamped = []
     over = []
     for beta in betas:
-        if beta < 0.0:
+        if not beta >= 0.0:  # NaN included
             raise ValueError(f"beta must be >= 0, got {beta}")
         if beta > 1.0:
             over.append(beta)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -20,6 +21,9 @@ import numpy as np
 UNREACHABLE = -1
 
 COMMENT_PREFIXES = ("#", "%")
+_BOM = "\ufeff"
+# labels the parser would skip or strip at the start of a line
+_CANNOT_LEAD = COMMENT_PREFIXES + (_BOM,)
 
 
 class ParseError(ValueError):
@@ -155,24 +159,41 @@ class Graph:
         return zip(self.edge_sources[upper].tolist(), self.indices[upper].tolist())
 
     def to_edge_list(self) -> str:
-        """Serialize as edge-list text, one edge per line.
+        """Serialize as edge-list text, one edge per line, that parses back.
 
         Lines are ``"<a> <b>"`` with (a, b) the endpoint labels ordered so
-        a <= b, sorted by (a, b). Nodes without any edge are not
-        representable in this format.
+        a <= b, sorted by (a, b), except that a label starting with '#', '%'
+        or a byte-order mark goes second: at the start of a line the parser
+        would skip or strip it. Nodes without any edge are not representable
+        in this format.
+
+        Raises ValueError naming a label that cannot be written so that it
+        parses back: one that is empty or holds whitespace or a comma, or
+        an edge whose two labels both start with one of those prefixes.
+        Only labels given to :meth:`from_edges` can be empty or hold a
+        separator.
         """
-        pairs = sorted(tuple(sorted((self.labels[u], self.labels[v]))) for u, v in self.edges())
-        return "".join(f"{a} {b}\n" for a, b in pairs)
+        pairs = []
+        for u, v in self.edges():
+            a, b = sorted((self.labels[u], self.labels[v]))
+            for label in (a, b):
+                if label.split() != [label] or "," in label:
+                    raise ValueError(f"label {label!r} is not a single edge-list token")
+            if a.startswith(_CANNOT_LEAD):
+                if b.startswith(_CANNOT_LEAD):
+                    raise ValueError(f"edge ({a!r}, {b!r}): neither label can start a line")
+                a, b = b, a
+            pairs.append((a, b))
+        return "".join(f"{a} {b}\n" for a, b in sorted(pairs))
 
 
-def parse_edge_list(
-    source: str | bytes | Iterable[str],
-    comment_prefixes: tuple[str, ...] = COMMENT_PREFIXES,
-) -> tuple[Graph, ParseReport]:
+def parse_edge_list(source: str | bytes | Iterable[str]) -> tuple[Graph, ParseReport]:
     """Parse edge-list text into a graph plus a cleaning report.
 
     Each data line holds two node labels separated by whitespace and/or a
-    comma. Lines starting with '#' or '%' and blank lines are skipped.
+    comma. Lines starting with '#' or '%' and blank lines are skipped, and
+    a byte-order mark at the start of the first line is ignored, whether
+    the input is bytes, a string or lines of text.
     Self-loops are dropped and duplicate edges (either orientation) merged;
     both are counted in the report. Node indices follow first appearance.
 
@@ -180,16 +201,14 @@ def parse_edge_list(
     split into exactly two tokens, and for input containing no nodes at all.
     """
     if isinstance(source, bytes):
-        lines: Iterable[str] = source.decode("utf-8-sig").splitlines()
-    elif isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
+        source = source.decode("utf-8")
+    lines = iter(source.splitlines() if isinstance(source, str) else source)
+    first = next(lines, "").removeprefix(_BOM)
 
     tokens: list[str] = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(chain([first], lines), start=1):
         line = raw.strip()
-        if not line or line.startswith(comment_prefixes):
+        if not line or line.startswith(COMMENT_PREFIXES):
             continue
         pair = line.replace(",", " ").split()
         if len(pair) != 2:
@@ -210,8 +229,8 @@ def parse_edge_list(
 
 
 def load_edge_list(path) -> tuple[Graph, ParseReport]:
-    """Read and parse an edge-list file; a leading byte-order mark is ignored."""
-    with open(path, "r", encoding="utf-8-sig") as handle:
+    """Read and parse a UTF-8 edge-list file."""
+    with open(path, "r", encoding="utf-8") as handle:
         return parse_edge_list(handle)
 
 

@@ -366,6 +366,7 @@ def test_effg_builds_no_distance_matrix(tmp_path, seven_node_file, monkeypatch, 
         ["spread", "--k", "0"],
         ["evaluate", "--k", "-1"],
         ["evaluate", "--k", "0"],
+        ["evaluate", "--beta-grid", "0.2,nan", "--k", "2"],
     ],
 )
 def test_bad_si_arguments_fail_before_any_work(tmp_path, seven_node_file, monkeypatch, argv):
@@ -376,6 +377,28 @@ def test_bad_si_arguments_fail_before_any_work(tmp_path, seven_node_file, monkey
     out = tmp_path / "out"
     argv += ["--input", str(seven_node_file), "--out", str(out)]
     assert main(argv) == 2
+    assert not out.exists()
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
+    # one node once the loop is dropped, so the tau sweep fails after the
+    # scores were computed
+    edge_file = tmp_path / "loop.edges"
+    edge_file.write_text("a a\n")
+    out = tmp_path / "out"
+    code = main(
+        [
+            "evaluate",
+            "--input", str(edge_file),
+            "--out", str(out),
+            "--measures", "dc",
+            "--k", "1",
+            "--beta-grid", "0.2",
+            "--runs", "1",
+        ]
+    )
+    assert code == 2
+    assert "need at least two elements" in capsys.readouterr().err
     assert not out.exists()
 
 

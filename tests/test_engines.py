@@ -29,6 +29,7 @@ from effgravity import (
     effg_centrality,
     gravity_centrality,
     hop_distances,
+    pagerank,
 )
 from effgravity.graph import _NOT_SEEN, _adjacency_slots, _first_occurrences
 from helpers import (
@@ -135,6 +136,20 @@ def test_betweenness_matches_networkx(graph):
     want = nx.betweenness_centrality(to_networkx(graph), normalized=False)
     want = np.array([want[i] for i in range(graph.n)])
     np.testing.assert_allclose(betweenness_centrality(graph).scores, want, rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [pytest.param(g, id=gid) for g, gid in zip(GRAPHS, GRAPH_IDS) if g.degrees.min() > 0],
+)
+def test_pagerank_matches_networkx(graph):
+    # Only graphs without isolated nodes: the library pins an isolated node
+    # to 0 and leaves it out of the uniform start and the (1 - d)/n share,
+    # while networkx treats it as a dangling node that spreads its mass over
+    # every node, so their scores differ wherever one exists.
+    want = nx.pagerank(to_networkx(graph), alpha=0.85, tol=1e-13, max_iter=1000)
+    want = np.array([want[i] for i in range(graph.n)])
+    np.testing.assert_allclose(pagerank(graph, damping=0.85).scores, want, rtol=0, atol=1e-9)
 
 
 # --- effective-distance properties -------------------------------------------

@@ -75,6 +75,19 @@ def test_parse_ignores_a_leading_byte_order_mark():
     assert graph.labels == ("1", "2", "3")
 
 
+def test_parse_ignores_a_byte_order_mark_in_decoded_input(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(b"\xef\xbb\xbf1 2\n1 3\n")
+    with open(path, encoding="utf-8") as handle:
+        from_handle, _ = parse_edge_list(handle)
+    assert from_handle.labels == ("1", "2", "3")
+    from_text, _ = parse_edge_list(path.read_text(encoding="utf-8"))
+    assert from_text.labels == ("1", "2", "3")
+    # only the first line can carry a byte-order mark; later it is label text
+    later, _ = parse_edge_list("1 2\n\ufeff3 1\n")
+    assert later.labels == ("1", "2", "\ufeff3")
+
+
 def test_load_ignores_a_byte_order_mark_before_a_comment(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_bytes(b"\xef\xbb\xbf# header\n1 2\n1 3\n")
@@ -305,6 +318,34 @@ def test_serialize_round_trip_random():
             if g.degrees[u] > 0
         }
         assert by_label(graph) == by_label(reparsed)
+
+
+def test_serialize_round_trip_of_comment_prefixed_labels():
+    graph, _ = parse_edge_list("a #b\na c\n")
+    text = graph.to_edge_list()
+    assert text == "a #b\na c\n"
+    reparsed, _ = parse_edge_list(text)
+    assert (reparsed.n, reparsed.m) == (3, 2)
+    # a byte-order mark leading the first line would be stripped, so the
+    # label that sorts first (U+FEFF < U+FF41) goes second
+    bom, _ = parse_edge_list("\uff41 \ufeffa\n")
+    assert bom.to_edge_list() == "\uff41 \ufeffa\n"
+
+
+@pytest.mark.parametrize(
+    "labels, culprit",
+    [
+        (("#a", "%b"), "'#a'"),
+        (("a", ""), "''"),
+        (("a b", "c"), "'a b'"),
+        (("a", "b,c"), "'b,c'"),
+        (("a\nb", "c"), "'a\\nb'"),
+    ],
+)
+def test_serialize_refuses_labels_that_do_not_parse_back(labels, culprit):
+    graph = Graph.from_edges(2, [(0, 1)], labels=labels)
+    with pytest.raises(ValueError, match=re.escape(culprit)):
+        graph.to_edge_list()
 
 
 def test_topology_stats_complete_graph():
