@@ -33,6 +33,7 @@ from .epidemics import (
     SIOutcome,
     simulate_si,
     spreading_power,
+    spreading_powers,
     top_k_infection_curves,
 )
 from .evaluation import (
@@ -91,6 +92,7 @@ __all__ = [
     "rank_vs_spread",
     "simulate_si",
     "spreading_power",
+    "spreading_powers",
     "tau_vs_beta_sweep",
     "top_k_infection_curves",
     "top_k_overlap",

@@ -16,12 +16,12 @@ under the same draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .centrality import Ranking
-from .graph import Graph
+from .graph import UNREACHABLE, Graph, hop_distances
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,38 @@ class SIOutcome:
         return self.run_curves.mean(axis=0)
 
 
-# Budget, in (seed set, node or adjacency slot) pairs, for one block of
-# spreading_power's single-node seed sets: every per-step array of the
-# engine then stays near a megabyte, and a Jazz-sized graph (2m ~ 5k slots)
-# simulates all of its nodes in one block.
-_BLOCK_CELLS = 1 << 20
+# Budget, in bytes, for one block of spreading_powers' single-node seed
+# sets: a seed set is one bit per node or adjacency slot, so every per-step
+# array of the engine then stays near a megabyte, and a Jazz-sized graph
+# (2m ~ 5k slots) simulates all of its nodes at four betas in one block.
+_BLOCK_BYTES = 1 << 20
 
 
-def _infected_counts(graph: Graph, seed_masks: np.ndarray, config: SIConfig) -> np.ndarray:
-    """Per-run infected counts, shape (runs, seed sets, t_max + 1).
+def _pack(bits: np.ndarray, words: int) -> np.ndarray:
+    """Pack the last axis of a boolean array into ``words`` 64-bit words."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    padded = np.zeros(bits.shape[:-1] + (8 * words,), dtype=np.uint8)
+    padded[..., : packed.shape[-1]] = packed
+    return padded.view("<u8")
 
-    ``seed_masks`` is a boolean (seed sets, n) array. All seed sets advance
+
+def _infected_counts(
+    graph: Graph, seed_masks: np.ndarray, betas: Sequence[float], t_max: int, runs: int, seed: int
+) -> Iterator[np.ndarray]:
+    """Infected counts of one run at a time, shape (seed sets, t_max + 1).
+
+    ``seed_masks`` is a boolean (seed sets, n) array and ``betas`` gives
+    each seed set its transmission probability. All seed sets advance
     together: run r builds one generator and draws one uniform per
     adjacency slot per step, and every seed set reads those same draws. A
-    slot whose draw is below beta is open, and a node becomes infected when
-    the source of any of its open incoming slots was infected before the
-    step.
+    slot is open for a seed set when its draw is below that set's beta, and
+    a node becomes infected when the source of any of its open incoming
+    slots was infected before the step.
+
+    Seed sets are bits, 64 to a word per node. The sets open at a slot are
+    nested (every set whose beta exceeds the draw), so each kept slot ANDs
+    one row of a small table, indexed by where its draw falls among the
+    distinct betas, into the words it carries.
 
     Every run still draws one uniform per slot per step, but only the open
     slots whose source is infected in some seed set and whose target is
@@ -80,43 +96,62 @@ def _infected_counts(graph: Graph, seed_masks: np.ndarray, config: SIConfig) -> 
     """
     sets, n = seed_masks.shape
     src, dst = graph.edge_sources, graph.indices
-    # one byte per (node, seed set), padded to whole 64-bit words per node, so
-    # the OR over a node's incoming slots handles eight seed sets at a time
-    width = -(-sets // 8) * 8
-    full = np.zeros(width, dtype=bool)
-    full[:sets] = True
-    full = full.view(np.uint64)
-    counts = np.empty((config.runs, sets, config.t_max + 1), dtype=np.int64)
-    counts[:, :, 0] = np.count_nonzero(seed_masks, axis=1)
-    for run in range(config.runs):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, run)))
-        infected = np.zeros((n, width), dtype=bool)
-        infected[:, :sets] = seed_masks.T
-        words = infected.view(np.uint64)
-        # per node: infected in some seed set, and infected in every seed set
-        touched = seed_masks.any(axis=0)
-        saturated = seed_masks.all(axis=0)
-        for t in range(1, config.t_max + 1):
-            opened = np.flatnonzero(rng.random(dst.size) < config.beta)
+    betas = np.asarray(betas, dtype=np.float64)
+    # the distinct betas; with no seed set at all, one level that opens nothing
+    levels = np.array(sorted(set(betas.tolist())) or [0.0])
+    words = -(-sets // 64)
+    full = _pack(np.ones(sets, dtype=bool), words)
+    # row i: the seed sets still open at a draw with i levels at or below it
+    open_sets = _pack(betas >= levels[:, None], words)
+    start_words = _pack(seed_masks.T, words)
+    # per node: infected in some seed set, and infected in every seed set
+    start_touched = seed_masks.any(axis=0)
+    start_saturated = seed_masks.all(axis=0)
+    seeded = np.count_nonzero(seed_masks, axis=1)
+    # one buffer each, reset by every run: a fresh copy per run raised the
+    # peak RSS of a large spread by about a megabyte
+    infected = np.empty_like(start_words)
+    touched = np.empty_like(start_touched)
+    saturated = np.empty_like(start_saturated)
+    for run in range(runs):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
+        infected[...] = start_words
+        touched[...] = start_touched
+        saturated[...] = start_saturated
+        counts = np.empty((sets, t_max + 1), dtype=np.int64)
+        counts[:, 0] = seeded
+        # ndarray methods rather than np.* wrappers, and no np.diff: on a
+        # tiny graph each step is a few dozen microsecond-sized calls
+        for t in range(1, t_max + 1):
+            draws = rng.random(dst.size)
+            opened = (draws < levels[-1]).nonzero()[0]
             opened = opened[touched[src[opened]] & ~saturated[dst[opened]]]
+            # keep only the kept slots' draws, so that the next step's 2m
+            # draws are not allocated while this step's are still held
+            draws = draws[opened]
             if opened.size == 0:
-                counts[run, :, t] = counts[run, :, t - 1]
+                counts[:, t] = counts[:, t - 1]
                 continue
             # group the open slots by target, one reduceat segment per node
-            opened = opened[np.argsort(dst[opened])]
+            order = dst[opened].argsort()
+            opened = opened[order]
             targets = dst[opened]
-            starts = np.flatnonzero(np.diff(targets, prepend=-1))
+            starts = np.append(True, targets[1:] != targets[:-1]).nonzero()[0]
             nodes = targets[starts]
-            before = words[nodes]
-            fresh = np.bitwise_or.reduceat(words[src[opened]], starts, axis=0) & ~before
+            # take, as row gathers by fancy indexing are several times slower
+            carried = infected.take(src[opened], axis=0)
+            if levels.size > 1:
+                level = levels.searchsorted(draws[order], side="right")
+                carried &= open_sets.take(level, axis=0)
+            before = infected.take(nodes, axis=0)
+            fresh = np.bitwise_or.reduceat(carried, starts, axis=0) & ~before
             after = before | fresh
-            words[nodes] = after
+            infected[nodes] = after
             touched[nodes] = True
             saturated[nodes] = (after == full).all(axis=1)
-            counts[run, :, t] = counts[run, :, t - 1] + np.count_nonzero(
-                fresh.view(bool)[:, :sets], axis=0
-            )
-    return counts
+            bits = np.unpackbits(fresh.view(np.uint8), axis=1, count=sets, bitorder="little")
+            counts[:, t] = counts[:, t - 1] + bits.sum(axis=0, dtype=np.int32)
+        yield counts
 
 
 def _seed_mask(graph: Graph, seeds: Iterable[int]) -> np.ndarray:
@@ -141,27 +176,65 @@ def simulate_si(graph: Graph, seeds: Iterable[int], config: SIConfig) -> SIOutco
 
     The outcome is bit-identical for identical (graph, seeds, config).
     """
-    curves = _infected_counts(graph, _seed_mask(graph, seeds)[None], config)[:, 0]
+    runs = _infected_counts(
+        graph, _seed_mask(graph, seeds)[None], [config.beta], config.t_max, config.runs, config.seed
+    )
+    curves = np.stack([counts[0] for counts in runs])
     curves.setflags(write=False)
     return SIOutcome(run_curves=curves)
+
+
+def spreading_powers(graph: Graph, configs: Sequence[SIConfig]) -> list[np.ndarray]:
+    """Mean final infected count per node, seeding alone, for each config.
+
+    This is the simulation ground truth that rankings are correlated
+    against. Every config must share ``seed`` and ``runs``, so every node's
+    ensemble reuses the same derived streams (common random numbers) and
+    scores are directly comparable across nodes and across configs.
+
+    One engine pass per block of nodes serves every config with beta < 1:
+    the block is stacked once per distinct beta, all of them read each
+    step's one draw per slot, and the pass runs to the longest horizon, from
+    which each config reads the column at its own ``t_max``. At beta = 1
+    every slot is open at every step, so a node's final count is the size of
+    its hop ball of radius ``t_max``; those powers are read from hop
+    distances and never simulated.
+    """
+    configs = list(configs)
+    if len({(config.seed, config.runs) for config in configs}) > 1:
+        raise ValueError("spreading_powers needs configs that share seed and runs")
+    n = graph.n
+    powers = {(config.beta, config.t_max): np.empty(n) for config in configs}
+    balls = sorted({t_max for beta, t_max in powers if beta == 1.0})
+    if balls:
+        for node in range(n):
+            row = hop_distances(graph, node)
+            reached = row[row != UNREACHABLE]
+            for t_max in balls:
+                powers[1.0, t_max][node] = np.count_nonzero(reached <= t_max)
+    simulated = [key for key in powers if key[0] < 1.0]
+    if simulated:
+        levels = sorted({beta for beta, _ in simulated})
+        horizon = max(t_max for _, t_max in simulated)
+        runs, seed = configs[0].runs, configs[0].seed
+        block = max(1, 8 * _BLOCK_BYTES // (len(levels) * max(graph.indices.size, n)))
+        for start in range(0, n, block):
+            size = min(block, n - start)
+            seeds = np.tile(np.eye(size, n, k=start, dtype=bool), (len(levels), 1))
+            betas = np.repeat(levels, size)
+            total = sum(_infected_counts(graph, seeds, betas, horizon, runs, seed))
+            for beta, t_max in simulated:
+                group = levels.index(beta) * size
+                powers[beta, t_max][start : start + size] = total[group : group + size, t_max] / runs
+    return [powers[config.beta, config.t_max] for config in configs]
 
 
 def spreading_power(graph: Graph, config: SIConfig) -> np.ndarray:
     """Mean final infected count when each node seeds the epidemic alone.
 
-    This is the simulation ground truth that rankings are correlated
-    against. Every node's ensemble reuses the same derived streams (common
-    random numbers), so scores are directly comparable across nodes. Nodes
-    are simulated in blocks that share each run's draws.
+    The one-config case of :func:`spreading_powers`.
     """
-    n = graph.n
-    block = max(1, _BLOCK_CELLS // max(graph.indices.size, n))
-    power = np.empty(n, dtype=np.float64)
-    for start in range(0, n, block):
-        seeds = np.eye(min(block, n - start), n, k=start, dtype=bool)
-        finals = _infected_counts(graph, seeds, config)[:, :, -1]
-        power[start : start + block] = finals.mean(axis=0)
-    return power
+    return spreading_powers(graph, [config])[0]
 
 
 def top_k_infection_curves(
@@ -181,5 +254,7 @@ def top_k_infection_curves(
     seeds = np.zeros((len(rankings), graph.n), dtype=bool)
     for row, (_, ranking) in zip(seeds, rankings):
         row[ranking.top(k)] = True
-    means = _infected_counts(graph, seeds, config).mean(axis=0)
+    betas = [config.beta] * len(seeds)
+    total = sum(_infected_counts(graph, seeds, betas, config.t_max, config.runs, config.seed))
+    means = total / config.runs
     return {name: mean for (name, _), mean in zip(rankings, means)}

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .centrality import Ranking, ScoreVector
-from .epidemics import SIConfig, spreading_power
+from .epidemics import SIConfig, spreading_power, spreading_powers
 from .graph import Graph
 
 TAU_CONVENTIONS = ("standard", "ordered-pairs")
@@ -46,10 +46,44 @@ class OverlapReport:
     shared: int
 
 
+def _tied_pairs(same: np.ndarray) -> int:
+    """Pairs inside runs of equal neighbours; ``same[i]`` says item i + 1 equals item i."""
+    bounds = np.flatnonzero(np.concatenate(([True], ~same, [True])))
+    lengths = np.diff(bounds)
+    return int(np.sum(lengths * (lengths - 1) // 2))
+
+
+def _strict_inversions(ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], for integer ranks in [0, n).
+
+    A bottom-up merge sort: at width w the array holds sorted runs of w
+    items, each right run counts the items of its left neighbour that are
+    strictly greater than each of its own, and the two runs are merged by
+    sorting keys that put the block index above the rank.
+    """
+    n = ranks.size
+    position = np.arange(n)
+    inversions = 0
+    width = 1
+    while width < n:
+        block = position // (2 * width)
+        keys = block * n + ranks
+        right = position // width % 2 == 1
+        # a left run that has a right neighbour is full: it holds w items
+        at_most = np.searchsorted(keys[~right], keys[right], side="right") - block[right] * width
+        inversions += int(np.sum(width - at_most))
+        ranks = np.sort(keys) - block * n
+        width *= 2
+    return inversions
+
+
 def kendall_tau(
     x: Sequence[float], y: Sequence[float], convention: str = "standard"
 ) -> RankComparison:
-    """Count concordant/discordant pairs of (x, y) and normalize to tau."""
+    """Count concordant/discordant pairs of (x, y) and normalize to tau.
+
+    Runs in O(n log n) time and O(n) memory; NaN is rejected.
+    """
     if convention not in TAU_CONVENTIONS:
         raise ValueError(
             f"unknown convention {convention!r}; choose from {TAU_CONVENTIONS}"
@@ -61,13 +95,23 @@ def kendall_tau(
     n = xs.size
     if n < 2:
         raise ValueError(f"need at least two elements, got {n}")
-    concordant = 0
-    discordant = 0
-    for i in range(n - 1):
-        sign = np.sign(xs[i + 1 :] - xs[i]) * np.sign(ys[i + 1 :] - ys[i])
-        concordant += int((sign > 0).sum())
-        discordant += int((sign < 0).sum())
+    if np.isnan(xs).any() or np.isnan(ys).any():
+        raise ValueError("sequences must not contain NaN")
+    # Knight's method: sort by (x, y); the discordant pairs are then exactly
+    # the strict inversions of y, and the concordant ones are the pairs tied
+    # in neither coordinate that are not discordant
+    order = np.lexsort((ys, xs))
+    x_sorted, y_sorted = xs[order], ys[order]
+    same_x = x_sorted[1:] == x_sorted[:-1]
+    same_xy = same_x & (y_sorted[1:] == y_sorted[:-1])
+    y_order = np.argsort(ys, kind="stable")
+    same_y = ys[y_order][1:] == ys[y_order][:-1]
+    y_ranks = np.empty(n, dtype=np.int64)
+    y_ranks[y_order] = np.concatenate(([0], np.cumsum(~same_y)))
     pairs_total = n * (n - 1) // 2
+    untied = pairs_total - _tied_pairs(same_x) - _tied_pairs(same_y) + _tied_pairs(same_xy)
+    discordant = _strict_inversions(y_ranks[order])
+    concordant = untied - discordant
     denominator = n * (n - 1) if convention == "ordered-pairs" else pairs_total
     return RankComparison(
         tau=(concordant - discordant) / denominator,
@@ -116,24 +160,27 @@ def tau_vs_beta_sweep(
     betas: Sequence[float],
     config: SIConfig,
     convention: str = "standard",
+    power: Mapping[float, np.ndarray] | None = None,
 ) -> list[tuple[str, float, RankComparison]]:
     """Correlate each measure with simulated spreading power across betas.
 
     The single-seed spreading power of all nodes is computed once per
-    distinct clamped beta (config.beta is replaced by it) and each measure's
-    score vector is correlated against it. Rows keep the requested beta
-    values; order is (beta, measure).
+    distinct clamped beta (config.beta is replaced by it), all in one
+    :func:`spreading_powers` call, and each measure's score vector is
+    correlated against it. Pass ``power``, a mapping from each clamped beta
+    to its vector, to reuse vectors already computed under that config.
+    Rows keep the requested beta values; order is (beta, measure).
     """
     requested = list(betas)
     clamped = clamp_betas(requested)
-    ground_truth = {
-        beta: spreading_power(graph, replace(config, beta=beta))
-        for beta in dict.fromkeys(clamped)
-    }
+    if power is None:
+        distinct = list(dict.fromkeys(clamped))
+        configs = [replace(config, beta=beta) for beta in distinct]
+        power = dict(zip(distinct, spreading_powers(graph, configs)))
     rows: list[tuple[str, float, RankComparison]] = []
     for beta_requested, beta in zip(requested, clamped):
         for sv in score_vectors:
-            comparison = kendall_tau(sv.scores, ground_truth[beta], convention=convention)
+            comparison = kendall_tau(sv.scores, power[beta], convention=convention)
             rows.append((sv.measure, float(beta_requested), comparison))
     return rows
 

@@ -419,3 +419,18 @@ def kendall_counts_bruteforce(x, y) -> tuple[int, int]:
             elif dx * dy < 0:
                 discordant += 1
     return concordant, discordant
+
+
+def kendall_counts_by_rows(x, y) -> tuple[int, int]:
+    """Concordant and discordant pair counts, one row of pairs per element:
+    the O(n^2) loop ``kendall_tau`` used before its O(n log n) sort."""
+    xs = np.asarray(x, dtype=np.float64)
+    ys = np.asarray(y, dtype=np.float64)
+    concordant = 0
+    discordant = 0
+    with np.errstate(invalid="ignore"):  # inf - inf is a tie, not an error
+        for i in range(xs.size - 1):
+            sign = np.sign(xs[i + 1 :] - xs[i]) * np.sign(ys[i + 1 :] - ys[i])
+            concordant += int((sign > 0).sum())
+            discordant += int((sign < 0).sum())
+    return concordant, discordant

@@ -402,6 +402,24 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evaluate_reports_clamped_betas_as_one_note(tmp_path, seven_node_file):
+    # through a real interpreter, where a library warning would print the
+    # file and line it came from
+    env = dict(os.environ)
+    package_root = str(Path(effgravity.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    argv = [
+        "evaluate", "--input", str(seven_node_file), "--out", str(tmp_path / "out"),
+        "--measures", "dc,cc", "--runs", "2", "--t-max", "2", "--k", "2",
+    ]
+    script = "import sys; from effgravity.cli import main; sys.exit(main(sys.argv[1:]))"
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "note: beta values [1.2, 1.4, 1.6] exceed 1 and were clamped to 1\n"
+
+
 def test_cli_import_does_not_pull_scipy():
     # importing scipy roughly doubles a CLI process's peak RSS, so no module
     # the CLI imports may bring it in, even indirectly

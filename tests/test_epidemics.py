@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,10 @@ from effgravity import (
     rank,
     simulate_si,
     spreading_power,
+    spreading_powers,
     top_k_infection_curves,
 )
-from helpers import oracle_graphs, random_connected_graph, si_curves_per_seed_set
+from helpers import engine_graphs, oracle_graphs, random_connected_graph, si_curves_per_seed_set
 
 
 def star_graph(leaves):
@@ -257,47 +260,167 @@ def test_public_simulations_match_per_seed_set_oracle(beta, t_max):
             assert curves[name].tobytes() == oracle[:, column].mean(axis=0).tobytes()
 
 
+def oracle_powers(graph, configs):
+    """Mean final counts of single-node seedings, one oracle ensemble per config."""
+    singles = [[node] for node in range(graph.n)]
+    return [
+        si_curves_per_seed_set(graph, singles, config)[:, :, -1].mean(axis=0)
+        for config in configs
+    ]
+
+
+def counting_engine(monkeypatch):
+    """Record (seed sets, distinct betas, horizon) of every engine pass."""
+    passes = []
+    engine = effgravity.epidemics._infected_counts
+
+    def counted(graph, seed_masks, betas, t_max, runs, seed):
+        passes.append((len(seed_masks), sorted(set(betas)), t_max))
+        return engine(graph, seed_masks, betas, t_max, runs, seed)
+
+    monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counted)
+    return passes
+
+
 def test_spreading_power_blocks_match_oracle(monkeypatch):
     graph = random_connected_graph(np.random.default_rng(71), 18, 0.15)
     config = SIConfig(beta=0.35, t_max=6, runs=5, seed=8)
-    # four single-node seed sets per block: blocks of 4, 4, 4, 4 and 2 nodes
-    monkeypatch.setattr(effgravity.epidemics, "_BLOCK_CELLS", 4 * graph.indices.size)
-    blocks = []
-    engine = effgravity.epidemics._infected_counts
-
-    def counting_engine(graph, seed_masks, config):
-        blocks.append(len(seed_masks))
-        return engine(graph, seed_masks, config)
-
-    monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counting_engine)
-    finals = si_curves_per_seed_set(graph, [[node] for node in range(graph.n)], config)[:, :, -1]
-    assert spreading_power(graph, config).tobytes() == finals.mean(axis=0).tobytes()
-    assert blocks == [4, 4, 4, 4, 2]
+    # a seed set is one bit per slot: four single-node sets per block, so
+    # blocks of 4, 4, 4, 4 and 2 nodes
+    monkeypatch.setattr(effgravity.epidemics, "_BLOCK_BYTES", graph.indices.size // 2)
+    passes = counting_engine(monkeypatch)
+    (oracle,) = oracle_powers(graph, [config])
+    assert spreading_power(graph, config).tobytes() == oracle.tobytes()
+    assert [sets for sets, _, _ in passes] == [4, 4, 4, 4, 2]
 
 
-def assert_engine_matches_oracle(graph, seed_sets, config):
+def test_spreading_powers_blocks_of_several_betas_match_oracle(monkeypatch):
+    graph = random_connected_graph(np.random.default_rng(73), 18, 0.15)
+    configs = [
+        SIConfig(beta=beta, t_max=t_max, runs=4, seed=3)
+        for beta, t_max in ((0.2, 3), (0.5, 3), (1.0, 3), (0.2, 7), (1.0, 1), (0.5, 3))
+    ]
+    # two betas below 1 stack each block twice: 4 nodes, 8 seed sets a block
+    monkeypatch.setattr(effgravity.epidemics, "_BLOCK_BYTES", graph.indices.size)
+    passes = counting_engine(monkeypatch)
+    powers = spreading_powers(graph, configs)
+    for power, oracle in zip(powers, oracle_powers(graph, configs)):
+        assert power.tobytes() == oracle.tobytes()
+    # one pass per block, to the longest horizon; beta = 1 is never simulated
+    assert passes == [(8, [0.2, 0.5], 7)] * 4 + [(4, [0.2, 0.5], 7)]
+
+
+def test_spreading_powers_match_single_configs_and_oracle():
+    # t_max 6 > t_max 4 at the same beta, as evaluate's sweep can ask for
+    betas_and_horizons = ((0.3, 4), (0.7, 4), (1.0, 4), (0.3, 6), (1.0, 0), (0.0, 2))
+    for index, graph in enumerate(engine_graphs()):
+        configs = [SIConfig(beta, t_max, runs=2, seed=index) for beta, t_max in betas_and_horizons]
+        powers = spreading_powers(graph, configs)
+        oracles = oracle_powers(graph, configs)
+        for config, power, oracle in zip(configs, powers, oracles):
+            assert power.tobytes() == spreading_power(graph, config).tobytes()
+            assert power.tobytes() == oracle.tobytes(), (index, config)
+
+
+def test_spreading_powers_balls_count_only_reachable_nodes():
+    # two components and an isolated node: the ball never reaches past its
+    # component, however long the horizon
+    graph = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])
+    (power,) = spreading_powers(graph, [SIConfig(beta=1.0, t_max=9, runs=3, seed=0)])
+    assert power.tolist() == [4, 4, 4, 4, 3, 3, 3, 1]
+    (power,) = spreading_powers(graph, [SIConfig(beta=1.0, t_max=1, runs=3, seed=0)])
+    assert power.tolist() == [2, 3, 3, 2, 2, 3, 2, 1]
+
+
+def test_spreading_powers_need_one_seed_and_run_count(seven_node_graph):
+    base = SIConfig(beta=0.3, t_max=3, runs=4, seed=1)
+    assert spreading_powers(seven_node_graph, []) == []
+    for other in (replace(base, seed=2), replace(base, runs=5)):
+        with pytest.raises(ValueError, match="share seed and runs"):
+            spreading_powers(seven_node_graph, [base, other])
+
+
+def engine_counts(graph, seed_sets, betas, config):
     masks = np.zeros((len(seed_sets), graph.n), dtype=bool)
     for row, seeds in zip(masks, seed_sets):
         row[seeds] = True
-    counts = effgravity.epidemics._infected_counts(graph, masks, config)
-    oracle = si_curves_per_seed_set(graph, seed_sets, config)
+    runs = effgravity.epidemics._infected_counts(
+        graph, masks, betas, config.t_max, config.runs, config.seed
+    )
+    return np.stack(list(runs))
+
+
+def assert_engine_matches_oracle(graph, seed_sets, config, betas=None):
+    """Compare the engine, each seed set at its own beta (config.beta if none
+    are given), with one oracle ensemble per distinct beta."""
+    betas = [config.beta] * len(seed_sets) if betas is None else betas
+    counts = engine_counts(graph, seed_sets, betas, config)
+    oracle = np.empty_like(counts)
+    for beta in set(betas):
+        columns = [column for column, own in enumerate(betas) if own == beta]
+        oracle[:, columns] = si_curves_per_seed_set(
+            graph, [seed_sets[column] for column in columns], replace(config, beta=beta)
+        )
     assert counts.tobytes() == oracle.tobytes()
     return counts
 
 
+def many_word_seed_sets(rng, sets):
+    # seeds come from nodes 0..9 only, so the other 20 are reached by spreading
+    return [
+        sorted(rng.choice(10, size=int(rng.integers(1, 4)), replace=False).tolist())
+        for _ in range(sets)
+    ]
+
+
 def test_engine_many_words_per_node_matches_oracle():
-    # 70 seed sets: nine 64-bit words per node, the last one padded; seeds
-    # come from nodes 0..9 only, so the other 20 are reached by spreading
+    # 70 seed sets: two 64-bit words per node, the last one padded
     rng = np.random.default_rng(83)
     graph = random_connected_graph(rng, 30, 0.08)
-    seed_sets = [
-        sorted(rng.choice(10, size=int(rng.integers(1, 4)), replace=False).tolist())
-        for _ in range(70)
-    ]
+    seed_sets = many_word_seed_sets(rng, 70)
     for beta in (0.2, 0.6):
         config = SIConfig(beta=beta, t_max=8, runs=4, seed=5)
         counts = assert_engine_matches_oracle(graph, seed_sets, config)
         assert counts[:, :, -1].max() > counts[:, :, 0].max()
+
+
+@pytest.mark.parametrize("sets", [65, 128, 130])
+def test_engine_word_boundaries_match_oracle(sets):
+    # one bit past a word, two full words, and three words with two bits in
+    # the last one
+    rng = np.random.default_rng(sets)
+    graph = random_connected_graph(rng, 30, 0.08)
+    config = SIConfig(beta=0.3, t_max=8, runs=3, seed=7)
+    assert_engine_matches_oracle(graph, many_word_seed_sets(rng, sets), config)
+
+
+def test_engine_full_word_leaves_its_node_open_to_other_words():
+    # path 0-1-2-3: the first word's 64 sets (seed 1, beta 1) fill node 2's
+    # first word at step 1, while the second word's sets (seed 0) reach
+    # node 2 only later, through node 1
+    graph = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    seed_sets = [[1]] * 64 + [[0]] * 6
+    betas = [1.0] * 64 + [0.6] * 6
+    config = SIConfig(beta=0.6, t_max=5, runs=6, seed=13)
+    counts = assert_engine_matches_oracle(graph, seed_sets, config, betas)
+    assert counts[:, 64:, -1].max() == 4
+
+
+def test_engine_seed_sets_at_mixed_betas_match_oracle():
+    # 130 sets over three words at five betas, each set of every beta
+    # appearing in several words: equal betas share a level, beta = 0 never
+    # spreads and beta = 1 opens every slot
+    rng = np.random.default_rng(89)
+    graph = random_connected_graph(rng, 30, 0.08)
+    seed_sets = [
+        sorted(rng.choice(30, size=int(rng.integers(1, 3)), replace=False).tolist())
+        for _ in range(130)
+    ]
+    betas = rng.choice([0.0, 0.15, 0.5, 0.85, 1.0], size=130).tolist()
+    config = SIConfig(beta=0.5, t_max=7, runs=3, seed=21)
+    counts = assert_engine_matches_oracle(graph, seed_sets, config, betas)
+    still = [column for column, beta in enumerate(betas) if beta == 0.0]
+    assert np.all(counts[:, still] == counts[:, still, :1])
 
 
 def test_engine_leaves_untouched_component_alone():
@@ -348,29 +471,33 @@ def si_cases(draw):
         if i < j
     ]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    # a few distinct seed sets from a pool of at most three nodes, each
-    # repeated up to nine times in a row: nodes are reached by some sets
-    # steps before others, and a run of eight equal sets fills a whole
-    # 64-bit word per node, so one word can be saturated while another is not
+    # two or three seed sets from a pool of at most three nodes, each at a
+    # beta of its own, cycled in runs of equal sets, up to 135 sets in
+    # all: nodes are reached by some sets steps before others, runs of one
+    # or five mix betas within a 64-bit word, and with runs of 64 one word
+    # can be saturated at a node while another is not
     pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
     distinct = draw(
-        st.lists(st.lists(st.sampled_from(pool), min_size=1, unique=True), min_size=1, max_size=3)
+        st.lists(st.lists(st.sampled_from(pool), min_size=1, unique=True), min_size=2, max_size=3)
     )
-    seed_sets = [
-        seeds for seeds in distinct for _ in range(draw(st.integers(1, 9)))
-    ]
+    beta = st.sampled_from([1.0, 0.9, 0.0]) | st.floats(0.0, 1.0)
+    levels = draw(st.lists(beta, min_size=len(distinct), max_size=len(distinct), unique=True))
+    run = draw(st.sampled_from([64, 1, 5]))
+    picks = [index // run % len(distinct) for index in range(draw(st.integers(1, 135)))]
+    seed_sets = [distinct[pick] for pick in picks]
+    betas = [levels[pick] for pick in picks]
     config = SIConfig(
-        beta=draw(st.sampled_from([1.0, 0.9]) | st.floats(0.0, 1.0)),
+        beta=levels[0],
         t_max=draw(st.integers(2, 6)),
         runs=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 2**32)),
     )
-    return Graph.from_edges(n, edges), seed_sets, config
+    return Graph.from_edges(n, edges), seed_sets, betas, config
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(si_cases())
 def test_shared_draw_engine_matches_per_seed_set_oracle(case):
-    # up to 27 seed sets, so many cases span two or more 64-bit words per node
-    graph, seed_sets, config = case
-    assert_engine_matches_oracle(graph, seed_sets, config)
+    # up to 135 seed sets, so many cases span two or three 64-bit words per node
+    graph, seed_sets, betas, config = case
+    assert_engine_matches_oracle(graph, seed_sets, config, betas)

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effgravity import (
     Graph,
@@ -9,10 +13,11 @@ from effgravity import (
     kendall_tau,
     rank,
     rank_vs_spread,
+    spreading_power,
     tau_vs_beta_sweep,
     top_k_overlap,
 )
-from helpers import kendall_counts_bruteforce
+from helpers import kendall_counts_bruteforce, kendall_counts_by_rows
 
 
 def star_graph(leaves):
@@ -96,6 +101,54 @@ def test_tau_input_validation():
         kendall_tau([1, 2], [1, 2], convention="nope")
 
 
+@pytest.mark.parametrize("x, y", [([1, np.nan, 3], [1, 2, 3]), ([1, 2, 3], [np.nan] * 3)])
+def test_tau_rejects_nan(x, y):
+    with pytest.raises(ValueError, match="NaN"):
+        kendall_tau(x, y)
+
+
+def test_tau_infinities_tie_with_themselves():
+    result = kendall_tau([np.inf, np.inf, -np.inf, 0.0], [1.0, 2.0, 3.0, -np.inf])
+    # the pair of x = inf is tied; -inf < 0 < inf orders the other five
+    assert (result.concordant, result.discordant) == (2, 3)
+    result = kendall_tau([-np.inf, -np.inf, 1.0], [np.inf, np.inf, 0.0])
+    assert (result.concordant, result.discordant) == (0, 2)
+
+
+LEVELS = [-np.inf, -2.5, -0.0, 0.0, 1.0, 7.25, np.inf]
+
+
+@st.composite
+def heavily_tied_pairs(draw):
+    n = draw(st.integers(2, 60))
+    levels = draw(st.lists(st.sampled_from(LEVELS), min_size=3, max_size=3))
+    values = st.lists(st.sampled_from(levels), min_size=n, max_size=n)
+    return draw(values), draw(values)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(heavily_tied_pairs())
+def test_tau_matches_row_loop_on_heavy_ties(pair):
+    x, y = pair
+    concordant, discordant = kendall_counts_by_rows(x, y)
+    n = len(x)
+    for convention, denominator in (("standard", n * (n - 1) // 2), ("ordered-pairs", n * (n - 1))):
+        result = kendall_tau(x, y, convention=convention)
+        assert (result.concordant, result.discordant) == (concordant, discordant)
+        assert type(result.concordant) is int and type(result.discordant) is int
+        assert result.tau == (concordant - discordant) / denominator
+
+
+def test_tau_matches_row_loop_on_longer_vectors():
+    # many merge levels, one of them with a short last run
+    rng = np.random.default_rng(79)
+    for n in (127, 128, 129, 1000):
+        x = rng.integers(0, 40, size=n).astype(float)
+        y = np.where(rng.random(n) < 0.3, rng.integers(0, 5, size=n), rng.random(n))
+        result = kendall_tau(x, y)
+        assert (result.concordant, result.discordant) == kendall_counts_by_rows(x, y)
+
+
 # --- top-k overlap ----------------------------------------------------------
 
 def test_overlap_identical_rankings(seven_node_graph):
@@ -152,26 +205,44 @@ def test_sweep_clamps_betas_above_one(seven_node_graph):
 
 
 def test_sweep_simulates_each_distinct_clamped_beta_once(seven_node_graph, monkeypatch):
-    import effgravity.evaluation
+    import effgravity.epidemics
     from effgravity.cli import DEFAULT_BETA_GRID
 
     betas = [float(token) for token in DEFAULT_BETA_GRID.split(",")]
-    calls = []
-    original = effgravity.evaluation.spreading_power
-    monkeypatch.setattr(
-        effgravity.evaluation,
-        "spreading_power",
-        lambda graph, config: calls.append(config.beta) or original(graph, config),
-    )
+    passes = []
+    engine = effgravity.epidemics._infected_counts
+
+    def counted(graph, seed_masks, set_betas, t_max, runs, seed):
+        passes.append((len(seed_masks), sorted(set(set_betas)), t_max))
+        return engine(graph, seed_masks, set_betas, t_max, runs, seed)
+
+    monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counted)
     cfg = SIConfig(beta=0.2, t_max=2, runs=3, seed=1)
     with pytest.warns(UserWarning, match="clamped"):
         rows = tau_vs_beta_sweep(
             seven_node_graph, [degree_centrality(seven_node_graph)], betas, cfg
         )
-    assert calls == [0.2, 0.4, 0.6, 0.8, 1.0]
+    # one engine pass over one block of the 7 nodes, stacked once per
+    # distinct beta below 1; beta = 1 is read from hop balls, never simulated
+    assert passes == [(4 * 7, [0.2, 0.4, 0.6, 0.8], 2)]
     assert [beta for _, beta, _ in rows] == betas
     taus = {beta: comparison for _, beta, comparison in rows}
     assert taus[1.0] == taus[1.6]
+
+
+def test_sweep_reads_given_power_vectors(seven_node_graph):
+    cfg = SIConfig(beta=0.2, t_max=3, runs=4, seed=2)
+    measures = [degree_centrality(seven_node_graph)]
+    computed = tau_vs_beta_sweep(seven_node_graph, measures, [0.3, 0.6], cfg)
+    power = {
+        beta: spreading_power(seven_node_graph, replace(cfg, beta=beta)) for beta in (0.3, 0.6)
+    }
+    given = tau_vs_beta_sweep(seven_node_graph, measures, [0.3, 0.6], cfg, power=power)
+    assert given == computed
+    # the vectors are read as given: a reversed one flips tau's sign
+    flipped = {beta: -vector for beta, vector in power.items()}
+    rows = tau_vs_beta_sweep(seven_node_graph, measures, [0.3, 0.6], cfg, power=flipped)
+    assert [row[2].tau for row in rows] == [-row[2].tau for row in computed]
 
 
 def test_sweep_rejects_negative_beta(seven_node_graph):
