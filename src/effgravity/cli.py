@@ -15,7 +15,7 @@ import csv
 import json
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -28,7 +28,7 @@ from .centrality import (
     compute_scores,
     rank,
 )
-from .epidemics import SIConfig, spreading_powers, top_k_infection_curves
+from .epidemics import SIConfig, spreading_power, top_k_infection_curves
 from .evaluation import (
     TAU_CONVENTIONS,
     clamp_betas,
@@ -179,8 +179,10 @@ def cmd_evaluate(args: argparse.Namespace) -> Outputs:
     with warnings.catch_warnings():
         # checked here before any work; clamping is reported as a note below
         warnings.simplefilter("ignore")
-        clamped = clamp_betas(args.beta_grid)
+        clamp_betas(args.beta_grid)
     graph = _load_graph(args)
+    if graph.n < 2:
+        raise ValueError(f"need at least two elements to compare rankings, got {graph.n} node(s)")
     if args.k > graph.n:
         raise ValueError(f"k={args.k} exceeds the graph's {graph.n} nodes")
     scores = compute_scores(graph, args.measures, damping=args.damping)
@@ -189,11 +191,6 @@ def cmd_evaluate(args: argparse.Namespace) -> Outputs:
     over = [beta for beta in args.beta_grid if beta > 1.0]
     if over:
         print(f"note: beta values {over} exceed 1 and were clamped to 1", file=sys.stderr)
-    # one engine pass per node block serves every spreading-power vector
-    distinct = list(dict.fromkeys(clamped))
-    *sweep_powers, power = spreading_powers(
-        graph, [replace(sweep_config, beta=beta) for beta in distinct] + [spread_config]
-    )
     with warnings.catch_warnings():
         # the note above stands in for the sweep's own clamping warning
         warnings.simplefilter("ignore")
@@ -203,7 +200,6 @@ def cmd_evaluate(args: argparse.Namespace) -> Outputs:
             args.beta_grid,
             sweep_config,
             convention=args.tau_convention,
-            power=dict(zip(distinct, sweep_powers)),
         )
     sweep_rows = [(name, beta, comparison.tau) for name, beta, comparison in sweep]
 
@@ -213,6 +209,7 @@ def cmd_evaluate(args: argparse.Namespace) -> Outputs:
             report = top_k_overlap(rankings[name_a], rankings[name_b], args.k)
             overlap_rows.append((name_a, name_b, report.k, report.shared))
 
+    power = spreading_power(graph, spread_config)
     spread_tables = {}
     for name in args.measures:
         table = rank_vs_spread(graph, rankings[name], spread_config, power=power)

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .centrality import Ranking
-from .graph import UNREACHABLE, Graph, hop_distances
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -196,36 +196,35 @@ def spreading_powers(graph: Graph, configs: Sequence[SIConfig]) -> list[np.ndarr
     the block is stacked once per distinct beta, all of them read each
     step's one draw per slot, and the pass runs to the longest horizon, from
     which each config reads the column at its own ``t_max``. At beta = 1
-    every slot is open at every step, so a node's final count is the size of
-    its hop ball of radius ``t_max``; those powers are read from hop
-    distances and never simulated.
+    every draw opens every slot, so all runs agree and those configs take
+    one run of their own, which gives each node the size of its hop ball of
+    radius ``t_max``; they stay out of the beta < 1 pass, where their level
+    would open every slot for the other seed sets too.
     """
     configs = list(configs)
+    if not configs:
+        return []
     if len({(config.seed, config.runs) for config in configs}) > 1:
         raise ValueError("spreading_powers needs configs that share seed and runs")
-    n = graph.n
+    n, seed = graph.n, configs[0].seed
     powers = {(config.beta, config.t_max): np.empty(n) for config in configs}
-    balls = sorted({t_max for beta, t_max in powers if beta == 1.0})
-    if balls:
-        for node in range(n):
-            row = hop_distances(graph, node)
-            reached = row[row != UNREACHABLE]
-            for t_max in balls:
-                powers[1.0, t_max][node] = np.count_nonzero(reached <= t_max)
-    simulated = [key for key in powers if key[0] < 1.0]
-    if simulated:
-        levels = sorted({beta for beta, _ in simulated})
-        horizon = max(t_max for _, t_max in simulated)
-        runs, seed = configs[0].runs, configs[0].seed
+    for group, runs in (
+        ([key for key in powers if key[0] < 1.0], configs[0].runs),
+        ([key for key in powers if key[0] == 1.0], 1),
+    ):
+        if not group:
+            continue
+        levels = sorted({beta for beta, _ in group})
+        horizon = max(t_max for _, t_max in group)
         block = max(1, 8 * _BLOCK_BYTES // (len(levels) * max(graph.indices.size, n)))
         for start in range(0, n, block):
             size = min(block, n - start)
             seeds = np.tile(np.eye(size, n, k=start, dtype=bool), (len(levels), 1))
             betas = np.repeat(levels, size)
             total = sum(_infected_counts(graph, seeds, betas, horizon, runs, seed))
-            for beta, t_max in simulated:
-                group = levels.index(beta) * size
-                powers[beta, t_max][start : start + size] = total[group : group + size, t_max] / runs
+            for beta, t_max in group:
+                offset = levels.index(beta) * size
+                powers[beta, t_max][start : start + size] = total[offset : offset + size, t_max] / runs
     return [powers[config.beta, config.t_max] for config in configs]
 
 

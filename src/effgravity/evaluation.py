@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -160,23 +160,20 @@ def tau_vs_beta_sweep(
     betas: Sequence[float],
     config: SIConfig,
     convention: str = "standard",
-    power: Mapping[float, np.ndarray] | None = None,
 ) -> list[tuple[str, float, RankComparison]]:
     """Correlate each measure with simulated spreading power across betas.
 
     The single-seed spreading power of all nodes is computed once per
     distinct clamped beta (config.beta is replaced by it), all in one
     :func:`spreading_powers` call, and each measure's score vector is
-    correlated against it. Pass ``power``, a mapping from each clamped beta
-    to its vector, to reuse vectors already computed under that config.
-    Rows keep the requested beta values; order is (beta, measure).
+    correlated against it. Rows keep the requested beta values; order is
+    (beta, measure).
     """
     requested = list(betas)
     clamped = clamp_betas(requested)
-    if power is None:
-        distinct = list(dict.fromkeys(clamped))
-        configs = [replace(config, beta=beta) for beta in distinct]
-        power = dict(zip(distinct, spreading_powers(graph, configs)))
+    distinct = list(dict.fromkeys(clamped))
+    configs = [replace(config, beta=beta) for beta in distinct]
+    power = dict(zip(distinct, spreading_powers(graph, configs)))
     rows: list[tuple[str, float, RankComparison]] = []
     for beta_requested, beta in zip(requested, clamped):
         for sv in score_vectors:

@@ -381,8 +381,7 @@ def test_bad_si_arguments_fail_before_any_work(tmp_path, seven_node_file, monkey
 
 
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
-    # one node once the loop is dropped, so the tau sweep fails after the
-    # scores were computed
+    # one node once the loop is dropped, which evaluate refuses
     edge_file = tmp_path / "loop.edges"
     edge_file.write_text("a a\n")
     out = tmp_path / "out"
@@ -399,6 +398,20 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     )
     assert code == 2
     assert "need at least two elements" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_refuses_a_single_node_graph_before_any_work(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scores computed for a graph too small to evaluate")
+
+    monkeypatch.setattr(effgravity.cli, "compute_scores", refuse)
+    edge_file = tmp_path / "loop.edges"
+    edge_file.write_text("a a\n")
+    out = tmp_path / "out"
+    argv = ["evaluate", "--input", str(edge_file), "--out", str(out), "--k", "1", "--measures", "dc"]
+    assert main(argv) == 2
+    assert "got 1 node" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -420,12 +433,28 @@ def test_evaluate_reports_clamped_betas_as_one_note(tmp_path, seven_node_file):
     assert result.stderr == "note: beta values [1.2, 1.4, 1.6] exceed 1 and were clamped to 1\n"
 
 
-def test_cli_import_does_not_pull_scipy():
-    # importing scipy roughly doubles a CLI process's peak RSS, so no module
-    # the CLI imports may bring it in, even indirectly
+def test_cli_import_does_not_pull_scipy(tmp_path):
+    # each of these raises a CLI process's peak RSS: scipy roughly doubles
+    # it, hashlib loads OpenSSL (3.7 MB) and numpy.ma, which np.unique
+    # imports on first use, adds 1.6 MB. No module the CLI imports may bring
+    # in scipy, and stats and rank, which draw no random numbers, load none
+    # of them; numpy.random itself loads hashlib, through secrets and hmac
     env = dict(os.environ)
     package_root = str(Path(effgravity.cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     check = "import sys, effgravity.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+    edge_file = tmp_path / "seven.edges"
+    edge_file.write_text(SEVEN_NODE_EDGE_LIST)
+    check = f"""
+import sys
+from effgravity.cli import main
+for command in ("stats", "rank"):
+    assert main([command, "--input", {str(edge_file)!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+loaded = {{"scipy", "hashlib", "numpy.ma"}} & set(sys.modules)
+assert not loaded, sorted(loaded)
+"""
     result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

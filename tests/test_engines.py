@@ -1,7 +1,8 @@
 """The three per-source sweeps (hop BFS, effective-distance label correction
 and Brandes betweenness) against the node-at-a-time loops in
 ``tests/helpers.py``, against networkx, and against properties of the
-effective distance itself.
+effective distance itself; the measures and topology statistics built on
+them are also checked against networkx.
 
 The loop oracles do the same float operations in the same order, so their
 results must agree byte for byte; networkx sums in its own order, so it is
@@ -27,9 +28,11 @@ from effgravity import (
     effective_distance_matrix,
     effective_distances,
     effg_centrality,
+    eigenvector_centrality,
     gravity_centrality,
     hop_distances,
     pagerank,
+    topology_stats,
 )
 from effgravity.graph import _NOT_SEEN, _adjacency_slots, _first_occurrences
 from helpers import (
@@ -150,6 +153,56 @@ def test_pagerank_matches_networkx(graph):
     want = nx.pagerank(to_networkx(graph), alpha=0.85, tol=1e-13, max_iter=1000)
     want = np.array([want[i] for i in range(graph.n)])
     np.testing.assert_allclose(pagerank(graph, damping=0.85).scores, want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
+def test_closeness_matches_networkx(graph):
+    # wf_improved=False gives networkx's (component size - 1) / summed
+    # distance; the library leaves out the numerator, so it is networkx's
+    # score divided by (component size - 1). Both score an isolated node 0.
+    nx_graph = to_networkx(graph)
+    want = nx.closeness_centrality(nx_graph, wf_improved=False)
+    peers = {u: len(nx.node_connected_component(nx_graph, u)) - 1 for u in range(graph.n)}
+    want = np.array([want[u] / peers[u] if peers[u] else 0.0 for u in range(graph.n)])
+    np.testing.assert_allclose(closeness_centrality(graph).scores, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        pytest.param(g, id=gid)
+        for g, gid in zip(GRAPHS, GRAPH_IDS)
+        if g.m > 0 and nx.is_connected(to_networkx(g))
+    ],
+)
+def test_eigenvector_matches_networkx(graph):
+    # Connected graphs only: there the principal eigenvector is unique up to
+    # sign, and both scale it to unit Euclidean length with positive entries.
+    # On a disconnected graph the library's power iteration concentrates on
+    # the component with the largest eigenvalue, which networkx need not.
+    want = nx.eigenvector_centrality_numpy(to_networkx(graph))
+    want = np.array([want[i] for i in range(graph.n)])
+    np.testing.assert_allclose(eigenvector_centrality(graph).scores, want, rtol=1e-6)
+
+
+@pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
+def test_average_clustering_matches_networkx(graph):
+    # Both average over every node, counting nodes of degree below 2 as 0.
+    want = nx.average_clustering(to_networkx(graph))
+    assert topology_stats(graph).clustering == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
+def test_degree_assortativity_matches_networkx(graph):
+    # Where the endpoint degrees do not vary (no edges, or a regular graph)
+    # networkx returns nan and the library None.
+    with np.errstate(invalid="ignore"):
+        want = nx.degree_assortativity_coefficient(to_networkx(graph))
+    got = topology_stats(graph).assortativity
+    if math.isnan(want):
+        assert got is None
+    else:
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 # --- effective-distance properties -------------------------------------------

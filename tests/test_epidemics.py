@@ -270,12 +270,12 @@ def oracle_powers(graph, configs):
 
 
 def counting_engine(monkeypatch):
-    """Record (seed sets, distinct betas, horizon) of every engine pass."""
+    """Record (seed sets, distinct betas, horizon, runs) of every engine pass."""
     passes = []
     engine = effgravity.epidemics._infected_counts
 
     def counted(graph, seed_masks, betas, t_max, runs, seed):
-        passes.append((len(seed_masks), sorted(set(betas)), t_max))
+        passes.append((len(seed_masks), sorted(set(betas)), t_max, runs))
         return engine(graph, seed_masks, betas, t_max, runs, seed)
 
     monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counted)
@@ -291,7 +291,7 @@ def test_spreading_power_blocks_match_oracle(monkeypatch):
     passes = counting_engine(monkeypatch)
     (oracle,) = oracle_powers(graph, [config])
     assert spreading_power(graph, config).tobytes() == oracle.tobytes()
-    assert [sets for sets, _, _ in passes] == [4, 4, 4, 4, 2]
+    assert [sets for sets, _, _, _ in passes] == [4, 4, 4, 4, 2]
 
 
 def test_spreading_powers_blocks_of_several_betas_match_oracle(monkeypatch):
@@ -306,8 +306,12 @@ def test_spreading_powers_blocks_of_several_betas_match_oracle(monkeypatch):
     powers = spreading_powers(graph, configs)
     for power, oracle in zip(powers, oracle_powers(graph, configs)):
         assert power.tobytes() == oracle.tobytes()
-    # one pass per block, to the longest horizon; beta = 1 is never simulated
-    assert passes == [(8, [0.2, 0.5], 7)] * 4 + [(4, [0.2, 0.5], 7)]
+    # one pass per block, to the longest horizon; beta = 1 passes alone, with
+    # one run, and blocks of 8 nodes as it stacks each block once
+    assert passes == (
+        [(8, [0.2, 0.5], 7, 4)] * 4 + [(4, [0.2, 0.5], 7, 4)]
+        + [(8, [1.0], 3, 1)] * 2 + [(2, [1.0], 3, 1)]
+    )
 
 
 def test_spreading_powers_match_single_configs_and_oracle():
@@ -330,6 +334,22 @@ def test_spreading_powers_balls_count_only_reachable_nodes():
     assert power.tolist() == [4, 4, 4, 4, 3, 3, 3, 1]
     (power,) = spreading_powers(graph, [SIConfig(beta=1.0, t_max=1, runs=3, seed=0)])
     assert power.tolist() == [2, 3, 3, 2, 2, 3, 2, 1]
+
+
+def test_spreading_powers_beta_one_is_one_run_of_hop_balls(monkeypatch):
+    # every draw opens every slot at beta = 1, so one run per block gives
+    # each node the size of its hop ball, cut at t_max on a longer path
+    n, t_max = 15, 3
+    graph = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    monkeypatch.setattr(effgravity.epidemics, "_BLOCK_BYTES", graph.indices.size)
+    passes = counting_engine(monkeypatch)
+    (power,) = spreading_powers(graph, [SIConfig(beta=1.0, t_max=t_max, runs=6, seed=2)])
+    assert passes == [(8, [1.0], t_max, 1), (7, [1.0], t_max, 1)]
+    balls = [
+        np.count_nonzero((row >= 0) & (row <= t_max))
+        for row in (hop_distances(graph, s) for s in range(n))
+    ]
+    assert power.tolist() == balls
 
 
 def test_spreading_powers_need_one_seed_and_run_count(seven_node_graph):

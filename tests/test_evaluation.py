@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,6 @@ from effgravity import (
     kendall_tau,
     rank,
     rank_vs_spread,
-    spreading_power,
     tau_vs_beta_sweep,
     top_k_overlap,
 )
@@ -213,7 +210,7 @@ def test_sweep_simulates_each_distinct_clamped_beta_once(seven_node_graph, monke
     engine = effgravity.epidemics._infected_counts
 
     def counted(graph, seed_masks, set_betas, t_max, runs, seed):
-        passes.append((len(seed_masks), sorted(set(set_betas)), t_max))
+        passes.append((len(seed_masks), sorted(set(set_betas)), t_max, runs))
         return engine(graph, seed_masks, set_betas, t_max, runs, seed)
 
     monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counted)
@@ -223,26 +220,11 @@ def test_sweep_simulates_each_distinct_clamped_beta_once(seven_node_graph, monke
             seven_node_graph, [degree_centrality(seven_node_graph)], betas, cfg
         )
     # one engine pass over one block of the 7 nodes, stacked once per
-    # distinct beta below 1; beta = 1 is read from hop balls, never simulated
-    assert passes == [(4 * 7, [0.2, 0.4, 0.6, 0.8], 2)]
+    # distinct beta below 1; beta = 1 passes alone, with one run
+    assert passes == [(4 * 7, [0.2, 0.4, 0.6, 0.8], 2, 3), (7, [1.0], 2, 1)]
     assert [beta for _, beta, _ in rows] == betas
     taus = {beta: comparison for _, beta, comparison in rows}
     assert taus[1.0] == taus[1.6]
-
-
-def test_sweep_reads_given_power_vectors(seven_node_graph):
-    cfg = SIConfig(beta=0.2, t_max=3, runs=4, seed=2)
-    measures = [degree_centrality(seven_node_graph)]
-    computed = tau_vs_beta_sweep(seven_node_graph, measures, [0.3, 0.6], cfg)
-    power = {
-        beta: spreading_power(seven_node_graph, replace(cfg, beta=beta)) for beta in (0.3, 0.6)
-    }
-    given = tau_vs_beta_sweep(seven_node_graph, measures, [0.3, 0.6], cfg, power=power)
-    assert given == computed
-    # the vectors are read as given: a reversed one flips tau's sign
-    flipped = {beta: -vector for beta, vector in power.items()}
-    rows = tau_vs_beta_sweep(seven_node_graph, measures, [0.3, 0.6], cfg, power=flipped)
-    assert [row[2].tau for row in rows] == [-row[2].tau for row in computed]
 
 
 def test_sweep_rejects_negative_beta(seven_node_graph):
