@@ -240,28 +240,19 @@ def gravity_centrality(graph: Graph) -> ScoreVector:
     return ScoreVector("gm", graph.degrees.astype(np.float64) * graph.hop_sums.gravity)
 
 
-def effg_centrality(graph: Graph, distance_matrix: np.ndarray | None = None) -> ScoreVector:
+def effg_centrality(graph: Graph) -> ScoreVector:
     """Degree-gravity score over effective distances.
 
     Same gravity sum as :func:`gravity_centrality` but separation is the
     outbound effective-distance row of each source (asymmetric), computed
-    one row at a time unless a precomputed ``distance_matrix`` is passed.
-    Infinite entries, including the diagonal, contribute nothing.
+    one row at a time. Infinite entries, including the diagonal, contribute
+    nothing.
     """
-    n = graph.n
-    if distance_matrix is None:
-        rows = (ed.effective_distances(graph, i) for i in range(n))
-    elif distance_matrix.shape != (n, n):
-        raise ValueError(
-            f"distance matrix shape {distance_matrix.shape} does not match "
-            f"graph with {n} nodes"
-        )
-    else:
-        rows = distance_matrix
     degrees = graph.degrees.astype(np.float64)
-    gravity = np.array(
-        [gravity_sum(degrees, row, np.isfinite(row)) for row in rows], dtype=np.float64
-    )
+    gravity = np.empty(graph.n, dtype=np.float64)
+    for i in range(graph.n):
+        row = ed.effective_distances(graph, i)
+        gravity[i] = gravity_sum(degrees, row, np.isfinite(row))
     return ScoreVector("effg", degrees * gravity)
 
 

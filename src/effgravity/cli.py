@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -63,6 +62,9 @@ def _parse_measures(value: str) -> list[str]:
         raise argparse.ArgumentTypeError(
             f"unknown measures {', '.join(unknown)}; valid names are {', '.join(MEASURES)}"
         )
+    repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
+    if repeated:
+        raise argparse.ArgumentTypeError(f"measures named more than once: {', '.join(repeated)}")
     return names
 
 
@@ -176,10 +178,7 @@ def cmd_evaluate(args: argparse.Namespace) -> Outputs:
     _check_k(args)
     spread_config = SIConfig(beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed)
     sweep_config = SIConfig(beta=DEFAULT_BETA, t_max=args.t_max_sweep, runs=args.runs, seed=args.seed)
-    with warnings.catch_warnings():
-        # checked here before any work; clamping is reported as a note below
-        warnings.simplefilter("ignore")
-        clamp_betas(args.beta_grid)
+    sweep_betas, over = clamp_betas(args.beta_grid)
     graph = _load_graph(args)
     if graph.n < 2:
         raise ValueError(f"need at least two elements to compare rankings, got {graph.n} node(s)")
@@ -188,20 +187,20 @@ def cmd_evaluate(args: argparse.Namespace) -> Outputs:
     scores = compute_scores(graph, args.measures, damping=args.damping)
     rankings = _rankings(scores)
 
-    over = [beta for beta in args.beta_grid if beta > 1.0]
     if over:
         print(f"note: beta values {over} exceed 1 and were clamped to 1", file=sys.stderr)
-    with warnings.catch_warnings():
-        # the note above stands in for the sweep's own clamping warning
-        warnings.simplefilter("ignore")
-        sweep = tau_vs_beta_sweep(
-            graph,
-            [scores[name] for name in args.measures],
-            args.beta_grid,
-            sweep_config,
-            convention=args.tau_convention,
-        )
-    sweep_rows = [(name, beta, comparison.tau) for name, beta, comparison in sweep]
+    sweep = tau_vs_beta_sweep(
+        graph,
+        [scores[name] for name in args.measures],
+        sweep_betas,
+        sweep_config,
+        convention=args.tau_convention,
+    )
+    # the table keeps the requested betas; rows run (beta, measure)
+    requested = [beta for beta in args.beta_grid for _ in args.measures]
+    sweep_rows = [
+        (name, beta, comparison.tau) for (name, _, comparison), beta in zip(sweep, requested)
+    ]
 
     overlap_rows = []
     for i, name_a in enumerate(args.measures):
@@ -212,7 +211,7 @@ def cmd_evaluate(args: argparse.Namespace) -> Outputs:
     power = spreading_power(graph, spread_config)
     spread_tables = {}
     for name in args.measures:
-        table = rank_vs_spread(graph, rankings[name], spread_config, power=power)
+        table = rank_vs_spread(rankings[name], power)
         spread_tables[name] = [
             (position, graph.labels[node], mean_final)
             for position, node, mean_final in table

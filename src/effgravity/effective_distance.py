@@ -14,6 +14,7 @@ infinite (a walk never "arrives" at its start).
 
 from __future__ import annotations
 
+import csv
 from typing import IO
 
 import numpy as np
@@ -62,13 +63,14 @@ def effective_distance_matrix(graph: Graph) -> np.ndarray:
 def write_matrix_csv(graph: Graph, matrix: np.ndarray, out: IO[str]) -> None:
     """Dump a distance matrix as CSV: target labels across, one row per source.
 
-    Infinite entries are written as ``inf``.
+    Entries are written by ``repr``, so infinite ones read ``inf``; labels
+    holding a comma or a quote are quoted.
     """
     if matrix.shape != (graph.n, graph.n):
         raise ValueError(
             f"matrix shape {matrix.shape} does not match graph with {graph.n} nodes"
         )
-    out.write("source," + ",".join(graph.labels) + "\n")
-    for i, label in enumerate(graph.labels):
-        cells = ",".join("inf" if not np.isfinite(x) else repr(float(x)) for x in matrix[i])
-        out.write(f"{label},{cells}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["source", *graph.labels])
+    for label, row in zip(graph.labels, matrix):
+        writer.writerow([label, *map(float, row)])

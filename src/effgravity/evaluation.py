@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .centrality import Ranking, ScoreVector
-from .epidemics import SIConfig, spreading_power, spreading_powers
+from .epidemics import SIConfig, spreading_powers
 from .graph import Graph
 
 TAU_CONVENTIONS = ("standard", "ordered-pairs")
@@ -134,8 +134,12 @@ def top_k_overlap(a: Ranking, b: Ranking, k: int) -> OverlapReport:
     return OverlapReport(k=k, shared=shared)
 
 
-def clamp_betas(betas: Sequence[float]) -> list[float]:
-    """Clamp transmission probabilities above 1 down to 1, with a warning."""
+def clamp_betas(betas: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Clamp transmission probabilities above 1 down to 1.
+
+    Returns the clamped values and the requested values that exceeded 1, in
+    order. NaN and negative values raise ValueError.
+    """
     clamped = []
     over = []
     for beta in betas:
@@ -143,15 +147,8 @@ def clamp_betas(betas: Sequence[float]) -> list[float]:
             raise ValueError(f"beta must be >= 0, got {beta}")
         if beta > 1.0:
             over.append(beta)
-            beta = 1.0
-        clamped.append(float(beta))
-    if over:
-        warnings.warn(
-            f"beta values {over} exceed 1 and were clamped to 1 "
-            "(transmission is a per-contact probability)",
-            stacklevel=2,
-        )
-    return clamped
+        clamped.append(min(float(beta), 1.0))
+    return clamped, over
 
 
 def tau_vs_beta_sweep(
@@ -166,11 +163,17 @@ def tau_vs_beta_sweep(
     The single-seed spreading power of all nodes is computed once per
     distinct clamped beta (config.beta is replaced by it), all in one
     :func:`spreading_powers` call, and each measure's score vector is
-    correlated against it. Rows keep the requested beta values; order is
-    (beta, measure).
+    correlated against it. Betas above 1 are clamped with a warning. Rows
+    keep the requested beta values; order is (beta, measure).
     """
     requested = list(betas)
-    clamped = clamp_betas(requested)
+    clamped, over = clamp_betas(requested)
+    if over:
+        warnings.warn(
+            f"beta values {over} exceed 1 and were clamped to 1 "
+            "(transmission is a per-contact probability)",
+            stacklevel=2,
+        )
     distinct = list(dict.fromkeys(clamped))
     configs = [replace(config, beta=beta) for beta in distinct]
     power = dict(zip(distinct, spreading_powers(graph, configs)))
@@ -182,27 +185,18 @@ def tau_vs_beta_sweep(
     return rows
 
 
-def rank_vs_spread(
-    graph: Graph,
-    ranking: Ranking,
-    config: SIConfig,
-    power: np.ndarray | None = None,
-) -> list[tuple[int, int, float]]:
-    """Single-seed mean final infected count per node, emitted in rank order.
+def rank_vs_spread(ranking: Ranking, power: np.ndarray) -> list[tuple[int, int, float]]:
+    """Each node's spreading power, emitted in rank order.
 
-    Rows are (rank, node index, mean final infected count); a ranking that
-    tracks true influence produces a mostly decreasing third column. Pass a
-    precomputed ``power`` vector to amortize the simulation across several
-    rankings under the same config.
+    Rows are (rank, node index, power[node]). With ``power`` from
+    :func:`spreading_power`, the mean final infected count of a single-node
+    seeding, a ranking that tracks true influence produces a mostly
+    decreasing third column.
     """
-    if ranking.order.size != graph.n:
+    if power.shape != ranking.order.shape:
         raise ValueError(
-            f"ranking covers {ranking.order.size} nodes, graph has {graph.n}"
+            f"ranking covers {ranking.order.size} nodes, power vector has shape {power.shape}"
         )
-    if power is None:
-        power = spreading_power(graph, config)
-    elif power.shape != (graph.n,):
-        raise ValueError(f"power vector shape {power.shape} does not match n={graph.n}")
     return [
         (position + 1, int(node), float(power[node]))
         for position, node in enumerate(ranking.order)

@@ -323,6 +323,25 @@ def gravity_per_source(graph: Graph) -> np.ndarray:
     return scores
 
 
+def gravity_over_rows(graph: Graph, rows) -> np.ndarray:
+    """deg(i) * sum of deg(j) / rows[i][j]^2 over the finite entries of each row."""
+    degrees = graph.degrees.astype(np.float64)
+    scores = np.zeros(graph.n, dtype=np.float64)
+    for i, row in enumerate(rows):
+        finite = np.isfinite(row)
+        scores[i] = degrees[i] * float(np.sum(degrees[finite] / row[finite] ** 2))
+    return scores
+
+
+def hop_row(graph: Graph, source: int) -> np.ndarray:
+    """Hop distances from ``source`` as floats, with ``inf`` for the source
+    itself and for unreachable targets, the layout of an effective-distance row."""
+    row = hop_distances(graph, source).astype(np.float64)
+    row[row < 0] = np.inf
+    row[source] = np.inf
+    return row
+
+
 def si_curves_per_seed_set(graph: Graph, seed_sets, config: SIConfig) -> np.ndarray:
     """Per-run infected counts, shape (runs, seed sets, t_max + 1), simulated
     one seed set and one run at a time.

@@ -46,6 +46,7 @@ from conftest import SEVEN_NODE_DEGREES, SEVEN_NODE_EFFG
 from helpers import (
     betweenness_bruteforce,
     effective_distance_bruteforce,
+    hop_row,
     kendall_counts_bruteforce,
     random_connected_graph,
     random_graph,
@@ -70,7 +71,7 @@ def test_criterion_1_worked_example_goldens(seven_node_graph):
     started = time.perf_counter()
     degrees = tuple(int(d) for d in seven_node_graph.degrees)
     matrix = effective_distance_matrix(seven_node_graph)
-    effg = effg_centrality(seven_node_graph, matrix).scores
+    effg = effg_centrality(seven_node_graph).scores
     elapsed = time.perf_counter() - started
 
     failures = []
@@ -196,17 +197,16 @@ def test_criterion_5_si_properties(seven_node_graph):
     assert not failures, "; ".join(failures)
 
 
-def test_criterion_6_hop_substitution_reproduces_gravity():
+def test_criterion_6_hop_substitution_reproduces_gravity(monkeypatch):
+    import effgravity.effective_distance
+
+    # effg's own row loop, fed hop-distance rows instead of effective ones
+    monkeypatch.setattr(effgravity.effective_distance, "effective_distances", hop_row)
     rng = np.random.default_rng(1006)
     worst = 0.0
     for _ in range(100):
         graph = random_graph(rng, int(rng.integers(2, 31)), 0.2)
-        hop_matrix = np.stack(
-            [hop_distances(graph, s).astype(float) for s in range(graph.n)]
-        )
-        hop_matrix[hop_matrix < 0] = np.inf
-        np.fill_diagonal(hop_matrix, np.inf)
-        substituted = effg_centrality(graph, hop_matrix).scores
+        substituted = effg_centrality(graph).scores
         reference = gravity_centrality(graph).scores
         worst = max(worst, float(np.abs(substituted - reference).max()))
     ok = worst <= 1e-12

@@ -13,7 +13,6 @@ from effgravity import (
     effg_centrality,
     eigenvector_centrality,
     gravity_centrality,
-    hop_distances,
     pagerank,
     parse_edge_list,
     rank,
@@ -23,7 +22,9 @@ from conftest import SEVEN_NODE_DEGREES, SEVEN_NODE_EFFG
 from helpers import (
     betweenness_bruteforce,
     closeness_per_source,
+    gravity_over_rows,
     gravity_per_source,
+    hop_row,
     oracle_graphs,
     random_graph,
 )
@@ -209,27 +210,25 @@ def test_gravity_two_node_path():
 # --- gravity over effective distance ----------------------------------------
 
 def test_effg_seven_node_scores(seven_node_graph):
+    scores = effg_centrality(seven_node_graph).scores
     matrix = effective_distance_matrix(seven_node_graph)
-    scores = effg_centrality(seven_node_graph, matrix).scores
+    assert np.array_equal(scores, gravity_over_rows(seven_node_graph, matrix))
     for got, want in zip(scores, SEVEN_NODE_EFFG):
         assert got == pytest.approx(want, abs=1e-3)
 
 
 def test_effg_worked_sum_for_node_2(seven_node_graph):
     matrix = effective_distance_matrix(seven_node_graph)
-    scores = effg_centrality(seven_node_graph, matrix).scores
-    assert scores[1] == pytest.approx(5.9104, abs=1e-3)
+    score = effg_centrality(seven_node_graph).scores[1]
+    assert score == gravity_over_rows(seven_node_graph, matrix)[1]
+    assert score == pytest.approx(5.9104, abs=1e-3)
 
 
 def test_effg_isolated_node_scores_zero():
     graph, _ = parse_edge_list("1 1\n2 3\n")
-    matrix = effective_distance_matrix(graph)
-    assert effg_centrality(graph, matrix).scores[0] == 0.0
-
-
-def test_effg_dimension_mismatch(seven_node_graph):
-    with pytest.raises(ValueError):
-        effg_centrality(seven_node_graph, np.zeros((3, 3)))
+    scores = effg_centrality(graph).scores
+    assert np.array_equal(scores, gravity_over_rows(graph, effective_distance_matrix(graph)))
+    assert scores[0] == 0.0
 
 
 def test_closeness_and_gravity_match_per_source_oracles():
@@ -241,8 +240,7 @@ def test_closeness_and_gravity_match_per_source_oracles():
 def test_streamed_effg_matches_matrix_path():
     for graph in oracle_graphs(seed=2):
         streamed = effg_centrality(graph).scores
-        dense = effg_centrality(graph, effective_distance_matrix(graph)).scores
-        assert np.array_equal(streamed, dense)
+        assert np.array_equal(streamed, gravity_over_rows(graph, effective_distance_matrix(graph)))
 
 
 def test_cc_gm_and_stats_share_one_hop_pass(monkeypatch):
@@ -263,16 +261,14 @@ def test_cc_gm_and_stats_share_one_hop_pass(monkeypatch):
     assert sorted(calls) == list(range(graph.n))
 
 
-def test_effg_with_hop_distances_reduces_to_gravity():
+def test_effg_with_hop_distances_reduces_to_gravity(monkeypatch):
+    import effgravity.effective_distance
+
+    monkeypatch.setattr(effgravity.effective_distance, "effective_distances", hop_row)
     rng = np.random.default_rng(41)
     for _ in range(30):
         graph = random_graph(rng, int(rng.integers(2, 25)), 0.2)
-        hop_matrix = np.stack(
-            [hop_distances(graph, s).astype(float) for s in range(graph.n)]
-        )
-        hop_matrix[hop_matrix < 0] = np.inf
-        np.fill_diagonal(hop_matrix, np.inf)
-        substituted = effg_centrality(graph, hop_matrix).scores
+        substituted = effg_centrality(graph).scores
         reference = gravity_centrality(graph).scores
         assert np.allclose(substituted, reference, atol=1e-12, rtol=0.0)
 

@@ -64,17 +64,27 @@ def test_unparseable_input_exits_2(tmp_path, capsys):
 
 
 def test_unknown_measure_is_usage_error(tmp_path, seven_node_file, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(
-            [
-                "rank",
-                "--input", str(seven_node_file),
-                "--out", str(tmp_path / "o"),
-                "--measures", "dc,bogus",
-            ]
-        )
-    assert info.value.code == 2
-    assert "valid names" in capsys.readouterr().err
+    # a name given twice is refused the same way, by every command that
+    # takes --measures
+    cases = [
+        ("rank", "dc,bogus", "valid names"),
+        ("rank", "dc,dc", "measures named more than once: dc"),
+        ("spread", "dc, cc,dc", "measures named more than once: dc"),
+        ("evaluate", "cc,dc,cc", "measures named more than once: cc"),
+    ]
+    for command, measures, message in cases:
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    command,
+                    "--input", str(seven_node_file),
+                    "--out", str(tmp_path / "o"),
+                    "--measures", measures,
+                ]
+            )
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_empty_measure_list_is_usage_error(tmp_path, seven_node_file):
@@ -289,6 +299,29 @@ def test_evaluate_writes_three_tables(tmp_path, seven_node_file):
     assert len(overlap) == 2  # one unordered measure pair
     assert (out / "rank_vs_spread_dc.csv").exists()
     assert (out / "rank_vs_spread_gm.csv").exists()
+
+
+def test_evaluate_keeps_the_requested_betas_above_one(tmp_path, seven_node_file):
+    out = tmp_path / "out"
+    assert main(
+        [
+            "evaluate",
+            "--input", str(seven_node_file),
+            "--out", str(out),
+            "--measures", "dc,cc",
+            "--t-max-sweep", "2",
+            "--t-max", "2",
+            "--runs", "3",
+            "--k", "2",
+        ]
+    ) == 0
+    header, *rows = read_csv(out / "tau_sweep.csv")
+    assert header == ["measure", "beta", "tau"]
+    taus = {(name, float(beta)): tau for name, beta, tau in rows}
+    assert [float(beta) for _, beta, _ in rows[::2]] == [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6]
+    for name in ("dc", "cc"):
+        for beta in (1.2, 1.4, 1.6):
+            assert taus[name, beta] == taus[name, 1.0]
 
 
 def test_evaluate_json_format(tmp_path, seven_node_file):

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -139,6 +140,17 @@ def test_matrix_csv_dump(seven_node_graph):
     assert row2[0] == "2"
     assert row2[2] == "inf"  # self distance
     assert float(row2[1]) == pytest.approx(2.0)
+
+
+def test_matrix_csv_round_trips_labels_with_a_comma_and_a_quote():
+    graph = Graph.from_edges(3, [(0, 1), (1, 2)], labels=["a,b", 'say "hi"', "c"])
+    matrix = effective_distance_matrix(graph)
+    buffer = io.StringIO()
+    write_matrix_csv(graph, matrix, buffer)
+    rows = list(csv.reader(io.StringIO(buffer.getvalue())))
+    assert rows[0] == ["source", "a,b", 'say "hi"', "c"]
+    assert [row[0] for row in rows[1:]] == list(graph.labels)
+    assert np.array_equal(np.array([row[1:] for row in rows[1:]], dtype=float), matrix)
 
 
 def test_matrix_csv_shape_mismatch_rejected(seven_node_graph):

@@ -7,10 +7,12 @@ from effgravity import (
     Graph,
     Ranking,
     SIConfig,
+    clamp_betas,
     degree_centrality,
     kendall_tau,
     rank,
     rank_vs_spread,
+    spreading_power,
     tau_vs_beta_sweep,
     top_k_overlap,
 )
@@ -192,6 +194,15 @@ def test_sweep_saturated_ground_truth_is_degenerate(seven_node_graph):
     assert comparison.degenerate
 
 
+def test_clamp_betas_returns_the_values_over_one_without_a_warning():
+    # the suite turns warnings into errors, so a warning here would fail
+    assert clamp_betas([0.2, 1.0, 1.6, 3]) == ([0.2, 1.0, 1.0, 1.0], [1.6, 3])
+    assert clamp_betas([]) == ([], [])
+    for bad in ([-0.1], [0.2, float("nan")]):
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            clamp_betas(bad)
+
+
 def test_sweep_clamps_betas_above_one(seven_node_graph):
     cfg = SIConfig(beta=0.2, t_max=2, runs=2, seed=1)
     with pytest.warns(UserWarning, match="clamped"):
@@ -255,7 +266,7 @@ def test_measure_against_itself_scores_one():
 def test_rank_vs_spread_beta_zero(seven_node_graph):
     ranking = rank(degree_centrality(seven_node_graph))
     cfg = SIConfig(beta=0.0, t_max=5, runs=3, seed=0)
-    table = rank_vs_spread(seven_node_graph, ranking, cfg)
+    table = rank_vs_spread(ranking, spreading_power(seven_node_graph, cfg))
     assert [row[0] for row in table] == list(range(1, 8))
     assert all(row[2] == 1.0 for row in table)
 
@@ -263,7 +274,7 @@ def test_rank_vs_spread_beta_zero(seven_node_graph):
 def test_rank_vs_spread_beta_one_connected(seven_node_graph):
     ranking = rank(degree_centrality(seven_node_graph))
     cfg = SIConfig(beta=1.0, t_max=5, runs=3, seed=0)
-    table = rank_vs_spread(seven_node_graph, ranking, cfg)
+    table = rank_vs_spread(ranking, spreading_power(seven_node_graph, cfg))
     assert all(row[2] == 7.0 for row in table)
 
 
@@ -271,7 +282,7 @@ def test_rank_vs_spread_star_center_dominates():
     graph = star_graph(8)
     ranking = rank(degree_centrality(graph))
     cfg = SIConfig(beta=0.4, t_max=2, runs=10_000, seed=6)
-    table = rank_vs_spread(graph, ranking, cfg)
+    table = rank_vs_spread(ranking, spreading_power(graph, cfg))
     assert table[0][1] == 0  # the center tops the degree ranking
     center_mean = table[0][2]
     assert all(center_mean >= row[2] for row in table[1:])
@@ -281,4 +292,4 @@ def test_rank_vs_spread_requires_full_ranking(seven_node_graph):
     partial = Ranking(order=np.array([0, 1]), ranks=np.array([1, 2]))
     cfg = SIConfig(beta=0.2, t_max=2, runs=2, seed=0)
     with pytest.raises(ValueError):
-        rank_vs_spread(seven_node_graph, partial, cfg)
+        rank_vs_spread(partial, spreading_power(seven_node_graph, cfg))
