@@ -75,10 +75,12 @@ class Graph:
     ) -> "Graph":
         """Build a graph from unique loop-free integer index pairs.
 
-        Raises ValueError on non-integer endpoints and on the first pair, in
-        input order, that is out of range, a self-loop or a repeat of an
-        earlier pair (in either orientation); use :func:`parse_edge_list`
-        for inputs that need cleaning.
+        Raises ValueError naming the first label that repeats an earlier
+        one, as no table or edge list could tell those nodes apart; on
+        non-integer endpoints; and on the first pair, in input order, that
+        is out of range, a self-loop or a repeat of an earlier pair (in
+        either orientation). Use :func:`parse_edge_list` for inputs that
+        need cleaning.
         """
         if labels is None:
             labels = tuple(str(i) for i in range(n))
@@ -86,6 +88,11 @@ class Graph:
             labels = tuple(labels)
         if len(labels) != n:
             raise ValueError(f"expected {n} labels, got {len(labels)}")
+        seen: set[str] = set()
+        for label in labels:
+            if label in seen:
+                raise ValueError(f"label {label!r} names more than one node")
+            seen.add(label)
         pairs = np.array(list(edges) or np.empty((0, 2), dtype=np.int64))
         if pairs.dtype.kind not in "iu" or pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("edges must be pairs of integer node indices")
@@ -126,21 +133,27 @@ class Graph:
 
     @cached_property
     def hop_sums(self) -> HopSums:
-        """One breadth-first search per source, reduced to per-node sums.
+        """All-pairs hop distances, reduced to per-node sums.
 
-        Closeness, the gravity score and the topology statistics all read
-        these, so the all-pairs hop pass runs once per graph.
+        The breadth-first searches run 64 sources at a time, one bit per
+        source (see :func:`_hop_rows`). Closeness, the gravity score and
+        the topology statistics all read these, so the all-pairs hop pass
+        runs once per graph. The integer sums are taken a block at a time;
+        the gravity sum stays one :func:`gravity_sum` per source, over its
+        int64 row, so its float additions keep their order.
         """
         degrees = self.degrees.astype(np.float64)
         distance = np.zeros(self.n, dtype=np.int64)
         reachable = np.zeros(self.n, dtype=np.int64)
         gravity = np.zeros(self.n, dtype=np.float64)
-        for source in range(self.n):
-            row = hop_distances(self, source)
-            mask = row > 0
-            distance[source] = row[mask].sum()
-            reachable[source] = mask.sum()
-            gravity[source] = gravity_sum(degrees, row, mask)
+        for start in range(0, self.n, _BLOCK):
+            block = np.arange(start, min(start + _BLOCK, self.n))
+            rows = _hop_rows(self, block)
+            distance[block] = rows.clip(min=0).sum(axis=1, dtype=np.int64)
+            reachable[block] = np.count_nonzero(rows > 0, axis=1)
+            for source, row in zip(block, rows):
+                row = row.astype(np.int64)
+                gravity[source] = gravity_sum(degrees, row, row > 0)
         for array in (distance, reachable, gravity):
             array.setflags(write=False)
         return HopSums(distance, reachable, gravity)
@@ -294,24 +307,60 @@ def _first_occurrences(values: np.ndarray, first_seen: np.ndarray) -> np.ndarray
     return distinct
 
 
+# Sources per bit-parallel hop search: one bit of a uint64 word each.
+_BLOCK = np.iinfo(np.uint64).bits
+
+
+def _hop_rows(graph: Graph, sources: np.ndarray) -> np.ndarray:
+    """Hop counts from up to ``_BLOCK`` distinct ``sources``, searched together.
+
+    Returns an int32 array of shape ``(len(sources), n)`` whose row i holds
+    the hop counts from ``sources[i]``, UNREACHABLE where no path exists.
+    Each node keeps one uint64 word whose bit i says that source i has
+    reached it. A level pulls every node's word from the frontier words of
+    its neighbors, so it costs O(m) for the whole block; the bits not seen
+    before are recorded at that level, and the search stops when a level
+    adds none. Working memory is O(m + 64 n).
+    """
+    n, count = graph.n, len(sources)
+    # reduceat gives an empty segment the next element, so only nodes with
+    # neighbors take part in the pull
+    has_edges = np.flatnonzero(graph.degrees)
+    starts = graph.indptr[has_edges]
+    visited = np.zeros(n, dtype=np.uint64)
+    visited[sources] = np.left_shift(np.uint64(1), np.arange(count, dtype=np.uint64))
+    frontier = visited.copy()
+    levels = np.zeros((n, count), dtype=np.int32)
+    level = 0
+    while True:
+        level += 1
+        reached = np.zeros(n, dtype=np.uint64)
+        reached[has_edges] = np.bitwise_or.reduceat(frontier[graph.indices], starts)
+        frontier = reached & ~visited
+        hit = np.flatnonzero(frontier)
+        if not hit.size:
+            break
+        visited |= frontier
+        # an explicit int32 product: uint8 bits times a level past 255 would overflow
+        levels[hit] += np.multiply(_bits(frontier[hit], count), level, dtype=np.int32)
+    levels[_bits(visited, count) == 0] = UNREACHABLE
+    return np.ascontiguousarray(levels.T)
+
+
+def _bits(words: np.ndarray, count: int) -> np.ndarray:
+    """``(len(words), count)`` uint8 table of the lowest ``count`` bits of ``words``."""
+    octets = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=count, bitorder="little")
+
+
 def hop_distances(graph: Graph, source: int) -> np.ndarray:
     """Breadth-first hop counts from ``source``; UNREACHABLE where no path exists.
 
-    The search advances one whole level at a time: the unvisited neighbors
-    of the current level form the next one.
+    This is the one-source block of the bit-parallel search that
+    :attr:`Graph.hop_sums` runs 64 sources at a time.
     """
     graph.check_node(source)
-    dist = np.full(graph.n, UNREACHABLE, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    first_seen = np.full(graph.n, _NOT_SEEN)
-    level = 0
-    while frontier.size:
-        level += 1
-        targets = graph.indices[_adjacency_slots(graph, frontier)]
-        frontier = _first_occurrences(targets[dist[targets] == UNREACHABLE], first_seen)
-        dist[frontier] = level
-    return dist
+    return _hop_rows(graph, np.array([source]))[0].astype(np.int64)
 
 
 def gravity_sum(degrees: np.ndarray, row: np.ndarray, mask: np.ndarray) -> float:

@@ -244,21 +244,21 @@ def test_streamed_effg_matches_matrix_path():
 
 
 def test_cc_gm_and_stats_share_one_hop_pass(monkeypatch):
-    import effgravity.centrality
     import effgravity.graph
 
-    graph = random_graph(np.random.default_rng(4), 12, 0.3)
-    calls = []
-    original = effgravity.graph.hop_distances
-    def counted(graph, source):
-        calls.append(source)
-        return original(graph, source)
+    # 130 nodes take three blocks of the bit-parallel search: 64, 64 and 2
+    graph = random_graph(np.random.default_rng(4), 130, 0.03)
+    blocks = []
+    original = effgravity.graph._hop_rows
+    def counted(graph, sources):
+        blocks.append(sources.tolist())
+        return original(graph, sources)
 
-    monkeypatch.setattr(effgravity.graph, "hop_distances", counted)
-    monkeypatch.setattr(effgravity.centrality, "hop_distances", counted, raising=False)
+    monkeypatch.setattr(effgravity.graph, "_hop_rows", counted)
     compute_scores(graph, ["cc", "gm"])
     topology_stats(graph)
-    assert sorted(calls) == list(range(graph.n))
+    assert [len(block) for block in blocks] == [64, 64, 2]
+    assert sorted(s for block in blocks for s in block) == list(range(graph.n))
 
 
 def test_effg_with_hop_distances_reduces_to_gravity(monkeypatch):

@@ -1,5 +1,6 @@
-"""The three per-source sweeps (hop BFS, effective-distance label correction
-and Brandes betweenness) against the node-at-a-time loops in
+"""The three sweeps (the hop BFS, which runs 64 sources at a time, and the
+per-source effective-distance label correction and Brandes betweenness)
+against the node-at-a-time loops in
 ``tests/helpers.py``, against networkx, and against properties of the
 effective distance itself; the measures and topology statistics built on
 them are also checked against networkx.
@@ -34,7 +35,7 @@ from effgravity import (
     pagerank,
     topology_stats,
 )
-from effgravity.graph import _NOT_SEEN, _adjacency_slots, _first_occurrences
+from effgravity.graph import _BLOCK, _NOT_SEEN, _adjacency_slots, _first_occurrences, _hop_rows
 from helpers import (
     betweenness_by_stack,
     effective_distances_by_heap,
@@ -89,6 +90,90 @@ def graphs(draw, max_nodes: int = 10):
 @given(graphs())
 def test_sweeps_match_oracles_on_random_graphs(graph):
     assert_sweeps_match_oracles(graph)
+
+
+# --- the bit-parallel hop search across blocks of 64 sources -----------------
+
+def assert_hop_blocks_match_queue(graph: Graph) -> None:
+    """Every block's rows, some one-source rows and the hop sums against the
+    queue oracle; the sums repeat the library's float operations."""
+    want = [hop_distances_by_queue(graph, s) for s in range(graph.n)]
+    for start in range(0, graph.n, _BLOCK):
+        block = np.arange(start, min(start + _BLOCK, graph.n))
+        rows = _hop_rows(graph, block)
+        assert rows.shape == (block.size, graph.n)
+        for s, row in zip(block, rows):
+            assert row.astype(np.int64).tobytes() == want[s].tobytes()
+    # the one-source block, at both ends and the middle
+    for s in {0, graph.n // 2, graph.n - 1}:
+        assert hop_distances(graph, s).tobytes() == want[s].tobytes()
+    degrees = graph.degrees.astype(np.float64)
+    sums = graph.hop_sums
+    assert sums.distance.tobytes() == np.array([r[r > 0].sum() for r in want]).tobytes()
+    assert sums.reachable.tobytes() == np.array([(r > 0).sum() for r in want]).tobytes()
+    gravity = [float(np.sum(degrees[r > 0] / r[r > 0] ** 2)) for r in want]
+    assert sums.gravity.tobytes() == np.array(gravity).tobytes()
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def two_components_and_isolated_nodes() -> Graph:
+    """130 nodes in three blocks: a 60-node path, a 50-node cycle and 20
+    isolated nodes, with node ids shuffled so that each part spans blocks."""
+    ids = np.random.default_rng(12).permutation(130).tolist()
+    path = [(ids[i], ids[i + 1]) for i in range(59)]
+    cycle = [(ids[60 + i], ids[60 + (i + 1) % 50]) for i in range(50)]
+    return Graph.from_edges(130, path + cycle)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [two_components_and_isolated_nodes(), Graph.from_edges(70, []), path_graph(700)],
+    ids=["two-components-isolated-n130", "edgeless-n70", "path-n700"],
+)
+def test_hop_blocks_match_queue_oracle(graph):
+    # the 700-node path has levels past 255, beyond a uint8 product
+    assert_hop_blocks_match_queue(graph)
+
+
+@st.composite
+def sparse_graphs(draw, max_nodes: int = 150):
+    n = draw(st.integers(1, max_nodes))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), min_size=n // 2, max_size=2 * n))
+    return Graph.from_edges(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(sparse_graphs())
+def test_hop_blocks_match_queue_oracle_on_random_graphs(graph):
+    assert_hop_blocks_match_queue(graph)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 130, 300])
+def test_hop_sums_of_a_path_have_closed_forms(n):
+    # node i is |i - j| from node j, so its sum is i(i+1)/2 + (n-1-i)(n-i)/2,
+    # and the ordered pairs add up to n(n^2 - 1)/3
+    sums = path_graph(n).hop_sums
+    i = np.arange(n)
+    assert np.array_equal(sums.distance, i * (i + 1) // 2 + (n - 1 - i) * (n - i) // 2)
+    assert int(sums.distance.sum()) == n * (n * n - 1) // 3
+    assert np.all(sums.reachable == n - 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 64, 129, 300, 301])
+def test_hop_sums_of_a_cycle_have_closed_forms(n):
+    # each node sees two peers at every distance below n/2, and one more at
+    # n/2 when n is even: floor(n^2 / 4) in all
+    sums = cycle_graph(n).hop_sums
+    assert np.all(sums.distance == n * n // 4)
+    assert np.all(sums.reachable == n - 1)
 
 
 # --- networkx differentials -------------------------------------------------

@@ -166,6 +166,13 @@ def test_from_edges_reports_the_first_fault_in_input_order(edges, message):
         Graph.from_edges(3, edges)
 
 
+def test_from_edges_rejects_a_repeated_label():
+    # two nodes named alike could not be told apart in a table, and their
+    # edge would be written as a self-loop that parses back to nothing
+    with pytest.raises(ValueError, match="^label 'a' names more than one node$"):
+        Graph.from_edges(3, [(0, 1), (1, 2)], labels=["a", "a", "b"])
+
+
 @pytest.mark.parametrize(
     "edges",
     [[(0, 1.5)], [(0, 1), (1.0, 2.0)], [("0", "1")], np.array([[0.0, 2.0]]), [(0, 1, 2)]],
