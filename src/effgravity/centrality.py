@@ -98,10 +98,14 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
     Each level is kept in the order a FIFO queue would visit it, and the
     backward pass walks each level in reverse, so every path count and
     dependency receives its additions in the same order as the node-by-node
-    algorithm and the scores match it bit for bit.
+    algorithm and the scores match it bit for bit. The backward pass reuses
+    each level's forward neighbour array, reversed: that also reverses each
+    node's own neighbours, but a successor w adds to each predecessor v only
+    once, so the additions to ``delta[v]`` still arrive in reverse FIFO
+    order of w.
     """
     n = graph.n
-    indices, edge_sources = graph.indices, graph.edge_sources
+    indices, edge_sources, degrees = graph.indices, graph.edge_sources, graph.degrees
     bc = np.zeros(n, dtype=np.float64)
     first_seen = np.full(n, _NOT_SEEN)
     for s in range(n):
@@ -110,26 +114,34 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
         dist = np.full(n, -1, dtype=np.int64)
         dist[s] = 0
         levels = [np.array([s], dtype=np.int64)]
+        # neighbours[d]: every neighbour of levels[d], slot by slot
+        neighbours = []
         while True:
             depth = len(levels)
             slots = _adjacency_slots(graph, levels[-1])
-            targets = indices[slots]
-            fresh = _first_occurrences(targets[dist[targets] < 0], first_seen)
+            targets = indices.take(slots)
+            neighbours.append(targets)
+            # unvisited before this level is exactly at ``depth`` after it,
+            # so these are also the level's DAG edges
+            on_dag = (dist.take(targets) < 0).nonzero()[0]
+            reached = targets.take(on_dag)
+            fresh = _first_occurrences(reached, first_seen)
             if not fresh.size:
                 break
             dist[fresh] = depth
-            on_dag = dist[targets] == depth
-            np.add.at(sigma, targets[on_dag], sigma[edge_sources[slots[on_dag]]])
+            np.add.at(sigma, reached, sigma.take(edge_sources.take(slots.take(on_dag))))
             levels.append(fresh)
         delta = np.zeros(n, dtype=np.float64)
         for depth in range(len(levels) - 1, 0, -1):
-            level = levels[depth][::-1]
-            coeff = (1.0 + delta[level]) / sigma[level]
-            preds = indices[_adjacency_slots(graph, level)]
-            on_dag = dist[preds] == depth - 1
-            preds = preds[on_dag]
+            level = levels[depth]
+            coeff = (1.0 + delta.take(level)) / sigma.take(level)
+            preds = neighbours[depth][::-1]
+            on_dag = (dist.take(preds) == depth - 1).nonzero()[0]
+            preds = preds.take(on_dag)
             np.add.at(
-                delta, preds, sigma[preds] * np.repeat(coeff, graph.degrees[level])[on_dag]
+                delta,
+                preds,
+                sigma.take(preds) * coeff.repeat(degrees.take(level))[::-1].take(on_dag),
             )
         delta[s] = 0.0
         bc += delta

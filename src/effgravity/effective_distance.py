@@ -7,9 +7,12 @@ Because each step multiplies the probability by 1/degree of the node being
 left, the optimal walk is a shortest path under per-edge weight
 ``log2(degree(u))`` for the edge leaving u. :func:`effective_distances`
 finds those shortest paths by label correction, relaxing in each round the
-edges out of every node whose distance dropped in the round before. The
-quantity is asymmetric even on undirected graphs, and the self-distance is
-infinite (a walk never "arrives" at its start).
+edges out of every node whose distance dropped in the round before. Each
+round's dropped nodes are deduplicated in no particular order: a round
+depends only on which nodes dropped, and taking the minimum is exact, so
+the fixpoint does not depend on their order. The quantity is asymmetric
+even on undirected graphs, and the self-distance is infinite (a walk never
+"arrives" at its start).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import IO
 
 import numpy as np
 
-from .graph import _NOT_SEEN, Graph, _adjacency_slots, _first_occurrences
+from .graph import Graph, _adjacency_slots
 
 
 def effective_distances(graph: Graph, source: int) -> np.ndarray:
@@ -36,18 +39,25 @@ def effective_distances(graph: Graph, source: int) -> np.ndarray:
     dist = np.full(n, np.inf, dtype=np.float64)
     dist[source] = 0.0
     dropped = np.array([source], dtype=np.int64)
-    first_seen = np.full(n, _NOT_SEEN)
+    # scratch for deduplicating each round's targets; only entries the
+    # round writes are read back
+    seen = np.zeros(n, dtype=np.int64)
     while dropped.size:
-        targets = graph.indices[_adjacency_slots(graph, dropped)]
-        candidates = np.repeat(dist[dropped] + leave_cost[dropped], graph.degrees[dropped])
+        targets = graph.indices.take(_adjacency_slots(graph, dropped))
+        candidates = (dist.take(dropped) + leave_cost.take(dropped)).repeat(
+            graph.degrees.take(dropped)
+        )
         # Only strictly lower labels enter the next round, so the rounds end.
         # Adding a non-negative cost is monotone in floating point, so the
         # fixpoint is the least float path sum, which is what a heap Dijkstra
         # returns too, bit for bit.
-        better = candidates < dist[targets]
-        targets = targets[better]
-        np.minimum.at(dist, targets, candidates[better])
-        dropped = _first_occurrences(targets, first_seen)
+        better = (candidates < dist.take(targets)).nonzero()[0]
+        targets = targets.take(better)
+        np.minimum.at(dist, targets, candidates.take(better))
+        # one copy of each lowered node, whichever the scatter kept
+        position = np.arange(targets.size)
+        seen[targets] = position
+        dropped = targets.take((seen.take(targets) == position).nonzero()[0])
     result = dist + 1.0
     result[source] = np.inf
     return result

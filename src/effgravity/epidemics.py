@@ -125,7 +125,9 @@ def _infected_counts(
         for t in range(1, t_max + 1):
             draws = rng.random(dst.size)
             opened = (draws < levels[-1]).nonzero()[0]
-            opened = opened[touched[src[opened]] & ~saturated[dst[opened]]]
+            opened = opened.take(
+                (touched.take(src.take(opened)) & ~saturated.take(dst.take(opened))).nonzero()[0]
+            )
             # keep only the kept slots' draws, so that the next step's 2m
             # draws are not allocated while this step's are still held
             draws = draws[opened]

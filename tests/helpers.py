@@ -98,8 +98,9 @@ def engine_graphs() -> list[Graph]:
     """The oracle graphs plus shapes that stress one part of the per-source
     sweeps each: a star and a path (widest and longest levels), a cycle
     (two fronts meeting), a preferential-attachment graph with zero-cost
-    leaf edges, isolated nodes among two components, and a layered graph
-    whose path counts are too large to sum exactly.
+    leaf edges, isolated nodes among two components, a layered graph
+    whose path counts are too large to sum exactly, and a 6 x 8 grid (many
+    tied shortest paths over up to 13 levels).
     """
     rng = np.random.default_rng(5)
     return oracle_graphs() + [
@@ -109,7 +110,15 @@ def engine_graphs() -> list[Graph]:
         ba_graph_with_leaves(rng, 60, 3, 15),
         Graph.from_edges(10, [(1, 2), (2, 4), (4, 1), (6, 7), (7, 8)]),
         layered_graph(rng, 30, 7, 0.6),
+        grid_graph(6, 8),
     ]
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    """A ``rows`` x ``cols`` lattice, node ``r * cols + c`` at row r, column c."""
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
 
 
 def from_edges_by_lists(
