@@ -92,7 +92,8 @@ def _infected_counts(
     Every run still draws one uniform per slot per step, but only the open
     slots whose source is infected in some seed set and whose target is
     susceptible in some seed set are grouped and reduced: any other open
-    slot would only OR zero bits into its target.
+    slot would only OR zero bits into its target. A run stops drawing once
+    every node is infected in every seed set, as no count can change after.
     """
     sets, n = seed_masks.shape
     src, dst = graph.edge_sources, graph.indices
@@ -107,6 +108,7 @@ def _infected_counts(
     # per node: infected in some seed set, and infected in every seed set
     start_touched = seed_masks.any(axis=0)
     start_saturated = seed_masks.all(axis=0)
+    start_done = np.count_nonzero(start_saturated)
     seeded = np.count_nonzero(seed_masks, axis=1)
     # one buffer each, reset by every run: a fresh copy per run raised the
     # peak RSS of a large spread by about a megabyte
@@ -118,11 +120,17 @@ def _infected_counts(
         infected[...] = start_words
         touched[...] = start_touched
         saturated[...] = start_saturated
+        # nodes infected in every seed set; the live filter keeps only slots
+        # into unsaturated targets, so a step's nodes were all unsaturated
+        done = start_done
         counts = np.empty((sets, t_max + 1), dtype=np.int64)
         counts[:, 0] = seeded
         # ndarray methods rather than np.* wrappers, and no np.diff: on a
         # tiny graph each step is a few dozen microsecond-sized calls
         for t in range(1, t_max + 1):
+            if done == n:
+                counts[:, t:] = counts[:, t - 1 : t]
+                break
             draws = rng.random(dst.size)
             opened = (draws < levels[-1]).nonzero()[0]
             opened = opened.take(
@@ -150,7 +158,9 @@ def _infected_counts(
             after = before | fresh
             infected[nodes] = after
             touched[nodes] = True
-            saturated[nodes] = (after == full).all(axis=1)
+            now_saturated = (after == full).all(axis=1)
+            saturated[nodes] = now_saturated
+            done += np.count_nonzero(now_saturated)
             bits = np.unpackbits(fresh.view(np.uint8), axis=1, count=sets, bitorder="little")
             counts[:, t] = counts[:, t - 1] + bits.sum(axis=0, dtype=np.int32)
         yield counts

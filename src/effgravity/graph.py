@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count, filterfalse
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -24,6 +24,8 @@ COMMENT_PREFIXES = ("#", "%")
 _BOM = "\ufeff"
 # labels the parser would skip or strip at the start of a line
 _CANNOT_LEAD = COMMENT_PREFIXES + (_BOM,)
+# Tokens the parser holds as strings before it maps them to node indices
+_CHUNK = 1 << 14
 
 
 class ParseError(ValueError):
@@ -218,8 +220,28 @@ def parse_edge_list(source: str | bytes | Iterable[str]) -> tuple[Graph, ParseRe
     lines = iter(source.splitlines() if isinstance(source, str) else source)
     first = next(lines, "").removeprefix(_BOM)
 
+    labels, ends = _label_ends(chain([first], lines))
+    if not labels:
+        raise ParseError("no nodes found in edge-list input")
+    u, v = ends[0::2], ends[1::2]
+    loop = u == v
+    indptr, indices, repeated = _csr(len(labels), u[~loop], v[~loop])
+    report = ParseReport(loops_dropped=int(loop.sum()), duplicates_merged=int(repeated.sum()))
+    return Graph(indptr=indptr, indices=indices, labels=labels), report
+
+
+def _label_ends(lines: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Node labels in first-appearance order, and the int64 node index of
+    every token on the data lines, two per line in line order.
+
+    Every ``_CHUNK`` tokens are mapped to indices and their strings dropped,
+    so one chunk of token strings is alive at a time next to the distinct
+    labels, and the dict and the per-chunk arrays are gone on return.
+    """
+    index: dict[str, int] = {}
+    parts: list[np.ndarray] = []
     tokens: list[str] = []
-    for lineno, raw in enumerate(chain([first], lines), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith(COMMENT_PREFIXES):
             continue
@@ -229,16 +251,23 @@ def parse_edge_list(source: str | bytes | Iterable[str]) -> tuple[Graph, ParseRe
                 f"expected two node labels, got {len(pair)}: {raw.rstrip()!r}", lineno
             )
         tokens += pair
-    labels = tuple(dict.fromkeys(tokens))
-    if not labels:
-        raise ParseError("no nodes found in edge-list input")
-    index = dict(zip(labels, range(len(labels))))
-    ends = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    u, v = ends[0::2], ends[1::2]
-    loop = u == v
-    indptr, indices, repeated = _csr(len(labels), u[~loop], v[~loop])
-    report = ParseReport(loops_dropped=int(loop.sum()), duplicates_merged=int(repeated.sum()))
-    return Graph(indptr=indptr, indices=indices, labels=labels), report
+        if len(tokens) >= _CHUNK:
+            parts.append(_label_indices(index, tokens))
+            tokens = []
+    parts.append(_label_indices(index, tokens))
+    return tuple(index), np.concatenate(parts)
+
+
+def _label_indices(index: dict[str, int], tokens: list[str]) -> np.ndarray:
+    """Indices of ``tokens`` as int64, adding the labels ``index`` lacks in
+    first-appearance order, with C-level calls rather than a loop per label.
+
+    Filtering out the known labels before removing repeats keeps the
+    temporary dict to the chunk's new labels.
+    """
+    new = dict.fromkeys(filterfalse(index.__contains__, tokens))
+    index.update(zip(new, count(len(index))))
+    return np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
 
 
 def load_edge_list(path) -> tuple[Graph, ParseReport]:

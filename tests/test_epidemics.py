@@ -464,6 +464,30 @@ def test_engine_beta_one_saturates_every_seed_set():
     assert np.all(counts[:, :, diameter:] == graph.n)
 
 
+def test_engine_stops_a_run_once_every_set_is_saturated(monkeypatch):
+    # on a complete graph at beta = 1 one seed infects everyone in the first
+    # step, so each run draws once and copies that count forward
+    graph = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    config = SIConfig(beta=1.0, t_max=5, runs=3, seed=8)
+    oracle = si_curves_per_seed_set(graph, [[0], [2, 4]], config)
+    draws = []
+
+    class CountingGenerator:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            draws.append(size)
+            return self.rng.random(size)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed)))
+    counts = engine_counts(graph, [[0], [2, 4]], [1.0, 1.0], config)
+    assert draws == [2 * graph.m] * config.runs
+    assert counts.tobytes() == oracle.tobytes()
+    assert np.all(counts[:, :, 1:] == graph.n)
+
+
 def test_engine_every_set_saturated_from_the_start():
     rng = np.random.default_rng(101)
     graph = random_connected_graph(rng, 12, 0.2)

@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import effgravity.graph
 from effgravity import (
     UNREACHABLE,
     Graph,
@@ -249,6 +251,51 @@ def test_parse_matches_set_oracle_on_messy_text(lines, newline, malformed):
     assert_same_graph(graph, oracle)
     assert report == oracle_report
     assert list(graph.edges()) == list(edges_by_rows(oracle))
+
+
+# spans several chunks at every chunk size below: a byte-order mark,
+# comments, loops, and repeats (some reversed) of edges first seen chunks
+# earlier
+CHUNKED_TEXT = (
+    "\ufeffa b\nb c\n# note\nc,a\nd d\n\nb a\ne f\n% x\nf\te\na a\ng b\nc a\nh, g\ne d\nb c\n"
+)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 5])
+def test_parse_in_chunks_matches_set_oracle(monkeypatch, chunk):
+    monkeypatch.setattr(effgravity.graph, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    random_text = "\n".join(f"{u} {v}" for u, v in rng.integers(0, 12, size=(60, 2)).tolist())
+    for text in (CHUNKED_TEXT, random_text):
+        # the oracle does not skip a byte-order mark
+        oracle, oracle_report = parse_edge_list_by_set(text.removeprefix("\ufeff"))
+        for source in (text, text.encode(), text.splitlines()):
+            graph, report = parse_edge_list(source)
+            assert_same_graph(graph, oracle)
+            assert report == oracle_report
+            assert list(graph.edges()) == list(edges_by_rows(oracle))
+    # the bad line comes after the first chunk at every chunk size
+    malformed = "a b\nb c\nc d\n# d e f\nd e\ne f g\nf g\n"
+    with pytest.raises(ParseError) as expected:
+        parse_edge_list_by_set(malformed)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(expected.value))}$") as raised:
+        parse_edge_list(malformed)
+    assert raised.value.line_number == expected.value.line_number == 6
+
+
+def test_parse_memory_grows_with_labels_not_tokens():
+    # 80k edges among 20k nodes: holding every token string until all
+    # labels were known took about 270 bytes per line at the peak
+    lines = 80_000
+    pairs = np.random.default_rng(5).integers(0, 20_000, size=(lines, 2))
+    text = "".join(f"{u} {v}\n" for u, v in pairs.tolist())
+    tracemalloc.start()
+    try:
+        parse_edge_list(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * lines
 
 
 def test_hop_distances_seven_node(seven_node_graph):
