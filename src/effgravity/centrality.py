@@ -15,7 +15,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import effective_distance as ed
-from .graph import _NOT_SEEN, Graph, _adjacency_slots, _first_occurrences, gravity_sum
+from .graph import (
+    _NOT_SEEN,
+    Graph,
+    _adjacency_slots,
+    _first_occurrences,
+    _source_blocks,
+    gravity_sum,
+)
 
 MEASURES = ("dc", "bc", "cc", "ec", "pagerank", "gm", "effg")
 
@@ -95,30 +102,36 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
     shortest-path DAG, one whole BFS level at a time, then halves to convert
     ordered pairs to unordered. Disconnected pairs contribute nothing.
 
-    Each level is kept in the order a FIFO queue would visit it, and the
-    backward pass walks each level in reverse, so every path count and
-    dependency receives its additions in the same order as the node-by-node
-    algorithm and the scores match it bit for bit. The backward pass reuses
-    each level's forward neighbour array, reversed: that also reverses each
-    node's own neighbours, but a successor w adds to each predecessor v only
-    once, so the additions to ``delta[v]`` still arrive in reverse FIFO
-    order of w.
+    The sources run in blocks, one per copy of a disjoint union of the
+    graph (see :func:`graph._source_blocks`), so a level of the sweep is
+    the same level of every source in the block, source by source. Each
+    source's part of a level is kept in the order a FIFO queue would visit
+    it, and the backward pass walks each level in reverse, so every path
+    count and dependency receives its additions in the same order as the
+    node-by-node algorithm, and each source's dependencies are added to the
+    scores in source order: the scores match it bit for bit. The backward
+    pass reuses each level's forward neighbour array, reversed: that also
+    reverses each node's own neighbours, but a successor w adds to each
+    predecessor v only once, so the additions to ``delta[v]`` still arrive
+    in reverse FIFO order of w.
     """
     n = graph.n
-    indices, edge_sources, degrees = graph.indices, graph.edge_sources, graph.degrees
     bc = np.zeros(n, dtype=np.float64)
-    first_seen = np.full(n, _NOT_SEEN)
-    for s in range(n):
-        sigma = np.zeros(n, dtype=np.float64)
-        sigma[s] = 1.0
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[s] = 0
-        levels = [np.array([s], dtype=np.int64)]
+    union, blocks = _source_blocks(graph, np.arange(n))
+    indices, edge_sources, degrees = union.indices, union.edge_sources, union.degrees
+    size = degrees.size
+    first_seen = np.full(size, _NOT_SEEN)
+    for block, starts in blocks:
+        sigma = np.zeros(size, dtype=np.float64)
+        sigma[starts] = 1.0
+        dist = np.full(size, -1, dtype=np.int64)
+        dist[starts] = 0
+        levels = [starts]
         # neighbours[d]: every neighbour of levels[d], slot by slot
         neighbours = []
         while True:
             depth = len(levels)
-            slots = _adjacency_slots(graph, levels[-1])
+            slots = _adjacency_slots(union, levels[-1])
             targets = indices.take(slots)
             neighbours.append(targets)
             # unvisited before this level is exactly at ``depth`` after it,
@@ -131,7 +144,7 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
             dist[fresh] = depth
             np.add.at(sigma, reached, sigma.take(edge_sources.take(slots.take(on_dag))))
             levels.append(fresh)
-        delta = np.zeros(n, dtype=np.float64)
+        delta = np.zeros(size, dtype=np.float64)
         for depth in range(len(levels) - 1, 0, -1):
             level = levels[depth]
             coeff = (1.0 + delta.take(level)) / sigma.take(level)
@@ -143,8 +156,9 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
                 preds,
                 sigma.take(preds) * coeff.repeat(degrees.take(level))[::-1].take(on_dag),
             )
-        delta[s] = 0.0
-        bc += delta
+        delta[starts] = 0.0
+        for row in delta.reshape(-1, n)[: block.size]:
+            bc += row
     return ScoreVector("bc", bc / 2.0)
 
 
@@ -257,14 +271,14 @@ def effg_centrality(graph: Graph) -> ScoreVector:
 
     Same gravity sum as :func:`gravity_centrality` but separation is the
     outbound effective-distance row of each source (asymmetric), computed
-    one row at a time. Infinite entries, including the diagonal, contribute
-    nothing.
+    one block of rows at a time. Infinite entries, including the diagonal,
+    contribute nothing.
     """
     degrees = graph.degrees.astype(np.float64)
     gravity = np.empty(graph.n, dtype=np.float64)
-    for i in range(graph.n):
-        row = ed.effective_distances(graph, i)
-        gravity[i] = gravity_sum(degrees, row, np.isfinite(row))
+    for block, rows in ed._effective_rows(graph, np.arange(graph.n)):
+        for source, row in zip(block, rows):
+            gravity[source] = gravity_sum(degrees, row, np.isfinite(row))
     return ScoreVector("effg", degrees * gravity)
 
 
@@ -275,7 +289,7 @@ def compute_scores(
 ) -> Mapping[str, ScoreVector]:
     """Compute several measures at once, in the order requested.
 
-    ``effg`` streams effective-distance rows, so no n x n matrix is built.
+    ``effg`` streams blocks of effective-distance rows, so no n x n matrix is built.
     Unknown measure names raise ValueError.
     """
     unknown = [name for name in measures if name not in MEASURES]

@@ -5,10 +5,10 @@ probability of any walk from m to n under uniform single-step transitions
 (1/degree per neighbor). The constant 1 is added once per pair, not per hop.
 Because each step multiplies the probability by 1/degree of the node being
 left, the optimal walk is a shortest path under per-edge weight
-``log2(degree(u))`` for the edge leaving u. :func:`effective_distances`
-finds those shortest paths by label correction, relaxing in each round the
-edges out of every node whose distance dropped in the round before. Each
-round's dropped nodes are deduplicated in no particular order: a round
+``log2(degree(u))`` for the edge leaving u. Those shortest paths are found
+by label correction, a block of sources at a time, relaxing in each round
+the edges out of every node whose distance dropped in the round before.
+Each round's dropped nodes are deduplicated in no particular order: a round
 depends only on which nodes dropped, and taking the minimum is exact, so
 the fixpoint does not depend on their order. The quantity is asymmetric
 even on undirected graphs, and the self-distance is infinite (a walk never
@@ -18,11 +18,11 @@ even on undirected graphs, and the self-distance is infinite (a walk never
 from __future__ import annotations
 
 import csv
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
-from .graph import Graph, _adjacency_slots
+from .graph import Graph, _adjacency_slots, _source_blocks
 
 
 def effective_distances(graph: Graph, source: int) -> np.ndarray:
@@ -33,41 +33,61 @@ def effective_distances(graph: Graph, source: int) -> np.ndarray:
     best walk is its direct edge sits at exactly ``1 + log2(degree(source))``.
     """
     graph.check_node(source)
-    n = graph.n
-    # weight of every edge leaving u; isolated nodes have no outgoing edges
-    leave_cost = np.log2(np.maximum(graph.degrees, 1)).astype(np.float64)
-    dist = np.full(n, np.inf, dtype=np.float64)
-    dist[source] = 0.0
-    dropped = np.array([source], dtype=np.int64)
-    # scratch for deduplicating each round's targets; only entries the
-    # round writes are read back
-    seen = np.zeros(n, dtype=np.int64)
-    while dropped.size:
-        targets = graph.indices.take(_adjacency_slots(graph, dropped))
-        candidates = (dist.take(dropped) + leave_cost.take(dropped)).repeat(
-            graph.degrees.take(dropped)
-        )
-        # Only strictly lower labels enter the next round, so the rounds end.
-        # Adding a non-negative cost is monotone in floating point, so the
-        # fixpoint is the least float path sum, which is what a heap Dijkstra
-        # returns too, bit for bit.
-        better = (candidates < dist.take(targets)).nonzero()[0]
-        targets = targets.take(better)
-        np.minimum.at(dist, targets, candidates.take(better))
-        # one copy of each lowered node, whichever the scatter kept
-        position = np.arange(targets.size)
-        seen[targets] = position
-        dropped = targets.take((seen.take(targets) == position).nonzero()[0])
-    result = dist + 1.0
-    result[source] = np.inf
-    return result
+    ((_, rows),) = _effective_rows(graph, np.array([source]))
+    return rows[0]
 
 
 def effective_distance_matrix(graph: Graph) -> np.ndarray:
-    """All-pairs effective distances, one independently computed row per source."""
+    """All-pairs effective distances, one row per source."""
     if graph.n == 0:
         raise ValueError("effective distances are undefined for an empty graph")
-    return np.stack([effective_distances(graph, s) for s in range(graph.n)])
+    matrix = np.empty((graph.n, graph.n), dtype=np.float64)
+    for block, rows in _effective_rows(graph, np.arange(graph.n)):
+        matrix[block] = rows
+    return matrix
+
+
+def _effective_rows(graph: Graph, sources: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Effective-distance rows from ``sources``, one block at a time.
+
+    Yields ``(block, rows)`` in order, ``block`` a slice of ``sources`` and
+    ``rows[r]`` the row of ``block[r]``, laid out as
+    :func:`effective_distances` returns it. Each block's label correction
+    runs on a disjoint union of the graph, one copy per source (see
+    :func:`graph._source_blocks`); the copies never meet, so every row is
+    the fixpoint its source reaches alone.
+    """
+    n = graph.n
+    union, blocks = _source_blocks(graph, sources)
+    size = union.degrees.size
+    # weight of every edge leaving u; isolated nodes have no outgoing edges
+    leave_cost = np.log2(np.maximum(union.degrees, 1))
+    # scratch for deduplicating each round's targets; only entries the
+    # round writes are read back
+    seen = np.zeros(size, dtype=np.int64)
+    for block, starts in blocks:
+        dist = np.full(size, np.inf, dtype=np.float64)
+        dist[starts] = 0.0
+        dropped = starts
+        while dropped.size:
+            targets = union.indices.take(_adjacency_slots(union, dropped))
+            candidates = (dist.take(dropped) + leave_cost.take(dropped)).repeat(
+                union.degrees.take(dropped)
+            )
+            # Only strictly lower labels enter the next round, so the rounds
+            # end. Adding a non-negative cost is monotone in floating point,
+            # so the fixpoint is the least float path sum, which is what a
+            # heap Dijkstra returns too, bit for bit.
+            better = (candidates < dist.take(targets)).nonzero()[0]
+            targets = targets.take(better)
+            np.minimum.at(dist, targets, candidates.take(better))
+            # one copy of each lowered node, whichever the scatter kept
+            position = np.arange(targets.size)
+            seen[targets] = position
+            dropped = targets.take((seen.take(targets) == position).nonzero()[0])
+        rows = dist[: block.size * n].reshape(block.size, n) + 1.0
+        rows[np.arange(block.size), block] = np.inf
+        yield block, rows
 
 
 def write_matrix_csv(graph: Graph, matrix: np.ndarray, out: IO[str]) -> None:

@@ -163,8 +163,9 @@ def tau_vs_beta_sweep(
     The single-seed spreading power of all nodes is computed once per
     distinct clamped beta (config.beta is replaced by it), all in one
     :func:`spreading_powers` call, and each measure's score vector is
-    correlated against it. Betas above 1 are clamped with a warning. Rows
-    keep the requested beta values; order is (beta, measure).
+    correlated against it once per distinct clamped beta. Betas above 1 are
+    clamped with a warning. Rows keep the requested beta values; order is
+    (beta, measure).
     """
     requested = list(betas)
     clamped, over = clamp_betas(requested)
@@ -176,13 +177,15 @@ def tau_vs_beta_sweep(
         )
     distinct = list(dict.fromkeys(clamped))
     configs = [replace(config, beta=beta) for beta in distinct]
-    power = dict(zip(distinct, spreading_powers(graph, configs)))
-    rows: list[tuple[str, float, RankComparison]] = []
-    for beta_requested, beta in zip(requested, clamped):
-        for sv in score_vectors:
-            comparison = kendall_tau(sv.scores, power[beta], convention=convention)
-            rows.append((sv.measure, float(beta_requested), comparison))
-    return rows
+    comparisons = {
+        beta: [kendall_tau(sv.scores, power, convention=convention) for sv in score_vectors]
+        for beta, power in zip(distinct, spreading_powers(graph, configs))
+    }
+    return [
+        (sv.measure, float(beta_requested), comparison)
+        for beta_requested, beta in zip(requested, clamped)
+        for sv, comparison in zip(score_vectors, comparisons[beta])
+    ]
 
 
 def rank_vs_spread(ranking: Ranking, power: np.ndarray) -> list[tuple[int, int, float]]:

@@ -303,7 +303,7 @@ def _csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return indptr, indices, repeated
 
 
-def _adjacency_slots(graph: Graph, nodes: np.ndarray) -> np.ndarray:
+def _adjacency_slots(graph: Graph | _Union, nodes: np.ndarray) -> np.ndarray:
     """Indices into ``graph.indices`` of every neighbor of the non-empty
     ``nodes``.
 
@@ -339,6 +339,61 @@ def _first_occurrences(values: np.ndarray, first_seen: np.ndarray) -> np.ndarray
     distinct = values.take((first_seen.take(values) == position).nonzero()[0])
     first_seen[distinct] = _NOT_SEEN
     return distinct
+
+
+# Adjacency slots that one block of the per-source sweeps spans: a block of
+# B sources runs on B copies of the graph, so B * 2m slots in all.
+_SLOT_BUDGET = 1 << 15
+
+
+class _Union(NamedTuple):
+    """Disjoint copies of a graph, copy r on the nodes r*n ... r*n + n - 1,
+    with the adjacency arrays that :func:`_adjacency_slots` reads."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    degrees: np.ndarray
+    edge_sources: np.ndarray
+
+
+def _source_blocks(
+    graph: Graph, sources: np.ndarray
+) -> tuple[_Union, list[tuple[np.ndarray, np.ndarray]]]:
+    """Split ``sources`` into blocks for the Brandes and effective-distance
+    sweeps, and build the disjoint union that every block runs on.
+
+    Returns the union and one ``(block, starts)`` pair per block, in order:
+    ``block`` is a slice of ``sources`` and ``starts[r]`` is ``block[r]``'s
+    node in copy r. The last block may be shorter and leave copies unused.
+
+    A block of B sources starts its sweep from source r of the block in
+    copy r of a B-fold union, so one numpy call per BFS level or
+    label-correction round serves all B. Copies share no edge, so each one
+    sees exactly the sweep its source would see alone. B is as large as
+    the slot budget allows with at least one source per block; the
+    union's node arrays hold B * n entries, so nothing is n x n.
+    """
+    n, count = graph.n, len(sources)
+    copies = max(1, min(count, _SLOT_BUDGET // max(2 * graph.m, n, 1)))
+    # An untouched array of 32 bytes per budget slot (1 MiB), dropped at
+    # once. When glibc frees a chunk it had to mmap, it raises its dynamic
+    # mmap and trim thresholds to that size (mallopt(3), M_MMAP_THRESHOLD),
+    # so the sweep's per-level arrays, up to 256 KB each at the budget,
+    # come from and go back to the heap instead of being mapped, faulted in
+    # and unmapped level after level. Its pages are never written, so it
+    # adds no RSS; other allocators ignore it.
+    np.empty(32 * _SLOT_BUDGET, dtype=np.uint8)
+    copy = np.arange(copies, dtype=np.int64)[:, None]
+    slots = graph.indices.size
+    union = _Union(
+        indptr=np.append((graph.indptr[:-1] + copy * slots).ravel(), copies * slots),
+        indices=(graph.indices + copy * n).ravel(),
+        degrees=np.tile(graph.degrees, copies),
+        edge_sources=(graph.edge_sources + copy * n).ravel(),
+    )
+    starts = copy[:, 0] * n
+    blocks = [sources[first : first + copies] for first in range(0, count, copies)]
+    return union, [(block, starts[: block.size] + block) for block in blocks]
 
 
 # Sources per bit-parallel hop search: one bit of a uint64 word each.

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from effgravity import UNREACHABLE, Graph, ParseError, ParseReport, SIConfig, hop_distances
-from effgravity.graph import COMMENT_PREFIXES
+from effgravity.graph import _BLOCK, COMMENT_PREFIXES, _hop_rows
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -342,13 +342,17 @@ def gravity_over_rows(graph: Graph, rows) -> np.ndarray:
     return scores
 
 
-def hop_row(graph: Graph, source: int) -> np.ndarray:
-    """Hop distances from ``source`` as floats, with ``inf`` for the source
-    itself and for unreachable targets, the layout of an effective-distance row."""
-    row = hop_distances(graph, source).astype(np.float64)
-    row[row < 0] = np.inf
-    row[source] = np.inf
-    return row
+def hop_row_blocks(graph: Graph, sources: np.ndarray):
+    """Hop-distance rows of ``sources`` as the ``(block, rows)`` pairs of
+    ``effective_distance._effective_rows``, in blocks of the bit-parallel
+    search: floats, with ``inf`` for the source itself and for unreachable
+    targets, the layout of an effective-distance row."""
+    for first in range(0, len(sources), _BLOCK):
+        block = sources[first : first + _BLOCK]
+        rows = _hop_rows(graph, block).astype(np.float64)
+        rows[rows < 0] = np.inf
+        rows[np.arange(block.size), block] = np.inf
+        yield block, rows
 
 
 def si_curves_per_seed_set(graph: Graph, seed_sets, config: SIConfig) -> np.ndarray:

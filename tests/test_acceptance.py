@@ -46,7 +46,7 @@ from conftest import SEVEN_NODE_DEGREES, SEVEN_NODE_EFFG
 from helpers import (
     betweenness_bruteforce,
     effective_distance_bruteforce,
-    hop_row,
+    hop_row_blocks,
     kendall_counts_bruteforce,
     random_connected_graph,
     random_graph,
@@ -201,7 +201,7 @@ def test_criterion_6_hop_substitution_reproduces_gravity(monkeypatch):
     import effgravity.effective_distance
 
     # effg's own row loop, fed hop-distance rows instead of effective ones
-    monkeypatch.setattr(effgravity.effective_distance, "effective_distances", hop_row)
+    monkeypatch.setattr(effgravity.effective_distance, "_effective_rows", hop_row_blocks)
     rng = np.random.default_rng(1006)
     worst = 0.0
     for _ in range(100):

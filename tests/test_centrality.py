@@ -24,7 +24,7 @@ from helpers import (
     closeness_per_source,
     gravity_over_rows,
     gravity_per_source,
-    hop_row,
+    hop_row_blocks,
     oracle_graphs,
     random_graph,
 )
@@ -264,7 +264,7 @@ def test_cc_gm_and_stats_share_one_hop_pass(monkeypatch):
 def test_effg_with_hop_distances_reduces_to_gravity(monkeypatch):
     import effgravity.effective_distance
 
-    monkeypatch.setattr(effgravity.effective_distance, "effective_distances", hop_row)
+    monkeypatch.setattr(effgravity.effective_distance, "_effective_rows", hop_row_blocks)
     rng = np.random.default_rng(41)
     for _ in range(30):
         graph = random_graph(rng, int(rng.integers(2, 25)), 0.2)

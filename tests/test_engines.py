@@ -1,6 +1,6 @@
 """The three sweeps (the hop BFS, which runs 64 sources at a time, and the
-per-source effective-distance label correction and Brandes betweenness)
-against the node-at-a-time loops in
+effective-distance label correction and Brandes betweenness, which run a
+block of sources sized by a slot budget) against the node-at-a-time loops in
 ``tests/helpers.py``, against networkx, and against properties of the
 effective distance itself; the measures and topology statistics built on
 them are also checked against networkx.
@@ -12,6 +12,7 @@ compared with a tolerance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -35,11 +36,19 @@ from effgravity import (
     pagerank,
     topology_stats,
 )
-from effgravity.graph import _BLOCK, _NOT_SEEN, _adjacency_slots, _first_occurrences, _hop_rows
+from effgravity.graph import (
+    _BLOCK,
+    _NOT_SEEN,
+    _adjacency_slots,
+    _first_occurrences,
+    _hop_rows,
+    _source_blocks,
+)
 from helpers import (
     betweenness_by_stack,
     effective_distances_by_heap,
     engine_graphs,
+    gravity_over_rows,
     hop_distances_by_queue,
 )
 
@@ -90,6 +99,51 @@ def graphs(draw, max_nodes: int = 10):
 @given(graphs())
 def test_sweeps_match_oracles_on_random_graphs(graph):
     assert_sweeps_match_oracles(graph)
+
+
+# --- Brandes and the effective distances across blocks of sources -----------
+
+@functools.cache
+def block_oracles(index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Betweenness, effective-distance rows and effg of ``GRAPHS[index]``
+    from the node-at-a-time loops, computed once for every block size."""
+    graph = GRAPHS[index]
+    rows = np.array([effective_distances_by_heap(graph, s) for s in range(graph.n)])
+    return betweenness_by_stack(graph), rows, gravity_over_rows(graph, rows)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("index", range(len(GRAPHS)), ids=GRAPH_IDS)
+def test_source_blocks_of_any_size_match_oracles(index, copies, monkeypatch):
+    import effgravity.graph
+
+    graph = GRAPHS[index]
+    # a budget of exactly ``copies`` unions, so blocks hold that many
+    # sources (all of them when there are fewer), the last one maybe fewer
+    budget = copies * max(2 * graph.m, graph.n, 1)
+    monkeypatch.setattr(effgravity.graph, "_SLOT_BUDGET", budget)
+    union, blocks = _source_blocks(graph, np.arange(graph.n))
+    size = min(copies, graph.n)
+    assert union.degrees.size == size * graph.n
+    assert [block.size for block, _ in blocks] == [
+        min(size, graph.n - first) for first in range(0, graph.n, size)
+    ]
+    bc, rows, effg = block_oracles(index)
+    assert betweenness_centrality(graph).scores.tobytes() == bc.tobytes()
+    assert effg_centrality(graph).scores.tobytes() == effg.tobytes()
+    assert effective_distance_matrix(graph).tobytes() == rows.tobytes()
+    for s in range(graph.n):
+        assert effective_distances(graph, s).tobytes() == rows[s].tobytes()
+
+
+@pytest.mark.parametrize("n", [6, 7, 10, 11, 1000])
+def test_betweenness_of_a_cycle_has_a_closed_form(n):
+    # each node's share of the shortest paths between other pairs sums to
+    # (n - 2)^2 / 8 on an even cycle, where an antipodal pair's two paths
+    # count half each, and to (n - 1)(n - 3) / 8 on an odd one; every term
+    # is a multiple of 1/2, so the float sums are exact
+    want = (n - 2) ** 2 / 8 if n % 2 == 0 else (n - 1) * (n - 3) / 8
+    assert np.all(betweenness_centrality(cycle_graph(n)).scores == want)
 
 
 # --- the bit-parallel hop search across blocks of 64 sources -----------------

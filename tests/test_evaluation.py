@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from effgravity import (
     Ranking,
     SIConfig,
     clamp_betas,
+    closeness_centrality,
     degree_centrality,
     kendall_tau,
     rank,
@@ -236,6 +239,40 @@ def test_sweep_simulates_each_distinct_clamped_beta_once(seven_node_graph, monke
     assert [beta for _, beta, _ in rows] == betas
     taus = {beta: comparison for _, beta, comparison in rows}
     assert taus[1.0] == taus[1.6]
+
+
+def test_sweep_compares_each_measure_once_per_distinct_clamped_beta(
+    seven_node_graph, monkeypatch
+):
+    import effgravity.evaluation
+    from effgravity.cli import DEFAULT_BETA_GRID
+
+    betas = [float(token) for token in DEFAULT_BETA_GRID.split(",")]
+    calls = []
+    compare = effgravity.evaluation.kendall_tau
+
+    def counted(x, y, convention="standard"):
+        calls.append(convention)
+        return compare(x, y, convention=convention)
+
+    monkeypatch.setattr(effgravity.evaluation, "kendall_tau", counted)
+    measures = [degree_centrality(seven_node_graph), closeness_centrality(seven_node_graph)]
+    cfg = SIConfig(beta=0.2, t_max=2, runs=3, seed=1)
+    with pytest.warns(UserWarning, match="clamped"):
+        rows = tau_vs_beta_sweep(seven_node_graph, measures, betas, cfg, "ordered-pairs")
+    # 8 betas, of which 1.2, 1.4 and 1.6 clamp to 1.0: 5 distinct, 2 measures
+    assert calls == ["ordered-pairs"] * 10
+    assert [(measure, beta) for measure, beta, _ in rows] == [
+        (sv.measure, beta) for beta in betas for sv in measures
+    ]
+    clamped = [replace(cfg, beta=min(beta, 1.0)) for beta in betas]
+    powers = [spreading_power(seven_node_graph, config) for config in clamped]
+    want = [
+        compare(sv.scores, power, convention="ordered-pairs")
+        for power in powers
+        for sv in measures
+    ]
+    assert [comparison for _, _, comparison in rows] == want
 
 
 def test_sweep_rejects_negative_beta(seven_node_graph):
