@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .centrality import Ranking
-from .graph import Graph
+from .graph import Graph, _adjacency_slots
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,12 @@ def _infected_counts(
     Every run still draws one uniform per slot per step, but only the open
     slots whose source is infected in some seed set and whose target is
     susceptible in some seed set are grouped and reduced: any other open
-    slot would only OR zero bits into its target. A run stops drawing once
-    every node is infected in every seed set, as no count can change after.
+    slot would only OR zero bits into its target. The source test is a
+    per-slot mask ANDed into the draw compare, so ``nonzero`` finds only
+    open slots out of seeds and out of nodes that an earlier step reached;
+    a node's out-slots join the mask on the step that first reaches it. A
+    run stops drawing once every node is infected in every seed set, as no
+    count can change after.
     """
     sets, n = seed_masks.shape
     src, dst = graph.edge_sources, graph.indices
@@ -110,16 +114,22 @@ def _infected_counts(
     start_saturated = seed_masks.all(axis=0)
     start_done = np.count_nonzero(start_saturated)
     seeded = np.count_nonzero(seed_masks, axis=1)
+    # the live mask, per slot: its source is touched
+    start_live = start_touched.take(src)
     # one buffer each, reset by every run: a fresh copy per run raised the
     # peak RSS of a large spread by about a megabyte
     infected = np.empty_like(start_words)
     touched = np.empty_like(start_touched)
     saturated = np.empty_like(start_saturated)
+    live = np.empty_like(start_live)
+    # each step's open live slots, written in place
+    hit = np.empty_like(start_live)
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
         infected[...] = start_words
         touched[...] = start_touched
         saturated[...] = start_saturated
+        live[...] = start_live
         # nodes infected in every seed set; the live filter keeps only slots
         # into unsaturated targets, so a step's nodes were all unsaturated
         done = start_done
@@ -132,10 +142,10 @@ def _infected_counts(
                 counts[:, t:] = counts[:, t - 1 : t]
                 break
             draws = rng.random(dst.size)
-            opened = (draws < levels[-1]).nonzero()[0]
-            opened = opened.take(
-                (touched.take(src.take(opened)) & ~saturated.take(dst.take(opened))).nonzero()[0]
-            )
+            np.less(draws, levels[-1], out=hit)
+            hit &= live
+            opened = hit.nonzero()[0]
+            opened = opened.take((~saturated.take(dst.take(opened))).nonzero()[0])
             # keep only the kept slots' draws, so that the next step's 2m
             # draws are not allocated while this step's are still held
             draws = draws[opened]
@@ -157,7 +167,13 @@ def _infected_counts(
             fresh = np.bitwise_or.reduceat(carried, starts, axis=0) & ~before
             after = before | fresh
             infected[nodes] = after
-            touched[nodes] = True
+            # a node reached for the first time adds its out-slots to the
+            # live mask; a step that reaches no new node skips this
+            was_touched = touched.take(nodes)
+            if not was_touched.all():
+                first = nodes[~was_touched]
+                touched[first] = True
+                live[_adjacency_slots(graph, first)] = True
             now_saturated = (after == full).all(axis=1)
             saturated[nodes] = now_saturated
             done += np.count_nonzero(now_saturated)

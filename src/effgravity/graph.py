@@ -384,13 +384,17 @@ def _source_blocks(
     # adds no RSS; other allocators ignore it.
     np.empty(32 * _SLOT_BUDGET, dtype=np.uint8)
     copy = np.arange(copies, dtype=np.int64)[:, None]
-    slots = graph.indices.size
-    union = _Union(
-        indptr=np.append((graph.indptr[:-1] + copy * slots).ravel(), copies * slots),
-        indices=(graph.indices + copy * n).ravel(),
-        degrees=np.tile(graph.degrees, copies),
-        edge_sources=(graph.edge_sources + copy * n).ravel(),
-    )
+    if copies == 1:
+        # one copy is the graph itself, so it lends its own arrays
+        union = _Union(graph.indptr, graph.indices, graph.degrees, graph.edge_sources)
+    else:
+        slots = graph.indices.size
+        union = _Union(
+            indptr=np.append((graph.indptr[:-1] + copy * slots).ravel(), copies * slots),
+            indices=(graph.indices + copy * n).ravel(),
+            degrees=np.tile(graph.degrees, copies),
+            edge_sources=(graph.edge_sources + copy * n).ravel(),
+        )
     starts = copy[:, 0] * n
     blocks = [sources[first : first + copies] for first in range(0, count, copies)]
     return union, [(block, starts[: block.size] + block) for block in blocks]

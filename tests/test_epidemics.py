@@ -464,6 +464,46 @@ def test_engine_beta_one_saturates_every_seed_set():
     assert np.all(counts[:, :, diameter:] == graph.n)
 
 
+@pytest.mark.parametrize(
+    "edges, grown",
+    [
+        # from one end of a path, one new node a step
+        ([(i, i + 1) for i in range(299)], lambda t: t + 1),
+        # from one node of a cycle, one new node each way a step
+        ([(i, (i + 1) % 300) for i in range(300)], lambda t: 2 * t + 1),
+    ],
+    ids=["path", "cycle"],
+)
+def test_engine_beta_one_grows_by_closed_form(edges, grown):
+    # every step reaches new nodes, so every step adds their out-slots to
+    # the live mask; a slot left out of it would stop the spread there
+    graph = Graph.from_edges(300, edges)
+    config = SIConfig(beta=1.0, t_max=305, runs=3, seed=2)
+    counts = engine_counts(graph, [[0]], [1.0], config)
+    expected = [min(grown(t), graph.n) for t in range(config.t_max + 1)]
+    assert np.all(counts[:, 0] == expected)
+
+
+def test_engine_node_first_reached_with_no_open_set_spreads_later():
+    # path 0..7; set 0 seeds node 0 at beta 0, set 1 seeds node 7 at 0.95.
+    # Step 1 opens slot 0 -> 1 below 0.95, but the level table zeroes the
+    # bits it carries, so node 1 is reached with no set infected. Set 1
+    # infects it later and must still spread through it to node 0.
+    graph = Graph.from_edges(8, [(i, i + 1) for i in range(7)])
+    seed_sets, betas = [[0], [7]], [0.0, 0.95]
+    config = SIConfig(beta=0.95, t_max=12, runs=4, seed=31)
+    counts = assert_engine_matches_oracle(graph, seed_sets, config, betas)
+    slot = graph.indptr[0]
+    first_draws = [
+        np.random.default_rng(np.random.SeedSequence((config.seed, run))).random(2 * graph.m)[slot]
+        for run in range(config.runs)
+    ]
+    assert any(
+        draw < 0.95 and final == graph.n for draw, final in zip(first_draws, counts[:, 1, -1])
+    )
+    assert np.all(counts[:, 0] == 1)
+
+
 def test_engine_stops_a_run_once_every_set_is_saturated(monkeypatch):
     # on a complete graph at beta = 1 one seed infects everyone in the first
     # step, so each run draws once and copies that count forward
