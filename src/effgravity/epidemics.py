@@ -15,6 +15,7 @@ under the same draws.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -71,10 +72,24 @@ def _pack(bits: np.ndarray, words: int) -> np.ndarray:
     return padded.view("<u8")
 
 
+def _set_counts(words: np.ndarray, sets: int) -> np.ndarray:
+    """Per seed set, the number of nodes whose ``words`` row has its bit set."""
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=sets, bitorder="little")
+    return bits.sum(axis=0, dtype=np.int32)
+
+
 def _infected_counts(
-    graph: Graph, seed_masks: np.ndarray, betas: Sequence[float], t_max: int, runs: int, seed: int
+    graph: Graph,
+    seed_masks: np.ndarray,
+    betas: Sequence[float],
+    t_max: int,
+    runs: int,
+    seed: int,
+    *,
+    steps: Sequence[int] | None = None,
 ) -> Iterator[np.ndarray]:
-    """Infected counts of one run at a time, shape (seed sets, t_max + 1).
+    """Infected counts of one run at a time, shape (seed sets, t_max + 1)
+    or, with ``steps``, (seed sets, len(steps)).
 
     ``seed_masks`` is a boolean (seed sets, n) array and ``betas`` gives
     each seed set its transmission probability. All seed sets advance
@@ -83,6 +98,11 @@ def _infected_counts(
     slot is open for a seed set when its draw is below that set's beta, and
     a node becomes infected when the source of any of its open incoming
     slots was infected before the step.
+
+    ``steps``, if given, are the sorted steps in [0, t_max] whose counts the
+    caller reads, and each run yields only those columns. Each is counted
+    once, from the infected words of all n nodes, instead of adding up every
+    step's newly infected bits.
 
     Seed sets are bits, 64 to a word per node. The sets open at a slot are
     nested (every set whose beta exceeds the draw), so each kept slot ANDs
@@ -100,7 +120,15 @@ def _infected_counts(
     count can change after.
     """
     sets, n = seed_masks.shape
-    src, dst = graph.edge_sources, graph.indices
+    src, dst = graph.edge_sources, graph.indices.astype(np.int64, copy=False)
+    # a step sorts its open slots by the key (target << shift) | slot, and
+    # target < n, slot < 2m < 2**shift <= 4m: the keys fit in int64 while
+    # n * 4m < 2**63
+    shift = dst.size.bit_length()
+    slot_bits = (1 << shift) - 1
+    # the column of each step the caller reads
+    reported = range(t_max + 1) if steps is None else list(steps)
+    column = {step: index for index, step in enumerate(reported)}
     betas = np.asarray(betas, dtype=np.float64)
     # the distinct betas; with no seed set at all, one level that opens nothing
     levels = np.array(sorted(set(betas.tolist())) or [0.0])
@@ -133,52 +161,67 @@ def _infected_counts(
         # nodes infected in every seed set; the live filter keeps only slots
         # into unsaturated targets, so a step's nodes were all unsaturated
         done = start_done
-        counts = np.empty((sets, t_max + 1), dtype=np.int64)
-        counts[:, 0] = seeded
+        counts = np.empty((sets, len(reported)), dtype=np.int64)
+        if 0 in column:
+            counts[:, column[0]] = seeded
         # ndarray methods rather than np.* wrappers, and no np.diff: on a
         # tiny graph each step is a few dozen microsecond-sized calls
         for t in range(1, t_max + 1):
             if done == n:
-                counts[:, t:] = counts[:, t - 1 : t]
+                # every set has all n nodes at this and every later step
+                counts[:, bisect_left(reported, t) :] = n
                 break
             draws = rng.random(dst.size)
             np.less(draws, levels[-1], out=hit)
             hit &= live
             opened = hit.nonzero()[0]
             opened = opened.take((~saturated.take(dst.take(opened))).nonzero()[0])
-            # keep only the kept slots' draws, so that the next step's 2m
-            # draws are not allocated while this step's are still held
-            draws = draws[opened]
             if opened.size == 0:
-                counts[:, t] = counts[:, t - 1]
-                continue
-            # group the open slots by target, one reduceat segment per node
-            order = dst[opened].argsort()
-            opened = opened[order]
-            targets = dst[opened]
-            starts = np.append(True, targets[1:] != targets[:-1]).nonzero()[0]
-            nodes = targets[starts]
-            # take, as row gathers by fancy indexing are several times slower
-            carried = infected.take(src[opened], axis=0)
-            if levels.size > 1:
-                level = levels.searchsorted(draws[order], side="right")
-                carried &= open_sets.take(level, axis=0)
-            before = infected.take(nodes, axis=0)
-            fresh = np.bitwise_or.reduceat(carried, starts, axis=0) & ~before
-            after = before | fresh
-            infected[nodes] = after
-            # a node reached for the first time adds its out-slots to the
-            # live mask; a step that reaches no new node skips this
-            was_touched = touched.take(nodes)
-            if not was_touched.all():
-                first = nodes[~was_touched]
-                touched[first] = True
-                live[_adjacency_slots(graph, first)] = True
-            now_saturated = (after == full).all(axis=1)
-            saturated[nodes] = now_saturated
-            done += np.count_nonzero(now_saturated)
-            bits = np.unpackbits(fresh.view(np.uint8), axis=1, count=sets, bitorder="little")
-            counts[:, t] = counts[:, t - 1] + bits.sum(axis=0, dtype=np.int32)
+                # drop the 2m draws before the next step draws its own
+                del draws
+                fresh = None
+            else:
+                # group the open slots by target, one reduceat segment per
+                # node: numpy sorts int64 keys with SIMD but not an argsort,
+                # and within a target the keys keep slot order, which
+                # neither the OR nor the per-slot draws depend on
+                keys = dst.take(opened)
+                keys <<= shift
+                keys |= opened
+                keys.sort()
+                opened = keys & slot_bits
+                targets = keys >> shift
+                # keep only the kept slots' draws, so that the next step's 2m
+                # draws are not allocated while this step's are still held
+                draws = draws.take(opened)
+                starts = np.append(True, targets[1:] != targets[:-1]).nonzero()[0]
+                nodes = targets.take(starts)
+                # take, as row gathers by fancy indexing are several times slower
+                carried = infected.take(src.take(opened), axis=0)
+                if levels.size > 1:
+                    carried &= open_sets.take(levels.searchsorted(draws, side="right"), axis=0)
+                before = infected.take(nodes, axis=0)
+                fresh = np.bitwise_or.reduceat(carried, starts, axis=0) & ~before
+                after = before | fresh
+                infected[nodes] = after
+                # a node reached for the first time adds its out-slots to the
+                # live mask; a step that reaches no new node skips this
+                was_touched = touched.take(nodes)
+                if not was_touched.all():
+                    first = nodes[~was_touched]
+                    touched[first] = True
+                    live[_adjacency_slots(graph, first)] = True
+                now_saturated = (after == full).all(axis=1)
+                saturated[nodes] = now_saturated
+                done += np.count_nonzero(now_saturated)
+            if steps is None:
+                # every step is read: add the bits this step infected
+                if fresh is None:
+                    counts[:, t] = counts[:, t - 1]
+                else:
+                    counts[:, t] = counts[:, t - 1] + _set_counts(fresh, sets)
+            elif t in column:
+                counts[:, column[t]] = _set_counts(infected, sets)
         yield counts
 
 
@@ -222,12 +265,13 @@ def spreading_powers(graph: Graph, configs: Sequence[SIConfig]) -> list[np.ndarr
 
     One engine pass per block of nodes serves every config with beta < 1:
     the block is stacked once per distinct beta, all of them read each
-    step's one draw per slot, and the pass runs to the longest horizon, from
-    which each config reads the column at its own ``t_max``. At beta = 1
-    every draw opens every slot, so all runs agree and those configs take
-    one run of their own, which gives each node the size of its hop ball of
-    radius ``t_max``; they stay out of the beta < 1 pass, where their level
-    would open every slot for the other seed sets too.
+    step's one draw per slot, and the pass runs to the longest horizon. It
+    counts infections only at the distinct horizons, and each config reads
+    the column at its own ``t_max``. At beta = 1 every draw opens every
+    slot, so all runs agree and those configs take one run of their own,
+    which gives each node the size of its hop ball of radius ``t_max``; they
+    stay out of the beta < 1 pass, where their level would open every slot
+    for the other seed sets too.
     """
     configs = list(configs)
     if not configs:
@@ -243,16 +287,19 @@ def spreading_powers(graph: Graph, configs: Sequence[SIConfig]) -> list[np.ndarr
         if not group:
             continue
         levels = sorted({beta for beta, _ in group})
-        horizon = max(t_max for _, t_max in group)
+        horizons = sorted({t_max for _, t_max in group})
         block = max(1, 8 * _BLOCK_BYTES // (len(levels) * max(graph.indices.size, n)))
         for start in range(0, n, block):
             size = min(block, n - start)
             seeds = np.tile(np.eye(size, n, k=start, dtype=bool), (len(levels), 1))
             betas = np.repeat(levels, size)
-            total = sum(_infected_counts(graph, seeds, betas, horizon, runs, seed))
+            total = sum(
+                _infected_counts(graph, seeds, betas, horizons[-1], runs, seed, steps=horizons)
+            )
             for beta, t_max in group:
                 offset = levels.index(beta) * size
-                powers[beta, t_max][start : start + size] = total[offset : offset + size, t_max] / runs
+                column = total[offset : offset + size, horizons.index(t_max)]
+                powers[beta, t_max][start : start + size] = column / runs
     return [powers[config.beta, config.t_max] for config in configs]
 
 

@@ -274,9 +274,9 @@ def counting_engine(monkeypatch):
     passes = []
     engine = effgravity.epidemics._infected_counts
 
-    def counted(graph, seed_masks, betas, t_max, runs, seed):
+    def counted(graph, seed_masks, betas, t_max, runs, seed, *, steps=None):
         passes.append((len(seed_masks), sorted(set(betas)), t_max, runs))
-        return engine(graph, seed_masks, betas, t_max, runs, seed)
+        return engine(graph, seed_masks, betas, t_max, runs, seed, steps=steps)
 
     monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counted)
     return passes
@@ -324,6 +324,28 @@ def test_spreading_powers_match_single_configs_and_oracle():
         for config, power, oracle in zip(configs, powers, oracles):
             assert power.tobytes() == spreading_power(graph, config).tobytes()
             assert power.tobytes() == oracle.tobytes(), (index, config)
+
+
+def test_spreading_powers_read_several_horizons_past_saturation(monkeypatch):
+    # each group (beta 0.9, and beta 1 on its own) is read at three
+    # horizons in one pass; runs stop once every seeding is saturated, long
+    # before step 40, and must still report n at that horizon
+    complete = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    path = Graph.from_edges(15, [(i, i + 1) for i in range(14)])
+    passes = counting_engine(monkeypatch)
+    for graph in (complete, path):
+        configs = [
+            SIConfig(beta=beta, t_max=t_max, runs=5, seed=19)
+            for beta in (0.9, 1.0)
+            for t_max in (1, 3, 40)
+        ]
+        powers = spreading_powers(graph, configs)
+        for power, oracle in zip(powers, oracle_powers(graph, configs)):
+            assert power.tobytes() == oracle.tobytes()
+        assert powers[-1].tolist() == [graph.n] * graph.n
+    assert passes == [
+        (6, [0.9], 40, 5), (6, [1.0], 40, 1), (15, [0.9], 40, 5), (15, [1.0], 40, 1)
+    ]
 
 
 def test_spreading_powers_balls_count_only_reachable_nodes():
@@ -544,42 +566,51 @@ def test_engine_every_set_saturated_from_the_start():
 
 @st.composite
 def si_cases(draw):
-    # two blocks with no edge between them, so at least two components
+    # two blocks with no edge between them, so at least two components; in
+    # half the cases each block is a path, whose long distances let a set
+    # reach a node steps after another set's slot first touched it
     n = draw(st.integers(2, 10))
     split = draw(st.integers(1, n - 1))
-    pairs = [
-        (i, j)
-        for block in (range(split), range(split, n))
-        for i in block
-        for j in block
-        if i < j
-    ]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    # two or three seed sets from a pool of at most three nodes, each at a
-    # beta of its own, cycled in runs of equal sets, up to 135 sets in
-    # all: nodes are reached by some sets steps before others, runs of one
-    # or five mix betas within a 64-bit word, and with runs of 64 one word
-    # can be saturated at a node while another is not
-    pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        edges = [(i, i + 1) for i in range(n - 1) if i + 1 != split]
+    else:
+        pairs = [
+            (i, j)
+            for block in (range(split), range(split, n))
+            for i in block
+            for j in block
+            if i < j
+        ]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    # two or three seed sets from a pool of two or three nodes, each at a
+    # beta of its own, cycled in runs of equal sets, up to 135 sets in all
+    # and each distinct set at least once: nodes are reached by some sets
+    # steps before others, runs of one or five mix betas within a 64-bit
+    # word, and with runs of 64 one word can be saturated at a node while
+    # another is not
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=3, unique=True))
     distinct = draw(
         st.lists(st.lists(st.sampled_from(pool), min_size=1, unique=True), min_size=2, max_size=3)
     )
     beta = st.sampled_from([1.0, 0.9, 0.0]) | st.floats(0.0, 1.0)
     levels = draw(st.lists(beta, min_size=len(distinct), max_size=len(distinct), unique=True))
     run = draw(st.sampled_from([64, 1, 5]))
-    picks = [index // run % len(distinct) for index in range(draw(st.integers(1, 135)))]
+    least = run * (len(distinct) - 1) + 1
+    picks = [index // run % len(distinct) for index in range(draw(st.integers(least, 135)))]
     seed_sets = [distinct[pick] for pick in picks]
     betas = [levels[pick] for pick in picks]
+    # at least three steps: a slot whose bits the level table zeroes first
+    # touches a node, another set infects it, and that set spreads on
     config = SIConfig(
         beta=levels[0],
-        t_max=draw(st.integers(2, 6)),
-        runs=draw(st.integers(1, 3)),
+        t_max=draw(st.integers(3, 10)),
+        runs=draw(st.integers(1, 4)),
         seed=draw(st.integers(0, 2**32)),
     )
     return Graph.from_edges(n, edges), seed_sets, betas, config
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(si_cases())
 def test_shared_draw_engine_matches_per_seed_set_oracle(case):
     # up to 135 seed sets, so many cases span two or three 64-bit words per node

@@ -220,12 +220,13 @@ def test_sweep_simulates_each_distinct_clamped_beta_once(seven_node_graph, monke
     from effgravity.cli import DEFAULT_BETA_GRID
 
     betas = [float(token) for token in DEFAULT_BETA_GRID.split(",")]
-    passes = []
+    passes, steps_read = [], []
     engine = effgravity.epidemics._infected_counts
 
-    def counted(graph, seed_masks, set_betas, t_max, runs, seed):
+    def counted(graph, seed_masks, set_betas, t_max, runs, seed, *, steps=None):
         passes.append((len(seed_masks), sorted(set(set_betas)), t_max, runs))
-        return engine(graph, seed_masks, set_betas, t_max, runs, seed)
+        steps_read.append(steps)
+        return engine(graph, seed_masks, set_betas, t_max, runs, seed, steps=steps)
 
     monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counted)
     cfg = SIConfig(beta=0.2, t_max=2, runs=3, seed=1)
@@ -236,6 +237,8 @@ def test_sweep_simulates_each_distinct_clamped_beta_once(seven_node_graph, monke
     # one engine pass over one block of the 7 nodes, stacked once per
     # distinct beta below 1; beta = 1 passes alone, with one run
     assert passes == [(4 * 7, [0.2, 0.4, 0.6, 0.8], 2, 3), (7, [1.0], 2, 1)]
+    # and each pass counts infections only at the sweep's one horizon
+    assert steps_read == [[2], [2]]
     assert [beta for _, beta, _ in rows] == betas
     taus = {beta: comparison for _, beta, comparison in rows}
     assert taus[1.0] == taus[1.6]
