@@ -110,10 +110,11 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
     count and dependency receives its additions in the same order as the
     node-by-node algorithm, and each source's dependencies are added to the
     scores in source order: the scores match it bit for bit. The backward
-    pass reuses each level's forward neighbour array, reversed: that also
-    reverses each node's own neighbours, but a successor w adds to each
-    predecessor v only once, so the additions to ``delta[v]`` still arrive
-    in reverse FIFO order of w.
+    pass reuses each level's forward neighbour array and the positions in
+    it of the predecessors, which the forward gather of distances found,
+    reversed: that also reverses each node's own neighbours, but a
+    successor w adds to each predecessor v only once, so the additions to
+    ``delta[v]`` still arrive in reverse FIFO order of w.
     """
     n = graph.n
     bc = np.zeros(n, dtype=np.float64)
@@ -127,16 +128,21 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
         dist = np.full(size, -1, dtype=np.int64)
         dist[starts] = 0
         levels = [starts]
-        # neighbours[d]: every neighbour of levels[d], slot by slot
+        # neighbours[d]: every neighbour of levels[d], slot by slot, and
+        # back[d]: the positions in it of the neighbours on level d - 1
+        # (back[0] is never read)
         neighbours = []
+        back = []
         while True:
             depth = len(levels)
             slots = _adjacency_slots(union, levels[-1])
             targets = indices.take(slots)
             neighbours.append(targets)
+            seen = dist.take(targets)
+            back.append((seen == depth - 2).nonzero()[0])
             # unvisited before this level is exactly at ``depth`` after it,
             # so these are also the level's DAG edges
-            on_dag = (dist.take(targets) < 0).nonzero()[0]
+            on_dag = (seen < 0).nonzero()[0]
             reached = targets.take(on_dag)
             fresh = _first_occurrences(reached, first_seen)
             if not fresh.size:
@@ -148,13 +154,12 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
         for depth in range(len(levels) - 1, 0, -1):
             level = levels[depth]
             coeff = (1.0 + delta.take(level)) / sigma.take(level)
-            preds = neighbours[depth][::-1]
-            on_dag = (dist.take(preds) == depth - 1).nonzero()[0]
-            preds = preds.take(on_dag)
+            on_dag = back[depth][::-1]
+            preds = neighbours[depth].take(on_dag)
             np.add.at(
                 delta,
                 preds,
-                sigma.take(preds) * coeff.repeat(degrees.take(level))[::-1].take(on_dag),
+                sigma.take(preds) * coeff.repeat(degrees.take(level)).take(on_dag),
             )
         delta[starts] = 0.0
         for row in delta.reshape(-1, n)[: block.size]:
@@ -205,7 +210,9 @@ def eigenvector_centrality(
         x = shifted / np.linalg.norm(shifted)
     raise ConvergenceError(
         f"eigenvector centrality did not reach tol={tol} after {max_iter} "
-        f"iterations (last residual {residual:.3e})",
+        f"iterations (last residual {residual:.3e}); power iteration converges "
+        f"slowly on long-diameter graphs such as paths and grids, so leave ec "
+        f"out of --measures there",
         residual=residual,
         iterations=max_iter,
     )

@@ -27,12 +27,13 @@ from .centrality import (
     compute_scores,
     rank,
 )
-from .epidemics import SIConfig, spreading_power, top_k_infection_curves
+from .epidemics import SIConfig, spreading_powers, top_k_infection_curves
 from .evaluation import (
     TAU_CONVENTIONS,
+    _sweep_configs,
+    _sweep_rows,
     clamp_betas,
     rank_vs_spread,
-    tau_vs_beta_sweep,
     top_k_overlap,
 )
 from .graph import Graph, ParseError, load_edge_list, topology_stats
@@ -178,7 +179,7 @@ def cmd_evaluate(args: argparse.Namespace) -> Outputs:
     _check_k(args)
     spread_config = SIConfig(beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed)
     sweep_config = SIConfig(beta=DEFAULT_BETA, t_max=args.t_max_sweep, runs=args.runs, seed=args.seed)
-    sweep_betas, over = clamp_betas(args.beta_grid)
+    _, over = clamp_betas(args.beta_grid)
     graph = _load_graph(args)
     if graph.n < 2:
         raise ValueError(f"need at least two elements to compare rankings, got {graph.n} node(s)")
@@ -189,18 +190,14 @@ def cmd_evaluate(args: argparse.Namespace) -> Outputs:
 
     if over:
         print(f"note: beta values {over} exceed 1 and were clamped to 1", file=sys.stderr)
-    sweep = tau_vs_beta_sweep(
-        graph,
-        [scores[name] for name in args.measures],
-        sweep_betas,
-        sweep_config,
-        convention=args.tau_convention,
+    # one spreading_powers call serves the sweep and the rank-vs-spread tables
+    configs = _sweep_configs(args.beta_grid, sweep_config)
+    *powers, power = spreading_powers(graph, configs + [spread_config])
+    sweep = _sweep_rows(
+        [scores[name] for name in args.measures], args.beta_grid, powers, args.tau_convention
     )
     # the table keeps the requested betas; rows run (beta, measure)
-    requested = [beta for beta in args.beta_grid for _ in args.measures]
-    sweep_rows = [
-        (name, beta, comparison.tau) for (name, _, comparison), beta in zip(sweep, requested)
-    ]
+    sweep_rows = [(name, beta, comparison.tau) for name, beta, comparison in sweep]
 
     overlap_rows = []
     for i, name_a in enumerate(args.measures):
@@ -208,7 +205,6 @@ def cmd_evaluate(args: argparse.Namespace) -> Outputs:
             report = top_k_overlap(rankings[name_a], rankings[name_b], args.k)
             overlap_rows.append((name_a, name_b, report.k, report.shared))
 
-    power = spreading_power(graph, spread_config)
     spread_tables = {}
     for name in args.measures:
         table = rank_vs_spread(rankings[name], power)

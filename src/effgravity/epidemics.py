@@ -78,6 +78,30 @@ def _set_counts(words: np.ndarray, sets: int) -> np.ndarray:
     return bits.sum(axis=0, dtype=np.int32)
 
 
+def _level_table(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``betas``, the level table and the all-sets word mask.
+
+    Row i of the table holds the seed sets still open at a draw with i
+    levels at or below it. With no seed set at all there is one level,
+    which opens nothing.
+    """
+    levels = np.array(sorted(set(betas.tolist())) or [0.0])
+    words = -(-betas.size // 64)
+    open_sets = _pack(betas >= levels[:, None], words)
+    return levels, open_sets, _pack(np.ones(betas.size, dtype=bool), words)
+
+
+def _levels_at_or_below(levels: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """How many of the sorted ``levels`` are at or below each draw.
+
+    Every draw is below the top level, so that one is not compared: the
+    result equals ``levels.searchsorted(draws, side="right")``, and one
+    compare per level and draw costs less than the binary search at every
+    level count a pass has.
+    """
+    return (levels[:-1, None] <= draws).sum(axis=0, dtype=np.intp)
+
+
 def _infected_counts(
     graph: Graph,
     seed_masks: np.ndarray,
@@ -87,6 +111,7 @@ def _infected_counts(
     seed: int,
     *,
     steps: Sequence[int] | None = None,
+    ends: Sequence[int] | None = None,
 ) -> Iterator[np.ndarray]:
     """Infected counts of one run at a time, shape (seed sets, t_max + 1)
     or, with ``steps``, (seed sets, len(steps)).
@@ -103,6 +128,13 @@ def _infected_counts(
     caller reads, and each run yields only those columns. Each is counted
     once, from the infected words of all n nodes, instead of adding up every
     step's newly infected bits.
+
+    ``ends``, if given, is each seed set's last step in [0, t_max], not
+    increasing from one set to the next (by default every set ends at
+    ``t_max``). After the step where a tail of sets ends, the pass drops
+    them: it cuts the words to the sets still carried, and takes its
+    levels, its compare threshold and its per-node and per-slot filters
+    from those sets alone. A set's columns after its last step read 0.
 
     Seed sets are bits, 64 to a word per node. The sets open at a slot are
     nested (every set whose beta exceeds the draw), so each kept slot ANDs
@@ -130,46 +162,67 @@ def _infected_counts(
     reported = range(t_max + 1) if steps is None else list(steps)
     column = {step: index for index, step in enumerate(reported)}
     betas = np.asarray(betas, dtype=np.float64)
-    # the distinct betas; with no seed set at all, one level that opens nothing
-    levels = np.array(sorted(set(betas.tolist())) or [0.0])
-    words = -(-sets // 64)
-    full = _pack(np.ones(sets, dtype=bool), words)
-    # row i: the seed sets still open at a draw with i levels at or below it
-    open_sets = _pack(betas >= levels[:, None], words)
-    start_words = _pack(seed_masks.T, words)
+    ends = np.full(sets, t_max) if ends is None else np.asarray(ends, dtype=np.int64)
+    # t_max >= ends[0] >= ends[1] >= ... >= 0
+    bounds = np.concatenate(([t_max], ends.ravel(), [0]))
+    if ends.shape != (sets,) or np.any(bounds[1:] > bounds[:-1]):
+        raise ValueError(f"ends must be {sets} non-increasing steps in [0, {t_max}]")
+    # per set and column: the column is at or before the set's last step
+    within = np.asarray(reported)[None, :] <= ends[:, None]
+    # each phase of the pass: the sets it carries, which are those that end
+    # later, and their level table, from the start and after each step where
+    # some sets end; sets that end at step 0 are never carried
+    kept_after = {0: sets} | {end: np.count_nonzero(ends > end) for end in set(ends.tolist())}
+    phases = {
+        step: (kept, *_level_table(betas[:kept]))
+        for step, kept in kept_after.items()
+        if step < t_max or step == 0
+    }
+    start = phases.pop(0)
+    kept, _, _, full = start
+    start_masks = seed_masks[:kept]
+    start_words = _pack(start_masks.T, full.size)
     # per node: infected in some seed set, and infected in every seed set
-    start_touched = seed_masks.any(axis=0)
-    start_saturated = seed_masks.all(axis=0)
+    start_touched = start_masks.any(axis=0)
+    start_saturated = start_masks.all(axis=0)
     start_done = np.count_nonzero(start_saturated)
     seeded = np.count_nonzero(seed_masks, axis=1)
     # the live mask, per slot: its source is touched
     start_live = start_touched.take(src)
-    # one buffer each, reset by every run: a fresh copy per run raised the
-    # peak RSS of a large spread by about a megabyte
-    infected = np.empty_like(start_words)
+    # one buffer each, reset by every run (infected until its first phase
+    # change): a fresh copy per run raised the peak RSS of a large spread by
+    # about a megabyte
+    infected_buffer = np.empty_like(start_words)
     touched = np.empty_like(start_touched)
     saturated = np.empty_like(start_saturated)
     live = np.empty_like(start_live)
     # each step's open live slots, written in place
     hit = np.empty_like(start_live)
+    # per kept slot of a step, whether it is its target's first, in place
+    heads = np.empty_like(start_live)
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
+        infected = infected_buffer
         infected[...] = start_words
         touched[...] = start_touched
         saturated[...] = start_saturated
         live[...] = start_live
-        # nodes infected in every seed set; the live filter keeps only slots
-        # into unsaturated targets, so a step's nodes were all unsaturated
+        kept, levels, open_sets, full = start
+        # nodes infected in every carried seed set; the live filter keeps
+        # only slots into unsaturated targets, so a step's nodes were all
+        # unsaturated
         done = start_done
-        counts = np.empty((sets, len(reported)), dtype=np.int64)
+        counts = np.zeros((sets, len(reported)), dtype=np.int64)
         if 0 in column:
             counts[:, column[0]] = seeded
         # ndarray methods rather than np.* wrappers, and no np.diff: on a
         # tiny graph each step is a few dozen microsecond-sized calls
         for t in range(1, t_max + 1):
             if done == n:
-                # every set has all n nodes at this and every later step
-                counts[:, bisect_left(reported, t) :] = n
+                # every carried set has all n nodes at this and every later
+                # step it reads
+                since = bisect_left(reported, t)
+                np.copyto(counts[:kept, since:], n, where=within[:kept, since:])
                 break
             draws = rng.random(dst.size)
             np.less(draws, levels[-1], out=hit)
@@ -194,12 +247,15 @@ def _infected_counts(
                 # keep only the kept slots' draws, so that the next step's 2m
                 # draws are not allocated while this step's are still held
                 draws = draws.take(opened)
-                starts = np.append(True, targets[1:] != targets[:-1]).nonzero()[0]
+                head = heads[: targets.size]
+                head[0] = True
+                np.not_equal(targets[1:], targets[:-1], out=head[1:])
+                starts = head.nonzero()[0]
                 nodes = targets.take(starts)
                 # take, as row gathers by fancy indexing are several times slower
                 carried = infected.take(src.take(opened), axis=0)
                 if levels.size > 1:
-                    carried &= open_sets.take(levels.searchsorted(draws, side="right"), axis=0)
+                    carried &= open_sets.take(_levels_at_or_below(levels, draws), axis=0)
                 before = infected.take(nodes, axis=0)
                 fresh = np.bitwise_or.reduceat(carried, starts, axis=0) & ~before
                 after = before | fresh
@@ -217,11 +273,22 @@ def _infected_counts(
             if steps is None:
                 # every step is read: add the bits this step infected
                 if fresh is None:
-                    counts[:, t] = counts[:, t - 1]
+                    counts[:kept, t] = counts[:kept, t - 1]
                 else:
-                    counts[:, t] = counts[:, t - 1] + _set_counts(fresh, sets)
+                    counts[:kept, t] = counts[:kept, t - 1] + _set_counts(fresh, kept)
             elif t in column:
-                counts[:, column[t]] = _set_counts(infected, sets)
+                counts[:kept, column[t]] = _set_counts(infected, kept)
+            if t in phases:
+                # a tail of sets ends here: cut their words and bits off and
+                # rebuild the filters from the sets still carried
+                kept, levels, open_sets, full = phases[t]
+                infected = np.ascontiguousarray(infected[:, : full.size])
+                if kept % 64:
+                    infected[:, -1] &= full[-1]
+                infected.any(axis=1, out=touched)
+                (infected == full).all(axis=1, out=saturated)
+                done = np.count_nonzero(saturated)
+                touched.take(src, out=live)
         yield counts
 
 
@@ -267,11 +334,13 @@ def spreading_powers(graph: Graph, configs: Sequence[SIConfig]) -> list[np.ndarr
     the block is stacked once per distinct beta, all of them read each
     step's one draw per slot, and the pass runs to the longest horizon. It
     counts infections only at the distinct horizons, and each config reads
-    the column at its own ``t_max``. At beta = 1 every draw opens every
-    slot, so all runs agree and those configs take one run of their own,
-    which gives each node the size of its hop ball of radius ``t_max``; they
-    stay out of the beta < 1 pass, where their level would open every slot
-    for the other seed sets too.
+    the column at its own ``t_max``. The sets of a beta leave the pass after
+    the last horizon read at that beta, so a short sweep and a long
+    rank-vs-spread horizon cost no more in one call than in two. At beta = 1
+    every draw opens every slot, so all runs agree and those configs take
+    one run of their own, which gives each node the size of its hop ball of
+    radius ``t_max``; they stay out of the beta < 1 pass, where their level
+    would open every slot for the other seed sets too.
     """
     configs = list(configs)
     if not configs:
@@ -286,15 +355,24 @@ def spreading_powers(graph: Graph, configs: Sequence[SIConfig]) -> list[np.ndarr
     ):
         if not group:
             continue
-        levels = sorted({beta for beta, _ in group})
+        # each beta's last horizon; the betas are stacked from the latest
+        # last horizon down, so the sets of a beta leave the pass once its
+        # last horizon is read
+        last = {}
+        for beta, t_max in group:
+            last[beta] = max(last.get(beta, 0), t_max)
+        levels = sorted(last, key=lambda beta: (-last[beta], beta))
         horizons = sorted({t_max for _, t_max in group})
         block = max(1, 8 * _BLOCK_BYTES // (len(levels) * max(graph.indices.size, n)))
         for start in range(0, n, block):
             size = min(block, n - start)
             seeds = np.tile(np.eye(size, n, k=start, dtype=bool), (len(levels), 1))
             betas = np.repeat(levels, size)
+            ends = np.repeat([last[beta] for beta in levels], size)
             total = sum(
-                _infected_counts(graph, seeds, betas, horizons[-1], runs, seed, steps=horizons)
+                _infected_counts(
+                    graph, seeds, betas, horizons[-1], runs, seed, steps=horizons, ends=ends
+                )
             )
             for beta, t_max in group:
                 offset = levels.index(beta) * size

@@ -151,6 +151,39 @@ def clamp_betas(betas: Sequence[float]) -> tuple[list[float], list[float]]:
     return clamped, over
 
 
+def _sweep_configs(betas: Sequence[float], config: SIConfig) -> list[SIConfig]:
+    """One config per distinct clamped beta of ``betas``, in first-seen
+    order, with config.beta replaced by it."""
+    clamped, _ = clamp_betas(betas)
+    return [replace(config, beta=beta) for beta in dict.fromkeys(clamped)]
+
+
+def _sweep_rows(
+    score_vectors: Sequence[ScoreVector],
+    betas: Sequence[float],
+    powers: Sequence[np.ndarray],
+    convention: str = "standard",
+) -> list[tuple[str, float, RankComparison]]:
+    """The rows of :func:`tau_vs_beta_sweep` from ready spreading powers.
+
+    ``powers`` holds the spreading-power vectors of the configs
+    :func:`_sweep_configs` lists for ``betas``. Each measure's score vector
+    is correlated against each of them once; rows keep the requested
+    betas, in (beta, measure) order.
+    """
+    requested = list(betas)
+    clamped, _ = clamp_betas(requested)
+    comparisons = {
+        beta: [kendall_tau(sv.scores, power, convention=convention) for sv in score_vectors]
+        for beta, power in zip(dict.fromkeys(clamped), powers)
+    }
+    return [
+        (sv.measure, float(beta_requested), comparison)
+        for beta_requested, beta in zip(requested, clamped)
+        for sv, comparison in zip(score_vectors, comparisons[beta])
+    ]
+
+
 def tau_vs_beta_sweep(
     graph: Graph,
     score_vectors: Sequence[ScoreVector],
@@ -162,39 +195,33 @@ def tau_vs_beta_sweep(
 
     The single-seed spreading power of all nodes is computed once per
     distinct clamped beta (config.beta is replaced by it), all in one
-    :func:`spreading_powers` call, and each measure's score vector is
-    correlated against it once per distinct clamped beta. Betas above 1 are
-    clamped with a warning. Rows keep the requested beta values; order is
-    (beta, measure).
+    :func:`spreading_powers` call, and :func:`_sweep_rows` correlates each
+    measure's score vector against it once per distinct clamped beta.
+    Betas above 1 are clamped with a warning. Rows keep the requested beta
+    values; order is (beta, measure).
     """
     requested = list(betas)
-    clamped, over = clamp_betas(requested)
+    _, over = clamp_betas(requested)
     if over:
         warnings.warn(
             f"beta values {over} exceed 1 and were clamped to 1 "
             "(transmission is a per-contact probability)",
             stacklevel=2,
         )
-    distinct = list(dict.fromkeys(clamped))
-    configs = [replace(config, beta=beta) for beta in distinct]
-    comparisons = {
-        beta: [kendall_tau(sv.scores, power, convention=convention) for sv in score_vectors]
-        for beta, power in zip(distinct, spreading_powers(graph, configs))
-    }
-    return [
-        (sv.measure, float(beta_requested), comparison)
-        for beta_requested, beta in zip(requested, clamped)
-        for sv, comparison in zip(score_vectors, comparisons[beta])
-    ]
+    powers = spreading_powers(graph, _sweep_configs(requested, config))
+    return _sweep_rows(score_vectors, requested, powers, convention)
 
 
 def rank_vs_spread(ranking: Ranking, power: np.ndarray) -> list[tuple[int, int, float]]:
     """Each node's spreading power, emitted in rank order.
 
     Rows are (rank, node index, power[node]). With ``power`` from
-    :func:`spreading_power`, the mean final infected count of a single-node
-    seeding, a ranking that tracks true influence produces a mostly
-    decreasing third column.
+    :func:`spreading_power` or :func:`spreading_powers`, the mean final
+    infected count of a single-node seeding, a ranking that tracks true
+    influence produces a mostly decreasing third column. ``evaluate`` takes
+    its vector from the same :func:`spreading_powers` call as its sweep,
+    where the rank-vs-spread seed sets stay in the pass after the sweep's
+    sets have left it.
     """
     if power.shape != ranking.order.shape:
         raise ValueError(

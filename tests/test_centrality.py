@@ -128,6 +128,14 @@ def test_eigenvector_non_convergence_error(seven_node_graph):
     assert info.value.iterations == 2
 
 
+def test_eigenvector_non_convergence_names_the_workaround():
+    # the gap between a path's two largest eigenvalues shrinks like 1/n^2,
+    # so 1000 power iterations leave a 299-node path far from tol
+    path = Graph.from_edges(299, [(i, i + 1) for i in range(298)])
+    with pytest.raises(ConvergenceError, match="leave ec out of --measures"):
+        eigenvector_centrality(path)
+
+
 def test_eigenvector_requires_an_edge():
     graph, _ = parse_edge_list("1 1\n")
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import effgravity.cli
@@ -150,6 +151,19 @@ def test_rank_nonconvergent_pagerank_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "damping" in capsys.readouterr().err
+
+
+def test_rank_nonconvergent_ec_exits_1_and_names_the_workaround(tmp_path, capsys):
+    # power iteration does not converge on a 299-node path within its 1000
+    # steps; leaving ec out (and damping pagerank, as a path is bipartite)
+    # ranks it
+    edge_file = tmp_path / "path299.edges"
+    edge_file.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 299)))
+    argv = ["rank", "--input", str(edge_file), "--out", str(tmp_path / "o"), "--measures"]
+    assert main(argv + ["ec"]) == 1
+    assert "leave ec out of --measures" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert main(argv + ["dc,bc,cc,pagerank,gm,effg", "--damping", "0.85"]) == 0
 
 
 def test_rank_damping_flag_rescues_bipartite(tmp_path):
@@ -299,6 +313,64 @@ def test_evaluate_writes_three_tables(tmp_path, seven_node_file):
     assert len(overlap) == 2  # one unordered measure pair
     assert (out / "rank_vs_spread_dc.csv").exists()
     assert (out / "rank_vs_spread_gm.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "options, passes",
+    [
+        # the sweep's four betas below 1 at t 5, with beta 0.2 read again at
+        # t 20; beta 1 passes alone, with one run
+        ([], [(4 * 7, [0.2, 0.4, 0.6, 0.8], 20, 50), (7, [1.0], 5, 1)]),
+        # a rank-vs-spread beta outside the grid is one more level
+        (["--beta", "0.3"], [(5 * 7, [0.2, 0.3, 0.4, 0.6, 0.8], 20, 50), (7, [1.0], 5, 1)]),
+        # rank-vs-spread at beta 1 is read from the beta = 1 group at t 20
+        (["--beta", "1.0"], [(4 * 7, [0.2, 0.4, 0.6, 0.8], 5, 50), (7, [1.0], 20, 1)]),
+        # beta 0.2 is read at t 3 and at the sweep's longer t 9
+        (
+            ["--t-max", "3", "--t-max-sweep", "9"],
+            [(4 * 7, [0.2, 0.4, 0.6, 0.8], 9, 50), (7, [1.0], 9, 1)],
+        ),
+    ],
+    ids=["defaults", "beta-off-grid", "beta-one", "short-spread"],
+)
+def test_evaluate_makes_one_si_pass_per_group(seven_node_file, monkeypatch, options, passes):
+    import effgravity.epidemics
+    from effgravity import SIConfig, compute_scores, rank, spreading_power, tau_vs_beta_sweep
+    from effgravity.cli import DEFAULT_BETA
+    from effgravity.evaluation import clamp_betas
+
+    argv = ["evaluate", "--input", str(seven_node_file), "--out", "unused", "--k", "3", *options]
+    args = build_parser().parse_args(argv)
+    seen = []
+    engine = effgravity.epidemics._infected_counts
+
+    def counted(graph, seed_masks, betas, t_max, runs, seed, **options):
+        seen.append((len(seed_masks), sorted(set(betas)), t_max, runs))
+        return engine(graph, seed_masks, betas, t_max, runs, seed, **options)
+
+    monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counted)
+    outputs = effgravity.cli.cmd_evaluate(args)
+    # the seven nodes fit in one block: one pass below beta 1, one at beta 1
+    assert seen == passes
+
+    # the tables are those of a sweep call and a separate rank-vs-spread call
+    graph, _ = effgravity.parse_edge_list(seven_node_file.read_text())
+    scores = compute_scores(graph, args.measures, damping=args.damping)
+    sweep_config = SIConfig(DEFAULT_BETA, args.t_max_sweep, args.runs, args.seed)
+    clamped, _ = clamp_betas(args.beta_grid)
+    sweep = tau_vs_beta_sweep(graph, list(scores.values()), clamped, sweep_config)
+    _, rows = outputs["tau_sweep.csv"]
+    assert [(name, beta) for name, beta, _ in rows] == [
+        (name, beta) for beta in args.beta_grid for name in args.measures
+    ]
+    taus = np.array([tau for _, _, tau in rows])
+    assert taus.tobytes() == np.array([c.tau for _, _, c in sweep]).tobytes()
+    power = spreading_power(graph, SIConfig(args.beta, args.t_max, args.runs, args.seed))
+    for name, sv in scores.items():
+        _, rows = outputs[f"rank_vs_spread_{name}.csv"]
+        order = rank(sv).order
+        assert [label for _, label, _ in rows] == [graph.labels[node] for node in order]
+        assert np.array([mean for _, _, mean in rows]).tobytes() == power[order].tobytes()
 
 
 def test_evaluate_keeps_the_requested_betas_above_one(tmp_path, seven_node_file):

@@ -274,9 +274,9 @@ def counting_engine(monkeypatch):
     passes = []
     engine = effgravity.epidemics._infected_counts
 
-    def counted(graph, seed_masks, betas, t_max, runs, seed, *, steps=None):
+    def counted(graph, seed_masks, betas, t_max, runs, seed, **options):
         passes.append((len(seed_masks), sorted(set(betas)), t_max, runs))
-        return engine(graph, seed_masks, betas, t_max, runs, seed, steps=steps)
+        return engine(graph, seed_masks, betas, t_max, runs, seed, **options)
 
     monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counted)
     return passes
@@ -382,28 +382,40 @@ def test_spreading_powers_need_one_seed_and_run_count(seven_node_graph):
             spreading_powers(seven_node_graph, [base, other])
 
 
-def engine_counts(graph, seed_sets, betas, config):
+def engine_counts(graph, seed_sets, betas, config, **options):
     masks = np.zeros((len(seed_sets), graph.n), dtype=bool)
     for row, seeds in zip(masks, seed_sets):
         row[seeds] = True
     runs = effgravity.epidemics._infected_counts(
-        graph, masks, betas, config.t_max, config.runs, config.seed
+        graph, masks, betas, config.t_max, config.runs, config.seed, **options
     )
     return np.stack(list(runs))
 
 
-def assert_engine_matches_oracle(graph, seed_sets, config, betas=None):
+def assert_engine_matches_oracle(graph, seed_sets, config, betas=None, ends=None):
     """Compare the engine, each seed set at its own beta (config.beta if none
-    are given), with one oracle ensemble per distinct beta."""
+    are given), with one oracle ensemble per distinct beta.
+
+    With ``ends``, each set's counts after its last step must read 0, and
+    the engine must give the same columns when it reads only some steps.
+    """
     betas = [config.beta] * len(seed_sets) if betas is None else betas
-    counts = engine_counts(graph, seed_sets, betas, config)
+    counts = engine_counts(graph, seed_sets, betas, config, ends=ends)
     oracle = np.empty_like(counts)
     for beta in set(betas):
         columns = [column for column, own in enumerate(betas) if own == beta]
         oracle[:, columns] = si_curves_per_seed_set(
             graph, [seed_sets[column] for column in columns], replace(config, beta=beta)
         )
+    if ends is not None:
+        for column, end in enumerate(ends):
+            oracle[:, column, end + 1 :] = 0
     assert counts.tobytes() == oracle.tobytes()
+    if ends is not None:
+        # every horizon a set ends at, and the first and last steps
+        steps = sorted({0, config.t_max, *ends})
+        read = engine_counts(graph, seed_sets, betas, config, ends=ends, steps=steps)
+        assert read.tobytes() == counts[:, :, steps].tobytes()
     return counts
 
 
@@ -564,6 +576,112 @@ def test_engine_every_set_saturated_from_the_start():
         assert curves[name].tobytes() == oracle.tobytes()
 
 
+@pytest.mark.parametrize("retirements", [1, 2, 3])
+def test_engine_sets_leaving_at_several_steps_match_oracle(retirements):
+    # 100 sets over two words at four betas, in blocks that end at one,
+    # two or three steps before the last; a cut inside a word leaves a
+    # partial word behind
+    rng = np.random.default_rng(103 + retirements)
+    graph = random_connected_graph(rng, 30, 0.08)
+    seed_sets = many_word_seed_sets(rng, 100)
+    betas = rng.choice([0.15, 0.4, 0.7, 0.95], size=100).tolist()
+    # (sets, last step) from the first set on
+    blocks = {
+        1: [(70, 9), (30, 4)],
+        2: [(50, 9), (30, 6), (20, 2)],
+        3: [(40, 9), (27, 6), (21, 3), (12, 1)],
+    }[retirements]
+    ends = [end for size, end in blocks for _ in range(size)]
+    config = SIConfig(beta=0.4, t_max=9, runs=4, seed=retirements)
+    counts = assert_engine_matches_oracle(graph, seed_sets, config, betas, ends)
+    assert counts[:, :, -1].max() > counts[:, :, 0].max()
+
+
+def test_engine_retirement_lowers_the_top_beta():
+    # the beta 0.9 sets leave after step 2; from step 3 the compare keeps
+    # only draws below 0.3, and a draw between 0.3 and 0.9 must not open a
+    # slot for the sets left
+    rng = np.random.default_rng(107)
+    graph = random_connected_graph(rng, 25, 0.1)
+    seed_sets = [[node] for node in range(0, 25, 3)] * 2
+    betas = [0.3] * 9 + [0.9] * 9
+    ends = [8] * 9 + [2] * 9
+    config = SIConfig(beta=0.3, t_max=8, runs=5, seed=9)
+    counts = assert_engine_matches_oracle(graph, seed_sets, config, betas, ends)
+    assert np.all(counts[:, 9:, 3:] == 0)
+    assert np.any(counts[:, :9, -1] > counts[:, :9, 2])
+
+
+def test_engine_node_touched_only_by_retired_sets_opens_when_reached_again():
+    # path 0..9 at beta 1: set 1 seeds node 0 and reaches nodes 1 and 2,
+    # then leaves after step 2. Set 0 seeds node 9 and reaches node 2 at
+    # step 7; only then may node 2's out-slots join the live mask again, and
+    # set 0 must go on to nodes 1 and 0
+    graph = Graph.from_edges(10, [(i, i + 1) for i in range(9)])
+    config = SIConfig(beta=1.0, t_max=12, runs=2, seed=3)
+    counts = assert_engine_matches_oracle(graph, [[9], [0]], config, ends=[12, 2])
+    assert counts[0, 0].tolist() == [min(t + 1, 10) for t in range(13)]
+    assert counts[0, 1].tolist() == [1, 2, 3] + [0] * 10
+
+
+def test_engine_run_saturating_before_a_retire_step(monkeypatch):
+    # on a complete graph at beta = 1 every set is saturated after step 1,
+    # long before the sets ending at 3 leave: each run draws once, reads n
+    # up to each set's own last step and 0 after it
+    complete = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    draws = []
+
+    class CountingGenerator:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            draws.append(size)
+            return self.rng.random(size)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed)))
+    config = SIConfig(beta=1.0, t_max=5, runs=3, seed=8)
+    counts = assert_engine_matches_oracle(complete, [[0], [2, 4], [1]], config, ends=[5, 3, 3])
+    assert counts[0].tolist() == [[1, 6, 6, 6, 6, 6], [2, 6, 6, 6, 0, 0], [1, 6, 6, 6, 0, 0]]
+    draws.clear()
+    # a set that never spreads (beta 0, on an isolated node) holds the run
+    # open until it leaves after step 2; the others are saturated by then,
+    # so the run stops drawing there
+    graph = Graph.from_edges(7, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    counts = engine_counts(graph, [[0, 6], [6]], [1.0, 0.0], config, ends=[5, 2])
+    assert draws == [2 * graph.m] * 2 * config.runs
+    assert counts[0].tolist() == [[2, 7, 7, 7, 7, 7], [1, 1, 1, 0, 0, 0]]
+
+
+def test_engine_rejects_ends_out_of_order_or_range():
+    graph = Graph.from_edges(3, [(0, 1), (1, 2)])
+    config = SIConfig(beta=0.5, t_max=4, runs=1, seed=0)
+    for ends in ([2, 3], [5, 1], [1, -1], [4]):
+        with pytest.raises(ValueError, match="non-increasing steps"):
+            engine_counts(graph, [[0], [2]], [0.5, 0.5], config, ends=ends)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 16, 31, 32])
+def test_level_lookup_matches_searchsorted(count):
+    rng = np.random.default_rng(count)
+    levels = np.array(sorted(set(rng.random(count).tolist())))
+    # draws anywhere below the top level, at every lower level exactly, and
+    # just below each level
+    draws = np.concatenate(
+        [
+            rng.random(500) * levels[-1],
+            levels[:-1],
+            np.nextafter(levels, 0.0),
+            [0.0],
+        ]
+    )
+    assert draws.max() < levels[-1]
+    lookup = effgravity.epidemics._levels_at_or_below(levels, draws)
+    assert lookup.dtype == np.intp
+    assert lookup.tobytes() == levels.searchsorted(draws, side="right").tobytes()
+
+
 @st.composite
 def si_cases(draw):
     # two blocks with no edge between them, so at least two components; in
@@ -607,12 +725,24 @@ def si_cases(draw):
         runs=draw(st.integers(1, 4)),
         seed=draw(st.integers(0, 2**32)),
     )
-    return Graph.from_edges(n, edges), seed_sets, betas, config
+    # in half the cases the sets leave the pass in up to three tails, each
+    # after a step of its own, and sets of one beta may end apart
+    ends = None
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(1, len(seed_sets)), min_size=1, max_size=3)))
+        last = draw(
+            st.lists(
+                st.integers(0, config.t_max), min_size=len(cuts) + 1, max_size=len(cuts) + 1
+            )
+        )
+        last.sort(reverse=True)
+        ends = [last[sum(cut <= index for cut in cuts)] for index in range(len(seed_sets))]
+    return Graph.from_edges(n, edges), seed_sets, betas, config, ends
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(si_cases())
 def test_shared_draw_engine_matches_per_seed_set_oracle(case):
     # up to 135 seed sets, so many cases span two or three 64-bit words per node
-    graph, seed_sets, betas, config = case
-    assert_engine_matches_oracle(graph, seed_sets, config, betas)
+    graph, seed_sets, betas, config, ends = case
+    assert_engine_matches_oracle(graph, seed_sets, config, betas, ends)

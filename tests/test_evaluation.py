@@ -223,10 +223,10 @@ def test_sweep_simulates_each_distinct_clamped_beta_once(seven_node_graph, monke
     passes, steps_read = [], []
     engine = effgravity.epidemics._infected_counts
 
-    def counted(graph, seed_masks, set_betas, t_max, runs, seed, *, steps=None):
+    def counted(graph, seed_masks, set_betas, t_max, runs, seed, *, steps=None, **options):
         passes.append((len(seed_masks), sorted(set(set_betas)), t_max, runs))
         steps_read.append(steps)
-        return engine(graph, seed_masks, set_betas, t_max, runs, seed, steps=steps)
+        return engine(graph, seed_masks, set_betas, t_max, runs, seed, steps=steps, **options)
 
     monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counted)
     cfg = SIConfig(beta=0.2, t_max=2, runs=3, seed=1)
