@@ -82,8 +82,6 @@ def rank(score_vector: ScoreVector) -> Ranking:
 
 def _neighbor_sums(graph: Graph, values: np.ndarray) -> np.ndarray:
     """Adjacency matrix times a vector: sum of ``values`` over each node's neighbors."""
-    if graph.indices.size == 0:
-        return np.zeros(graph.n, dtype=np.float64)
     return np.bincount(
         graph.edge_sources, weights=values[graph.indices], minlength=graph.n
     )

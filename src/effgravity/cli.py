@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -76,6 +77,10 @@ def _parse_beta_grid(value: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad beta grid {value!r}: {exc}") from exc
     if not betas:
         raise argparse.ArgumentTypeError("beta grid must contain at least one value")
+    # clamping would make an infinite beta 1, but config.json would record it
+    # as Infinity, which strict JSON cannot read; clamp_betas refuses NaN
+    if any(math.isinf(beta) for beta in betas):
+        raise argparse.ArgumentTypeError(f"beta grid values must be finite, got {value!r}")
     return betas
 
 

@@ -102,6 +102,18 @@ def _levels_at_or_below(levels: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return (levels[:-1, None] <= draws).sum(axis=0, dtype=np.intp)
 
 
+def _filters(
+    words: np.ndarray, full: np.ndarray, src: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-node saturated and per-slot live filters of infected ``words``.
+
+    A node is saturated when its words equal ``full``, infected in every
+    carried seed set; a slot is live when its source is infected in some
+    set.
+    """
+    return (words == full).all(axis=1), words.any(axis=1).take(src)
+
+
 def _infected_counts(
     graph: Graph,
     seed_masks: np.ndarray,
@@ -147,8 +159,14 @@ def _infected_counts(
     slot would only OR zero bits into its target. The source test is a
     per-slot mask ANDed into the draw compare, so ``nonzero`` finds only
     open slots out of seeds and out of nodes that an earlier step reached;
-    a node's out-slots join the mask on the step that first reaches it. A
-    run stops drawing once every node is infected in every seed set, as no
+    a node's out-slots join the mask on the step that first reaches it. The
+    mask is the only record of reached nodes: a node a step reaches has an
+    out-slot (the reverse of the slot into it), and it was reached before
+    when its first out-slot is live. The target test is a per-node
+    saturated filter. One builder, :func:`_filters`, makes both filters
+    from the infected words, for the pass start and after each step where
+    a tail of sets ends; each run starts from the pass-start copies. A run
+    stops drawing once every node is infected in every seed set, as no
     count can change after.
     """
     sets, n = seed_masks.shape
@@ -180,20 +198,14 @@ def _infected_counts(
     }
     start = phases.pop(0)
     kept, _, _, full = start
-    start_masks = seed_masks[:kept]
-    start_words = _pack(start_masks.T, full.size)
-    # per node: infected in some seed set, and infected in every seed set
-    start_touched = start_masks.any(axis=0)
-    start_saturated = start_masks.all(axis=0)
+    start_words = _pack(seed_masks[:kept].T, full.size)
+    start_saturated, start_live = _filters(start_words, full, src)
     start_done = np.count_nonzero(start_saturated)
     seeded = np.count_nonzero(seed_masks, axis=1)
-    # the live mask, per slot: its source is touched
-    start_live = start_touched.take(src)
     # one buffer each, reset by every run (infected until its first phase
     # change): a fresh copy per run raised the peak RSS of a large spread by
     # about a megabyte
     infected_buffer = np.empty_like(start_words)
-    touched = np.empty_like(start_touched)
     saturated = np.empty_like(start_saturated)
     live = np.empty_like(start_live)
     # each step's open live slots, written in place
@@ -204,7 +216,6 @@ def _infected_counts(
         rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
         infected = infected_buffer
         infected[...] = start_words
-        touched[...] = start_touched
         saturated[...] = start_saturated
         live[...] = start_live
         kept, levels, open_sets, full = start
@@ -261,12 +272,11 @@ def _infected_counts(
                 after = before | fresh
                 infected[nodes] = after
                 # a node reached for the first time adds its out-slots to the
-                # live mask; a step that reaches no new node skips this
-                was_touched = touched.take(nodes)
-                if not was_touched.all():
-                    first = nodes[~was_touched]
-                    touched[first] = True
-                    live[_adjacency_slots(graph, first)] = True
+                # live mask, which its first out-slot records; every reached
+                # node has one, as the slot into it has a reverse
+                reached = live.take(graph.indptr.take(nodes))
+                if not reached.all():
+                    live[_adjacency_slots(graph, nodes[~reached])] = True
                 now_saturated = (after == full).all(axis=1)
                 saturated[nodes] = now_saturated
                 done += np.count_nonzero(now_saturated)
@@ -285,10 +295,8 @@ def _infected_counts(
                 infected = np.ascontiguousarray(infected[:, : full.size])
                 if kept % 64:
                     infected[:, -1] &= full[-1]
-                infected.any(axis=1, out=touched)
-                (infected == full).all(axis=1, out=saturated)
+                saturated[...], live[...] = _filters(infected, full, src)
                 done = np.count_nonzero(saturated)
-                touched.take(src, out=live)
         yield counts
 
 

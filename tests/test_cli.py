@@ -485,6 +485,22 @@ def test_bad_si_arguments_fail_before_any_work(tmp_path, seven_node_file, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["0.2,inf", "1e400", "-inf,0.5"])
+def test_infinite_beta_grid_is_usage_error(tmp_path, seven_node_file, monkeypatch, capsys, grid):
+    # clamped to 1 it would run, and config.json would hold Infinity
+    def refuse(*args, **kwargs):
+        raise AssertionError("the input was read before the beta grid was checked")
+
+    monkeypatch.setattr(effgravity.cli, "load_edge_list", refuse)
+    out = tmp_path / "out"
+    argv = ["evaluate", f"--beta-grid={grid}", "--input", str(seven_node_file), "--out", str(out)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "beta grid values must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     # one node once the loop is dropped, which evaluate refuses
     edge_file = tmp_path / "loop.edges"

@@ -576,13 +576,27 @@ def test_engine_every_set_saturated_from_the_start():
         assert curves[name].tobytes() == oracle.tobytes()
 
 
-@pytest.mark.parametrize("retirements", [1, 2, 3])
-def test_engine_sets_leaving_at_several_steps_match_oracle(retirements):
+@pytest.mark.parametrize(
+    "retirements, isolated",
+    [(1, False), (2, False), (3, False), (3, True)],
+    ids=["1", "2", "3", "3-isolated-nodes"],
+)
+def test_engine_sets_leaving_at_several_steps_match_oracle(retirements, isolated):
     # 100 sets over two words at four betas, in blocks that end at one,
     # two or three steps before the last; a cut inside a word leaves a
-    # partial word behind
+    # partial word behind. The isolated-nodes case runs on the engine graph
+    # whose nodes 0, 3, 5 and 9 have no edge: the last node has no out-slot
+    # (its indptr entry is 2m), and sets carried past every cut seed it
+    # with connected nodes
     rng = np.random.default_rng(103 + retirements)
-    graph = random_connected_graph(rng, 30, 0.08)
+    if isolated:
+        (graph,) = [
+            graph
+            for graph in engine_graphs()
+            if np.flatnonzero(graph.degrees == 0).tolist() == [0, 3, 5, 9]
+        ]
+    else:
+        graph = random_connected_graph(rng, 30, 0.08)
     seed_sets = many_word_seed_sets(rng, 100)
     betas = rng.choice([0.15, 0.4, 0.7, 0.95], size=100).tolist()
     # (sets, last step) from the first set on
@@ -592,6 +606,9 @@ def test_engine_sets_leaving_at_several_steps_match_oracle(retirements):
         3: [(40, 9), (27, 6), (21, 3), (12, 1)],
     }[retirements]
     ends = [end for size, end in blocks for _ in range(size)]
+    if isolated:
+        assert graph.indptr[9] == graph.indices.size
+        assert any(9 in seeds and graph.degrees[seeds].any() for seeds in seed_sets[:40])
     config = SIConfig(beta=0.4, t_max=9, runs=4, seed=retirements)
     counts = assert_engine_matches_oracle(graph, seed_sets, config, betas, ends)
     assert counts[:, :, -1].max() > counts[:, :, 0].max()
