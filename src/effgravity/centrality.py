@@ -21,7 +21,7 @@ from .graph import (
     _adjacency_slots,
     _first_occurrences,
     _source_blocks,
-    gravity_sum,
+    gravity_sums,
 )
 
 MEASURES = ("dc", "bc", "cc", "ec", "pagerank", "gm", "effg")
@@ -117,24 +117,29 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
     n = graph.n
     bc = np.zeros(n, dtype=np.float64)
     union, blocks = _source_blocks(graph, np.arange(n))
-    indices, edge_sources, degrees = union.indices, union.edge_sources, union.degrees
+    indices, degrees = union.indices, union.degrees
     size = degrees.size
     first_seen = np.full(size, _NOT_SEEN)
+    positions = np.arange(indices.size)
     for block, starts in blocks:
         sigma = np.zeros(size, dtype=np.float64)
         sigma[starts] = 1.0
         dist = np.full(size, -1, dtype=np.int64)
         dist[starts] = 0
         levels = [starts]
-        # neighbours[d]: every neighbour of levels[d], slot by slot, and
-        # back[d]: the positions in it of the neighbours on level d - 1
-        # (back[0] is never read)
+        # counts[d]: the degree of each node of levels[d], neighbours[d]:
+        # every neighbour of levels[d], slot by slot, and back[d]: the
+        # positions in it of the neighbours on level d - 1 (back[0] is
+        # never read)
+        counts = []
         neighbours = []
         back = []
         while True:
             depth = len(levels)
-            slots = _adjacency_slots(union, levels[-1])
-            targets = indices.take(slots)
+            level = levels[-1]
+            count = degrees.take(level)
+            targets = indices.take(_adjacency_slots(union, level, count, positions))
+            counts.append(count)
             neighbours.append(targets)
             seen = dist.take(targets)
             back.append((seen == depth - 2).nonzero()[0])
@@ -142,11 +147,12 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
             # so these are also the level's DAG edges
             on_dag = (seen < 0).nonzero()[0]
             reached = targets.take(on_dag)
-            fresh = _first_occurrences(reached, first_seen)
+            fresh = _first_occurrences(reached, first_seen, positions)
             if not fresh.size:
                 break
             dist[fresh] = depth
-            np.add.at(sigma, reached, sigma.take(edge_sources.take(slots.take(on_dag))))
+            # each slot's source is its level node, repeated over its slots
+            np.add.at(sigma, reached, sigma.take(level).repeat(count).take(on_dag))
             levels.append(fresh)
         delta = np.zeros(size, dtype=np.float64)
         for depth in range(len(levels) - 1, 0, -1):
@@ -157,7 +163,7 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
             np.add.at(
                 delta,
                 preds,
-                sigma.take(preds) * coeff.repeat(degrees.take(level)).take(on_dag),
+                sigma.take(preds) * coeff.repeat(counts[depth]).take(on_dag),
             )
         delta[starts] = 0.0
         for row in delta.reshape(-1, n)[: block.size]:
@@ -282,8 +288,7 @@ def effg_centrality(graph: Graph) -> ScoreVector:
     degrees = graph.degrees.astype(np.float64)
     gravity = np.empty(graph.n, dtype=np.float64)
     for block, rows in ed._effective_rows(graph, np.arange(graph.n)):
-        for source, row in zip(block, rows):
-            gravity[source] = gravity_sum(degrees, row, np.isfinite(row))
+        gravity[block] = gravity_sums(degrees, rows, np.isfinite(rows))
     return ScoreVector("effg", degrees * gravity)
 
 

@@ -123,9 +123,14 @@ def _rankings(scores: Mapping[str, ScoreVector]) -> dict[str, Ranking]:
 
 
 def _score_rows(graph: Graph, sv: ScoreVector, ranking: Ranking):
-    # lazy, so main holds one measure's rows at a time, not all of them
-    for node in ranking.order:
-        yield graph.labels[node], float(sv.scores[node]), int(ranking.ranks[node])
+    # lazy, so main holds one measure's rows at a time, not all of them;
+    # tolist makes the Python floats and ints in one call per column
+    order = ranking.order
+    yield from zip(
+        map(graph.labels.__getitem__, order.tolist()),
+        sv.scores.take(order).tolist(),
+        ranking.ranks.take(order).tolist(),
+    )
 
 
 def cmd_stats(args: argparse.Namespace) -> Outputs:

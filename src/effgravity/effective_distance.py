@@ -8,10 +8,18 @@ left, the optimal walk is a shortest path under per-edge weight
 ``log2(degree(u))`` for the edge leaving u. Those shortest paths are found
 by label correction, a block of sources at a time, relaxing in each round
 the edges out of every node whose distance dropped in the round before.
-Each round's dropped nodes are deduplicated in no particular order: a round
-depends only on which nodes dropped, and taking the minimum is exact, so
-the fixpoint does not depend on their order. The quantity is asymmetric
-even on undirected graphs, and the self-distance is infinite (a walk never
+A round that expands at least as many adjacency slots as the block has
+labels is dense: it scatters every candidate with a minimum and finds the
+lowered labels with one compare of all of them against the round's start.
+A smaller round keeps only the candidates below their target's label and
+deduplicates those targets with a scatter. Both find the same set of
+dropped nodes, so the switch, by frontier size as in direction-optimising
+BFS (Beamer et al., SC 2012), changes the time only: on scale-free graphs
+the middle rounds are dense, while the first and last rounds and every
+round on a long cycle are small. A round depends only on which nodes
+dropped, not on their order, and taking the minimum is exact, so the
+fixpoint does not depend on it either. The quantity is asymmetric even on
+undirected graphs, and the self-distance is infinite (a walk never
 "arrives" at its start).
 """
 
@@ -62,29 +70,38 @@ def _effective_rows(graph: Graph, sources: np.ndarray) -> Iterator[tuple[np.ndar
     size = union.degrees.size
     # weight of every edge leaving u; isolated nodes have no outgoing edges
     leave_cost = np.log2(np.maximum(union.degrees, 1))
-    # scratch for deduplicating each round's targets; only entries the
-    # round writes are read back
+    positions = np.arange(union.indices.size)
+    # scratch for deduplicating a small round's targets, and the labels at
+    # the start of a dense round; only entries a round writes are read back
     seen = np.zeros(size, dtype=np.int64)
+    before = np.empty(size, dtype=np.float64)
     for block, starts in blocks:
         dist = np.full(size, np.inf, dtype=np.float64)
         dist[starts] = 0.0
         dropped = starts
         while dropped.size:
-            targets = union.indices.take(_adjacency_slots(union, dropped))
-            candidates = (dist.take(dropped) + leave_cost.take(dropped)).repeat(
-                union.degrees.take(dropped)
-            )
+            counts = union.degrees.take(dropped)
+            targets = union.indices.take(_adjacency_slots(union, dropped, counts, positions))
+            candidates = (dist.take(dropped) + leave_cost.take(dropped)).repeat(counts)
             # Only strictly lower labels enter the next round, so the rounds
             # end. Adding a non-negative cost is monotone in floating point,
             # so the fixpoint is the least float path sum, which is what a
             # heap Dijkstra returns too, bit for bit.
-            better = (candidates < dist.take(targets)).nonzero()[0]
-            targets = targets.take(better)
-            np.minimum.at(dist, targets, candidates.take(better))
-            # one copy of each lowered node, whichever the scatter kept
-            position = np.arange(targets.size)
-            seen[targets] = position
-            dropped = targets.take((seen.take(targets) == position).nonzero()[0])
+            if targets.size >= size:
+                # dense: scatter every candidate, then one compare of all
+                # the labels with the round's start finds the lowered ones
+                np.copyto(before, dist)
+                np.minimum.at(dist, targets, candidates)
+                dropped = (dist < before).nonzero()[0]
+            else:
+                # small: scatter only the candidates below their target's label
+                better = (candidates < dist.take(targets)).nonzero()[0]
+                targets = targets.take(better)
+                np.minimum.at(dist, targets, candidates.take(better))
+                # one copy of each lowered node, whichever the scatter kept
+                position = positions[: targets.size]
+                seen[targets] = position
+                dropped = targets.take((seen.take(targets) == position).nonzero()[0])
         rows = dist[: block.size * n].reshape(block.size, n) + 1.0
         rows[np.arange(block.size), block] = np.inf
         yield block, rows

@@ -140,9 +140,9 @@ class Graph:
         The breadth-first searches run 64 sources at a time, one bit per
         source (see :func:`_hop_rows`). Closeness, the gravity score and
         the topology statistics all read these, so the all-pairs hop pass
-        runs once per graph. The integer sums are taken a block at a time;
-        the gravity sum stays one :func:`gravity_sum` per source, over its
-        int64 row, so its float additions keep their order.
+        runs once per graph. Every sum is taken a block of rows at a time,
+        the gravity sums too: :func:`gravity_sums` reduces the block's
+        rows together, each in the order ``np.sum`` adds it alone.
         """
         degrees = self.degrees.astype(np.float64)
         distance = np.zeros(self.n, dtype=np.int64)
@@ -151,11 +151,10 @@ class Graph:
         for start in range(0, self.n, _BLOCK):
             block = np.arange(start, min(start + _BLOCK, self.n))
             rows = _hop_rows(self, block)
+            reached = rows > 0
             distance[block] = rows.clip(min=0).sum(axis=1, dtype=np.int64)
-            reachable[block] = np.count_nonzero(rows > 0, axis=1)
-            for source, row in zip(block, rows):
-                row = row.astype(np.int64)
-                gravity[source] = gravity_sum(degrees, row, row > 0)
+            reachable[block] = np.count_nonzero(reached, axis=1)
+            gravity[block] = gravity_sums(degrees, rows, reached)
         for array in (distance, reachable, gravity):
             array.setflags(write=False)
         return HopSums(distance, reachable, gravity)
@@ -303,38 +302,45 @@ def _csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return indptr, indices, repeated
 
 
-def _adjacency_slots(graph: Graph | _Union, nodes: np.ndarray) -> np.ndarray:
+def _adjacency_slots(
+    graph: Graph | _Union, nodes: np.ndarray, counts: np.ndarray, positions: np.ndarray
+) -> np.ndarray:
     """Indices into ``graph.indices`` of every neighbor of the non-empty
     ``nodes``.
 
-    The slots come node by node in the order of ``nodes``, each node's in
-    ascending neighbor order, as a loop over ``nodes`` would visit them.
+    ``counts`` is ``graph.degrees.take(nodes)``, which the sweeps keep for
+    their own repeats, and ``positions`` is ``np.arange(k)`` for any k at
+    least as large as the slots returned, which a caller allocates once
+    for many calls. The slots come node by node in the order of ``nodes``,
+    each node's in ascending neighbor order, as a loop over ``nodes`` would
+    visit them.
     """
-    counts = graph.degrees.take(nodes)
     ends = counts.cumsum()
-    return (graph.indptr.take(nodes) - (ends - counts)).repeat(counts) + np.arange(ends[-1])
+    return (graph.indptr.take(nodes) - (ends - counts)).repeat(counts) + positions[: ends[-1]]
 
 
 # Marks an unused entry of the scratch array that _first_occurrences takes.
 _NOT_SEEN = np.iinfo(np.int64).max
 
 
-def _first_occurrences(values: np.ndarray, first_seen: np.ndarray) -> np.ndarray:
+def _first_occurrences(
+    values: np.ndarray, first_seen: np.ndarray, positions: np.ndarray
+) -> np.ndarray:
     """Distinct entries of ``values`` in the order they first appear.
 
     ``first_seen`` is int64 scratch indexed by value. It must hold
     ``_NOT_SEEN`` wherever ``values`` points, and it does again on return, so
-    a caller allocates it once (``np.full(n, _NOT_SEEN)``) for many calls.
-    Unlike ``np.unique`` it does not sort, and it does not import
-    ``numpy.ma``, which ``np.unique`` does on first use in numpy 2.4 and
-    which adds about 1.6 MB to a process's peak RSS.
+    a caller allocates it once (``np.full(n, _NOT_SEEN)``) for many calls,
+    as it does ``positions``, ``np.arange(k)`` for any k at least
+    ``values.size``. Unlike ``np.unique`` it does not sort, and it does not
+    import ``numpy.ma``, which ``np.unique`` does on first use in numpy 2.4
+    and which adds about 1.6 MB to a process's peak RSS.
 
     Brandes betweenness is its only caller, because each BFS level there
     must keep FIFO order. The label correction in ``effective_distance``
-    needs only a distinct set, in any order, and dedupes with one plain
-    scatter instead.
+    needs only a distinct set, in any order.
     """
-    position = np.arange(values.size)
+    position = positions[: values.size]
     np.minimum.at(first_seen, values, position)
     distinct = values.take((first_seen.take(values) == position).nonzero()[0])
     first_seen[distinct] = _NOT_SEEN
@@ -353,7 +359,6 @@ class _Union(NamedTuple):
     indptr: np.ndarray
     indices: np.ndarray
     degrees: np.ndarray
-    edge_sources: np.ndarray
 
 
 def _source_blocks(
@@ -386,14 +391,13 @@ def _source_blocks(
     copy = np.arange(copies, dtype=np.int64)[:, None]
     if copies == 1:
         # one copy is the graph itself, so it lends its own arrays
-        union = _Union(graph.indptr, graph.indices, graph.degrees, graph.edge_sources)
+        union = _Union(graph.indptr, graph.indices, graph.degrees)
     else:
         slots = graph.indices.size
         union = _Union(
             indptr=np.append((graph.indptr[:-1] + copy * slots).ravel(), copies * slots),
             indices=(graph.indices + copy * n).ravel(),
             degrees=np.tile(graph.degrees, copies),
-            edge_sources=(graph.edge_sources + copy * n).ravel(),
         )
     starts = copy[:, 0] * n
     blocks = [sources[first : first + copies] for first in range(0, count, copies)]
@@ -456,9 +460,29 @@ def hop_distances(graph: Graph, source: int) -> np.ndarray:
     return _hop_rows(graph, np.array([source]))[0].astype(np.int64)
 
 
-def gravity_sum(degrees: np.ndarray, row: np.ndarray, mask: np.ndarray) -> float:
-    """Sum of degrees[j] / row[j]^2 over the targets j selected by ``mask``."""
-    return float(np.sum(degrees[mask] / row[mask] ** 2))
+def gravity_sums(degrees: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row i, the sum of degrees[j] / rows[i, j]^2 over the targets j
+    that ``mask[i]`` selects; 0.0 for a row that selects none.
+
+    Each sum is bit for bit ``np.sum`` of the row's terms in target order.
+    Rows that select the same number of targets are reduced together as
+    one C-ordered 2-D array: numpy sums each of its rows as it sums one
+    row alone (pairwise), so a block of rows costs a few calls per target
+    count, not per row. ``np.add.reduceat`` would add each segment
+    sequentially, which rounds differently. Integer distances are squared
+    in float64, which rounds d^2 once, as converting an exact int64 square
+    to float64 does.
+    """
+    counts = np.count_nonzero(mask, axis=1)
+    terms = np.square(rows[mask], dtype=np.float64)
+    np.divide(np.broadcast_to(degrees, mask.shape)[mask], terms, out=terms)
+    sums = np.zeros(counts.size, dtype=np.float64)
+    for count in set(counts.tolist()) - {0}:
+        group = counts == count
+        # the terms of this group's rows, row by row; no copy when it is all
+        group_terms = terms if group.all() else terms[group.repeat(counts)]
+        sums[group] = group_terms.reshape(-1, count).sum(axis=1)
+    return sums
 
 
 @dataclass(frozen=True)

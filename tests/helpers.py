@@ -332,14 +332,20 @@ def gravity_per_source(graph: Graph) -> np.ndarray:
     return scores
 
 
+def gravity_sums_by_row(degrees: np.ndarray, rows, mask) -> np.ndarray:
+    """``graph.gravity_sums`` one row at a time: ``np.sum`` of
+    degrees[j] / row[j]^2 over the targets j the row's mask selects."""
+    sums = np.zeros(len(rows), dtype=np.float64)
+    for i, (row, selected) in enumerate(zip(rows, mask)):
+        sums[i] = float(np.sum(degrees[selected] / row[selected] ** 2))
+    return sums
+
+
 def gravity_over_rows(graph: Graph, rows) -> np.ndarray:
     """deg(i) * sum of deg(j) / rows[i][j]^2 over the finite entries of each row."""
     degrees = graph.degrees.astype(np.float64)
-    scores = np.zeros(graph.n, dtype=np.float64)
-    for i, row in enumerate(rows):
-        finite = np.isfinite(row)
-        scores[i] = degrees[i] * float(np.sum(degrees[finite] / row[finite] ** 2))
-    return scores
+    rows = np.asarray(rows, dtype=np.float64)
+    return degrees * gravity_sums_by_row(degrees, rows, np.isfinite(rows))
 
 
 def hop_row_blocks(graph: Graph, sources: np.ndarray):

@@ -43,12 +43,15 @@ from effgravity.graph import (
     _first_occurrences,
     _hop_rows,
     _source_blocks,
+    gravity_sums,
 )
 from helpers import (
+    ba_graph_with_leaves,
     betweenness_by_stack,
     effective_distances_by_heap,
     engine_graphs,
     gravity_over_rows,
+    gravity_sums_by_row,
     hop_distances_by_queue,
 )
 
@@ -76,15 +79,19 @@ def test_adjacency_slots_follow_the_given_node_order():
     graph = Graph.from_edges(5, [(0, 1), (0, 3), (1, 2), (3, 4), (2, 4)])
     nodes = np.array([3, 0, 4, 3])
     want = np.concatenate([np.arange(graph.indptr[u], graph.indptr[u + 1]) for u in nodes])
-    assert np.array_equal(_adjacency_slots(graph, nodes), want)
+    # the positions may run past the slots, as a sweep's do
+    slots = _adjacency_slots(graph, nodes, graph.degrees.take(nodes), np.arange(20))
+    assert np.array_equal(slots, want)
 
 
 def test_first_occurrences_keep_appearance_order_and_restore_scratch():
     first_seen = np.full(6, _NOT_SEEN)
+    positions = np.arange(10)
     values = np.array([4, 1, 4, 0, 1, 5, 0])
-    assert _first_occurrences(values, first_seen).tolist() == [4, 1, 0, 5]
+    assert _first_occurrences(values, first_seen, positions).tolist() == [4, 1, 0, 5]
     assert np.all(first_seen == _NOT_SEEN)
-    assert _first_occurrences(np.array([5, 4, 5]), first_seen).tolist() == [5, 4]
+    assert np.array_equal(positions, np.arange(10))
+    assert _first_occurrences(np.array([5, 4, 5]), first_seen, positions).tolist() == [5, 4]
 
 
 @st.composite
@@ -136,6 +143,47 @@ def test_source_blocks_of_any_size_match_oracles(index, copies, monkeypatch):
         assert effective_distances(graph, s).tobytes() == rows[s].tobytes()
 
 
+def test_label_correction_mixing_dense_and_small_rounds_matches_heap(monkeypatch):
+    """A round is dense when it expands at least as many slots as the
+    block's B * n labels, and small otherwise. On this 20-node graph (16
+    preferential-attachment nodes with 2 links each and 4 pendant leaves)
+    at B = 8 the three blocks run, round by round (s small, D dense):
+
+    - sources 0-7: sDDss, a small first round from the 8 sources, two
+      dense rounds through the hubs, then two small rounds of the last
+      corrections;
+    - sources 8-15: ssDsss, one dense round between small ones;
+    - sources 16-19: ssssss, all small, as these 4 sources leave half of
+      the union's 8 copies unused.
+
+    The matrix must equal the heap Dijkstra's byte for byte either way.
+    """
+    import effgravity.effective_distance as ed
+    import effgravity.graph
+
+    graph = ba_graph_with_leaves(np.random.default_rng(0), 16, 2, 4)
+    monkeypatch.setattr(effgravity.graph, "_SLOT_BUDGET", 8 * max(2 * graph.m, graph.n))
+    starts = []
+    rounds = []
+
+    def recording_blocks(graph, sources):
+        union, blocks = _source_blocks(graph, sources)
+        starts.extend(block_starts for _, block_starts in blocks)
+        return union, blocks
+
+    def recording_slots(union, nodes, counts, positions):
+        if any(nodes is block_starts for block_starts in starts):
+            rounds.append("")
+        rounds[-1] += "D" if counts.sum() >= union.degrees.size else "s"
+        return _adjacency_slots(union, nodes, counts, positions)
+
+    monkeypatch.setattr(ed, "_source_blocks", recording_blocks)
+    monkeypatch.setattr(ed, "_adjacency_slots", recording_slots)
+    want = np.stack([effective_distances_by_heap(graph, s) for s in range(graph.n)])
+    assert effective_distance_matrix(graph).tobytes() == want.tobytes()
+    assert rounds == ["sDDss", "ssDsss", "ssssss"]
+
+
 @pytest.mark.parametrize("n", [6, 7, 10, 11, 1000])
 def test_betweenness_of_a_cycle_has_a_closed_form(n):
     # each node's share of the shortest paths between other pairs sums to
@@ -165,8 +213,8 @@ def assert_hop_blocks_match_queue(graph: Graph) -> None:
     sums = graph.hop_sums
     assert sums.distance.tobytes() == np.array([r[r > 0].sum() for r in want]).tobytes()
     assert sums.reachable.tobytes() == np.array([(r > 0).sum() for r in want]).tobytes()
-    gravity = [float(np.sum(degrees[r > 0] / r[r > 0] ** 2)) for r in want]
-    assert sums.gravity.tobytes() == np.array(gravity).tobytes()
+    gravity = gravity_sums_by_row(degrees, want, [r > 0 for r in want])
+    assert sums.gravity.tobytes() == gravity.tobytes()
 
 
 def path_graph(n: int) -> Graph:
@@ -228,6 +276,56 @@ def test_hop_sums_of_a_cycle_have_closed_forms(n):
     sums = cycle_graph(n).hop_sums
     assert np.all(sums.distance == n * n // 4)
     assert np.all(sums.reachable == n - 1)
+
+
+# --- the block gravity reducer ----------------------------------------------
+
+def test_gravity_sums_group_rows_by_target_count():
+    # int32 hop rows, as the hop search returns them, selecting 0, 2, 4, 2
+    # and 0 targets: the two rows of count 2 are reduced together and the
+    # rows of count 0 stay 0. A distance of 70000 squares past int32; the
+    # oracle squares the int64 rows.
+    degrees = np.array([1.0, 2.0, 3.0, 5.0, 7.0])
+    rows = np.array([[0, -1, -1, -1, -1],
+                     [1, 0, 2, -1, -1],
+                     [3, 1, 0, 2, 70000],
+                     [-1, -1, 1, 0, 3],
+                     [-1, -1, -1, -1, 0]])
+    sums = gravity_sums(degrees, rows.astype(np.int32), rows > 0)
+    assert sums.tobytes() == gravity_sums_by_row(degrees, rows, rows > 0).tobytes()
+    want = [0.0, 1 + 3 / 4, 1 / 9 + 2 + 5 / 4 + 7 / 70000**2, 3 + 7 / 9, 0.0]
+    assert sums.tolist() == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [*GRAPHS, two_components_and_isolated_nodes()],
+    ids=[*GRAPH_IDS, "two-components-isolated-n130"],
+)
+def test_gravity_sums_match_row_by_row_oracle(graph, monkeypatch):
+    """``Graph.hop_sums.gravity`` and ``effg_centrality`` against ``np.sum``
+    one row at a time. The hop rows come 64 to a block, and ``effg`` runs
+    with B = 7 and with every source in one block, so blocks mix rows that
+    select different numbers of targets: 0 for an isolated node, and one
+    count per component size."""
+    import effgravity.graph
+
+    degrees = graph.degrees.astype(np.float64)
+    hops = np.array([hop_distances_by_queue(graph, s) for s in range(graph.n)])
+    want = gravity_sums_by_row(degrees, hops, hops > 0)
+    assert graph.hop_sums.gravity.tobytes() == want.tobytes()
+    rows = np.array([effective_distances_by_heap(graph, s) for s in range(graph.n)])
+    want = degrees * gravity_sums_by_row(degrees, rows, np.isfinite(rows))
+    for copies in (7, graph.n):
+        budget = copies * max(2 * graph.m, graph.n, 1)
+        monkeypatch.setattr(effgravity.graph, "_SLOT_BUDGET", budget)
+        assert effg_centrality(graph).scores.tobytes() == want.tobytes()
+
+
+def test_two_components_graph_mixes_target_counts_in_a_hop_block():
+    # so the test above reduces rows of 0, 49 and 59 targets in one call
+    hops = _hop_rows(two_components_and_isolated_nodes(), np.arange(_BLOCK))
+    assert set(np.count_nonzero(hops > 0, axis=1).tolist()) == {0, 49, 59}
 
 
 # --- networkx differentials -------------------------------------------------
