@@ -120,7 +120,6 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
     indices, degrees = union.indices, union.degrees
     size = degrees.size
     first_seen = np.full(size, _NOT_SEEN)
-    positions = np.arange(indices.size)
     for block, starts in blocks:
         sigma = np.zeros(size, dtype=np.float64)
         sigma[starts] = 1.0
@@ -138,7 +137,7 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
             depth = len(levels)
             level = levels[-1]
             count = degrees.take(level)
-            targets = indices.take(_adjacency_slots(union, level, count, positions))
+            targets = indices.take(_adjacency_slots(union, level, count))
             counts.append(count)
             neighbours.append(targets)
             seen = dist.take(targets)
@@ -147,7 +146,7 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
             # so these are also the level's DAG edges
             on_dag = (seen < 0).nonzero()[0]
             reached = targets.take(on_dag)
-            fresh = _first_occurrences(reached, first_seen, positions)
+            fresh = _first_occurrences(reached, first_seen)
             if not fresh.size:
                 break
             dist[fresh] = depth

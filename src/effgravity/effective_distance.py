@@ -70,7 +70,6 @@ def _effective_rows(graph: Graph, sources: np.ndarray) -> Iterator[tuple[np.ndar
     size = union.degrees.size
     # weight of every edge leaving u; isolated nodes have no outgoing edges
     leave_cost = np.log2(np.maximum(union.degrees, 1))
-    positions = np.arange(union.indices.size)
     # scratch for deduplicating a small round's targets, and the labels at
     # the start of a dense round; only entries a round writes are read back
     seen = np.zeros(size, dtype=np.int64)
@@ -81,7 +80,7 @@ def _effective_rows(graph: Graph, sources: np.ndarray) -> Iterator[tuple[np.ndar
         dropped = starts
         while dropped.size:
             counts = union.degrees.take(dropped)
-            targets = union.indices.take(_adjacency_slots(union, dropped, counts, positions))
+            targets = union.indices.take(_adjacency_slots(union, dropped, counts))
             candidates = (dist.take(dropped) + leave_cost.take(dropped)).repeat(counts)
             # Only strictly lower labels enter the next round, so the rounds
             # end. Adding a non-negative cost is monotone in floating point,
@@ -99,7 +98,7 @@ def _effective_rows(graph: Graph, sources: np.ndarray) -> Iterator[tuple[np.ndar
                 targets = targets.take(better)
                 np.minimum.at(dist, targets, candidates.take(better))
                 # one copy of each lowered node, whichever the scatter kept
-                position = positions[: targets.size]
+                position = np.arange(targets.size)
                 seen[targets] = position
                 dropped = targets.take((seen.take(targets) == position).nonzero()[0])
         rows = dist[: block.size * n].reshape(block.size, n) + 1.0

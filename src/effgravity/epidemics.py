@@ -276,11 +276,8 @@ def _infected_counts(
                 # node has one, as the slot into it has a reverse
                 reached = live.take(graph.indptr.take(nodes))
                 if not reached.all():
-                    # positions sized to this update: an arange held for
-                    # all 2m slots would add 8 bytes a slot to the peak RSS
                     new = nodes[~reached]
-                    degrees = graph.degrees.take(new)
-                    live[_adjacency_slots(graph, new, degrees, np.arange(degrees.sum()))] = True
+                    live[_adjacency_slots(graph, new, graph.degrees.take(new))] = True
                 now_saturated = (after == full).all(axis=1)
                 saturated[nodes] = now_saturated
                 done += np.count_nonzero(now_saturated)

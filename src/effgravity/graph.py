@@ -140,21 +140,26 @@ class Graph:
         The breadth-first searches run 64 sources at a time, one bit per
         source (see :func:`_hop_rows`). Closeness, the gravity score and
         the topology statistics all read these, so the all-pairs hop pass
-        runs once per graph. Every sum is taken a block of rows at a time,
-        the gravity sums too: :func:`gravity_sums` reduces the block's
-        rows together, each in the order ``np.sum`` adds it alone.
+        runs once per graph. The integer sums are taken a block of rows at
+        a time. :func:`gravity_sums` reduces the gravity sums of as many of
+        the block's rows at once as fit the sweeps' slot budget (rows x n
+        at most ``_SLOT_BUDGET``, at least one row), each row in the order
+        ``np.sum`` adds it alone, so its float64 terms never outgrow the
+        sweeps' own per-level arrays.
         """
         degrees = self.degrees.astype(np.float64)
         distance = np.zeros(self.n, dtype=np.int64)
         reachable = np.zeros(self.n, dtype=np.int64)
         gravity = np.zeros(self.n, dtype=np.float64)
+        chunk = max(1, _SLOT_BUDGET // max(self.n, 1))
         for start in range(0, self.n, _BLOCK):
             block = np.arange(start, min(start + _BLOCK, self.n))
             rows = _hop_rows(self, block)
-            reached = rows > 0
             distance[block] = rows.clip(min=0).sum(axis=1, dtype=np.int64)
-            reachable[block] = np.count_nonzero(reached, axis=1)
-            gravity[block] = gravity_sums(degrees, rows, reached)
+            reachable[block] = np.count_nonzero(rows > 0, axis=1)
+            for first in range(0, block.size, chunk):
+                part = rows[first : first + chunk]
+                gravity[block[first : first + chunk]] = gravity_sums(degrees, part, part > 0)
         for array in (distance, reachable, gravity):
             array.setflags(write=False)
         return HopSums(distance, reachable, gravity)
@@ -302,45 +307,38 @@ def _csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return indptr, indices, repeated
 
 
-def _adjacency_slots(
-    graph: Graph | _Union, nodes: np.ndarray, counts: np.ndarray, positions: np.ndarray
-) -> np.ndarray:
+def _adjacency_slots(graph: Graph | _Union, nodes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Indices into ``graph.indices`` of every neighbor of the non-empty
     ``nodes``.
 
     ``counts`` is ``graph.degrees.take(nodes)``, which the sweeps keep for
-    their own repeats, and ``positions`` is ``np.arange(k)`` for any k at
-    least as large as the slots returned, which a caller allocates once
-    for many calls. The slots come node by node in the order of ``nodes``,
-    each node's in ascending neighbor order, as a loop over ``nodes`` would
-    visit them.
+    their own repeats. The slots come node by node in the order of
+    ``nodes``, each node's in ascending neighbor order, as a loop over
+    ``nodes`` would visit them.
     """
     ends = counts.cumsum()
-    return (graph.indptr.take(nodes) - (ends - counts)).repeat(counts) + positions[: ends[-1]]
+    return (graph.indptr.take(nodes) - (ends - counts)).repeat(counts) + np.arange(ends[-1])
 
 
 # Marks an unused entry of the scratch array that _first_occurrences takes.
 _NOT_SEEN = np.iinfo(np.int64).max
 
 
-def _first_occurrences(
-    values: np.ndarray, first_seen: np.ndarray, positions: np.ndarray
-) -> np.ndarray:
+def _first_occurrences(values: np.ndarray, first_seen: np.ndarray) -> np.ndarray:
     """Distinct entries of ``values`` in the order they first appear.
 
     ``first_seen`` is int64 scratch indexed by value. It must hold
     ``_NOT_SEEN`` wherever ``values`` points, and it does again on return, so
-    a caller allocates it once (``np.full(n, _NOT_SEEN)``) for many calls,
-    as it does ``positions``, ``np.arange(k)`` for any k at least
-    ``values.size``. Unlike ``np.unique`` it does not sort, and it does not
-    import ``numpy.ma``, which ``np.unique`` does on first use in numpy 2.4
-    and which adds about 1.6 MB to a process's peak RSS.
+    a caller allocates it once (``np.full(n, _NOT_SEEN)``) for many calls.
+    Unlike ``np.unique`` it does not sort, and it does not import
+    ``numpy.ma``, which ``np.unique`` does on first use in numpy 2.4 and
+    which adds about 1.6 MB to a process's peak RSS.
 
     Brandes betweenness is its only caller, because each BFS level there
     must keep FIFO order. The label correction in ``effective_distance``
     needs only a distinct set, in any order.
     """
-    position = positions[: values.size]
+    position = np.arange(values.size)
     np.minimum.at(first_seen, values, position)
     distinct = values.take((first_seen.take(values) == position).nonzero()[0])
     first_seen[distinct] = _NOT_SEEN

@@ -79,19 +79,15 @@ def test_adjacency_slots_follow_the_given_node_order():
     graph = Graph.from_edges(5, [(0, 1), (0, 3), (1, 2), (3, 4), (2, 4)])
     nodes = np.array([3, 0, 4, 3])
     want = np.concatenate([np.arange(graph.indptr[u], graph.indptr[u + 1]) for u in nodes])
-    # the positions may run past the slots, as a sweep's do
-    slots = _adjacency_slots(graph, nodes, graph.degrees.take(nodes), np.arange(20))
-    assert np.array_equal(slots, want)
+    assert np.array_equal(_adjacency_slots(graph, nodes, graph.degrees.take(nodes)), want)
 
 
 def test_first_occurrences_keep_appearance_order_and_restore_scratch():
     first_seen = np.full(6, _NOT_SEEN)
-    positions = np.arange(10)
     values = np.array([4, 1, 4, 0, 1, 5, 0])
-    assert _first_occurrences(values, first_seen, positions).tolist() == [4, 1, 0, 5]
+    assert _first_occurrences(values, first_seen).tolist() == [4, 1, 0, 5]
     assert np.all(first_seen == _NOT_SEEN)
-    assert np.array_equal(positions, np.arange(10))
-    assert _first_occurrences(np.array([5, 4, 5]), first_seen, positions).tolist() == [5, 4]
+    assert _first_occurrences(np.array([5, 4, 5]), first_seen).tolist() == [5, 4]
 
 
 @st.composite
@@ -156,7 +152,10 @@ def test_label_correction_mixing_dense_and_small_rounds_matches_heap(monkeypatch
     - sources 16-19: ssssss, all small, as these 4 sources leave half of
       the union's 8 copies unused.
 
-    The matrix must equal the heap Dijkstra's byte for byte either way.
+    Each round is recorded as small when its slots are expanded and marked
+    dense when it takes the dense branch's snapshot of the labels, so the
+    pattern is what ran. The matrix must equal the heap Dijkstra's byte
+    for byte either way.
     """
     import effgravity.effective_distance as ed
     import effgravity.graph
@@ -171,14 +170,23 @@ def test_label_correction_mixing_dense_and_small_rounds_matches_heap(monkeypatch
         starts.extend(block_starts for _, block_starts in blocks)
         return union, blocks
 
-    def recording_slots(union, nodes, counts, positions):
+    def recording_slots(union, nodes, counts):
         if any(nodes is block_starts for block_starts in starts):
             rounds.append("")
-        rounds[-1] += "D" if counts.sum() >= union.degrees.size else "s"
-        return _adjacency_slots(union, nodes, counts, positions)
+        rounds[-1] += "s"
+        return _adjacency_slots(union, nodes, counts)
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def copyto(self, dst, src):
+            rounds[-1] = rounds[-1][:-1] + "D"
+            np.copyto(dst, src)
 
     monkeypatch.setattr(ed, "_source_blocks", recording_blocks)
     monkeypatch.setattr(ed, "_adjacency_slots", recording_slots)
+    monkeypatch.setattr(ed, "np", RecordingNumpy())
     want = np.stack([effective_distances_by_heap(graph, s) for s in range(graph.n)])
     assert effective_distance_matrix(graph).tobytes() == want.tobytes()
     assert rounds == ["sDDss", "ssDsss", "ssssss"]
@@ -297,6 +305,25 @@ def test_gravity_sums_group_rows_by_target_count():
     assert sums.tolist() == pytest.approx(want, rel=1e-15)
 
 
+def test_gravity_sums_of_rows_longer_than_a_reduction_buffer():
+    # numpy reduces in buffers of 8192 elements; rows past that must still
+    # be summed, grouped or alone, as np.sum sums the row by itself. Rows 0
+    # and 2 select 9000 targets each (one group, gathered from a mixed
+    # block), rows 1 and 3 select 12000 and 20000; then a block of three
+    # rows that all select 20000 is reduced without a gather.
+    rng = np.random.default_rng(5)
+    degrees = rng.random(20000) * 50
+    rows = rng.random((4, 20000)) * 10 + 0.5
+    mask = np.zeros(rows.shape, dtype=bool)
+    for row, count in zip(mask, (9000, 12000, 9000, 20000)):
+        row[rng.choice(20000, count, replace=False)] = True
+    want = gravity_sums_by_row(degrees, rows, mask)
+    assert gravity_sums(degrees, rows, mask).tobytes() == want.tobytes()
+    every = np.ones((3, 20000), dtype=bool)
+    want = gravity_sums_by_row(degrees, rows[:3], every)
+    assert gravity_sums(degrees, rows[:3], every).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "graph",
     [*GRAPHS, two_components_and_isolated_nodes()],
@@ -304,16 +331,20 @@ def test_gravity_sums_group_rows_by_target_count():
 )
 def test_gravity_sums_match_row_by_row_oracle(graph, monkeypatch):
     """``Graph.hop_sums.gravity`` and ``effg_centrality`` against ``np.sum``
-    one row at a time. The hop rows come 64 to a block, and ``effg`` runs
-    with B = 7 and with every source in one block, so blocks mix rows that
-    select different numbers of targets: 0 for an isolated node, and one
-    count per component size."""
+    one row at a time. The hop rows come 64 to a block, reduced all at
+    once, 7 rows at a time (the last part of a block shorter) and one row
+    at a time, and ``effg`` runs with B = 7 and with every source in one
+    block, so reductions mix rows that select different numbers of
+    targets: 0 for an isolated node, and one count per component size."""
     import effgravity.graph
 
     degrees = graph.degrees.astype(np.float64)
     hops = np.array([hop_distances_by_queue(graph, s) for s in range(graph.n)])
     want = gravity_sums_by_row(degrees, hops, hops > 0)
-    assert graph.hop_sums.gravity.tobytes() == want.tobytes()
+    for budget in (_BLOCK * graph.n, 7 * graph.n, 1):
+        monkeypatch.setattr(effgravity.graph, "_SLOT_BUDGET", budget)
+        fresh = Graph(indptr=graph.indptr, indices=graph.indices, labels=graph.labels)
+        assert fresh.hop_sums.gravity.tobytes() == want.tobytes()
     rows = np.array([effective_distances_by_heap(graph, s) for s in range(graph.n)])
     want = degrees * gravity_sums_by_row(degrees, rows, np.isfinite(rows))
     for copies in (7, graph.n):
