@@ -46,6 +46,8 @@ DEFAULT_SWEEP_T_MAX = 5
 DEFAULT_RUNS = 50
 DEFAULT_SPREAD_K = 100
 DEFAULT_OVERLAP_K = 20
+# rows of a score table made into Python objects at a time
+_ROWS_PER_CHUNK = 4096
 
 # A command's output files by name: (header, rows) for a .csv file, the
 # payload itself for a .json file. Rows may be a generator, which main
@@ -124,13 +126,15 @@ def _rankings(scores: Mapping[str, ScoreVector]) -> dict[str, Ranking]:
 
 def _score_rows(graph: Graph, sv: ScoreVector, ranking: Ranking):
     # lazy, so main holds one measure's rows at a time, not all of them;
-    # tolist makes the Python floats and ints in one call per column
-    order = ranking.order
-    yield from zip(
-        map(graph.labels.__getitem__, order.tolist()),
-        sv.scores.take(order).tolist(),
-        ranking.ranks.take(order).tolist(),
-    )
+    # tolist makes the Python floats and ints in one call per column and
+    # chunk, so a large table never holds all its rows as Python objects
+    for start in range(0, ranking.order.size, _ROWS_PER_CHUNK):
+        order = ranking.order[start : start + _ROWS_PER_CHUNK]
+        yield from zip(
+            map(graph.labels.__getitem__, order.tolist()),
+            sv.scores.take(order).tolist(),
+            ranking.ranks.take(order).tolist(),
+        )
 
 
 def cmd_stats(args: argparse.Namespace) -> Outputs:

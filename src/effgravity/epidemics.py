@@ -59,9 +59,20 @@ class SIOutcome:
 
 # Budget, in bytes, for one block of spreading_powers' single-node seed
 # sets: a seed set is one bit per node or adjacency slot, so every per-step
-# array of the engine then stays near a megabyte, and a Jazz-sized graph
-# (2m ~ 5k slots) simulates all of its nodes at four betas in one block.
+# array of the engine, the per-level view of a step with several betas
+# included (it has fewer rows than the 2m slots), then stays near a
+# megabyte, and a Jazz-sized graph (2m ~ 5k slots) simulates all of its
+# nodes at four betas in one block.
 _BLOCK_BYTES = 1 << 20
+
+# A step with several betas builds the per-level view of the infected words
+# only when it keeps at least this many slots per view row. Building it is
+# one pass over the view whose inner loop is a row's words; it broke even
+# with the per-slot gather and AND it replaces at 1.5 to 3 kept slots per
+# row (13 to 40 words a row, one pinned CPU). A step keeps about 5 slots per
+# row on a Jazz-sized graph and about 2 on a BA graph with 1000 nodes and 5
+# edges per node.
+_SLOTS_PER_VIEW_ROW = 3
 
 
 def _pack(bits: np.ndarray, words: int) -> np.ndarray:
@@ -149,9 +160,17 @@ def _infected_counts(
     from those sets alone. A set's columns after its last step read 0.
 
     Seed sets are bits, 64 to a word per node. The sets open at a slot are
-    nested (every set whose beta exceeds the draw), so each kept slot ANDs
-    one row of a small table, indexed by where its draw falls among the
-    distinct betas, into the words it carries.
+    nested (every set whose beta exceeds the draw), so they are one row of
+    a small table, indexed by the slot's level: how many distinct betas
+    are at or below its draw. With one level a kept slot carries its
+    source's words. With several, a step that keeps at least
+    ``_SLOTS_PER_VIEW_ROW`` slots per row of the per-level view of the
+    infected words (levels * n rows, row level * n + v holding node v's
+    words ANDed with that level's row) builds the view and takes each kept
+    slot's words from it in one gather; a step that keeps fewer gathers
+    the sources' words and ANDs in each slot's level row. So the view has
+    at most a third as many rows as the step keeps slots. Its buffer is
+    allocated on the first step that builds it, once per pass.
 
     Every run still draws one uniform per slot per step, but only the open
     slots whose source is infected in some seed set and whose target is
@@ -188,16 +207,19 @@ def _infected_counts(
     # per set and column: the column is at or before the set's last step
     within = np.asarray(reported)[None, :] <= ends[:, None]
     # each phase of the pass: the sets it carries, which are those that end
-    # later, and their level table, from the start and after each step where
-    # some sets end; sets that end at step 0 are never carried
+    # later, their level table, and the fewest kept slots at which a step
+    # builds the per-level view (more than the 2m slots with one level),
+    # from the start and after each step where some sets end; sets that end
+    # at step 0 are never carried
     kept_after = {0: sets} | {end: np.count_nonzero(ends > end) for end in set(ends.tolist())}
-    phases = {
-        step: (kept, *_level_table(betas[:kept]))
-        for step, kept in kept_after.items()
-        if step < t_max or step == 0
-    }
+    phases = {}
+    for step, kept in kept_after.items():
+        if step < t_max or step == 0:
+            levels, open_sets, full = _level_table(betas[:kept])
+            view_from = _SLOTS_PER_VIEW_ROW * levels.size * n if levels.size > 1 else dst.size + 1
+            phases[step] = (kept, levels, open_sets, full, view_from)
     start = phases.pop(0)
-    kept, _, _, full = start
+    kept, _, _, full, _ = start
     start_words = _pack(seed_masks[:kept].T, full.size)
     start_saturated, start_live = _filters(start_words, full, src)
     start_done = np.count_nonzero(start_saturated)
@@ -212,13 +234,26 @@ def _infected_counts(
     hit = np.empty_like(start_live)
     # per kept slot of a step, whether it is its target's first, in place
     heads = np.empty_like(start_live)
+    # the per-level view's buffer, sized for the phase with the most levels
+    # and words that can build it (no step keeps more than the 2m slots);
+    # allocated on first use, as an unused buffer held through a pass cost
+    # time on a graph whose steps never build the view
+    view_words = max(
+        (
+            levels.size * n * full.size
+            for _, levels, _, full, view_from in [start, *phases.values()]
+            if view_from <= dst.size
+        ),
+        default=0,
+    )
+    view_buffer = None
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
         infected = infected_buffer
         infected[...] = start_words
         saturated[...] = start_saturated
         live[...] = start_live
-        kept, levels, open_sets, full = start
+        kept, levels, open_sets, full, view_from = start
         # nodes infected in every carried seed set; the live filter keeps
         # only slots into unsaturated targets, so a step's nodes were all
         # unsaturated
@@ -264,9 +299,24 @@ def _infected_counts(
                 starts = head.nonzero()[0]
                 nodes = targets.take(starts)
                 # take, as row gathers by fancy indexing are several times slower
-                carried = infected.take(src.take(opened), axis=0)
-                if levels.size > 1:
-                    carried &= open_sets.take(_levels_at_or_below(levels, draws), axis=0)
+                if opened.size < view_from:
+                    carried = infected.take(src.take(opened), axis=0)
+                    if levels.size > 1:
+                        # too few kept slots to pay for the view: AND each
+                        # slot's level row into its source's words
+                        carried &= open_sets.take(_levels_at_or_below(levels, draws), axis=0)
+                else:
+                    # block c of the view is infected & open_sets[c] (block 0
+                    # is infected, as open_sets[0] is every carried set), and
+                    # a slot's words are row level * n + source
+                    if view_buffer is None:
+                        view_buffer = np.empty(view_words, dtype=np.uint64)
+                    view = view_buffer[: levels.size * infected.size].reshape(levels.size, n, -1)
+                    np.bitwise_and(infected, open_sets[:, None], out=view)
+                    rows = _levels_at_or_below(levels, draws)
+                    rows *= n
+                    rows += src.take(opened)
+                    carried = view.reshape(-1, infected.shape[1]).take(rows, axis=0)
                 before = infected.take(nodes, axis=0)
                 fresh = np.bitwise_or.reduceat(carried, starts, axis=0) & ~before
                 after = before | fresh
@@ -292,7 +342,7 @@ def _infected_counts(
             if t in phases:
                 # a tail of sets ends here: cut their words and bits off and
                 # rebuild the filters from the sets still carried
-                kept, levels, open_sets, full = phases[t]
+                kept, levels, open_sets, full, view_from = phases[t]
                 infected = np.ascontiguousarray(infected[:, : full.size])
                 if kept % 64:
                     infected[:, -1] &= full[-1]

@@ -46,35 +46,123 @@ class OverlapReport:
     shared: int
 
 
-def _tied_pairs(same: np.ndarray) -> int:
-    """Pairs inside runs of equal neighbours; ``same[i]`` says item i + 1 equals item i."""
-    bounds = np.flatnonzero(np.concatenate(([True], ~same, [True])))
-    lengths = np.diff(bounds)
-    return int(np.sum(lengths * (lengths - 1) // 2))
+# Row entries (rows x n) per chunk of :func:`_kendall_taus`, so that each of
+# its arrays stays a few hundred kilobytes however many pairs a sweep scores.
+_TAU_ENTRIES = 1 << 15
 
 
-def _strict_inversions(ranks: np.ndarray) -> int:
-    """Pairs i < j with ranks[i] > ranks[j], for integer ranks in [0, n).
+def _tied_pairs(same: np.ndarray) -> np.ndarray:
+    """Per row, the pairs inside runs of equal neighbours; ``same[r, i]`` says
+    item i + 1 of row r equals item i.
 
-    A bottom-up merge sort: at width w the array holds sorted runs of w
-    items, each right run counts the items of its left neighbour that are
-    strictly greater than each of its own, and the two runs are merged by
-    sorting keys that put the block index above the rank.
+    Each item adds its distance from the first item of its run, which sums to
+    L(L - 1)/2 over a run of L items.
     """
-    n = ranks.size
-    position = np.arange(n)
-    inversions = 0
+    position = np.arange(1, same.shape[1] + 1)
+    first = np.where(same, 0, position)
+    np.maximum.accumulate(first, axis=1, out=first)
+    return (position - first).sum(axis=1)
+
+
+def _strict_inversions(ranks: np.ndarray) -> np.ndarray:
+    """Per row, the pairs i < j with ranks[i] > ranks[j], for integer ranks in [0, n).
+
+    A bottom-up merge sort over all rows at once. Each row is padded to a
+    power of two with the rank n, which is above every real rank and comes
+    last, so it adds no inversion. A key is 2 * rank, plus 1 while it sits
+    in a right run. At width w the rows hold sorted runs of w keys; sorting
+    each pair of runs merges them, a left key first among equal ranks, and
+    a right key's place before the merge, less its place after, is the
+    number of left keys strictly greater than it.
+    """
+    rows, n = ranks.shape
+    size = 1 << (n - 1).bit_length()
+    keys = np.full((rows, size), 2 * n, dtype=np.int64)
+    np.multiply(ranks, 2, out=keys[:, :n])
+    inversions = np.zeros(rows, dtype=np.int64)
     width = 1
-    while width < n:
-        block = position // (2 * width)
-        keys = block * n + ranks
-        right = position // width % 2 == 1
-        # a left run that has a right neighbour is full: it holds w items
-        at_most = np.searchsorted(keys[~right], keys[right], side="right") - block[right] * width
-        inversions += int(np.sum(width - at_most))
-        ranks = np.sort(keys) - block * n
+    while width < size:
+        runs = keys.reshape(-1, 2 * width)
+        runs[:, width:] += 1
+        runs.sort(axis=1)
+        # the right keys of a pair of runs sat at places w .. 2w - 1
+        before = width * (3 * width - 1) // 2
+        after = (runs & 1) @ np.arange(2 * width)
+        inversions += (before - after).reshape(rows, -1).sum(axis=1)
+        runs &= ~1
         width *= 2
     return inversions
+
+
+def _kendall_counts(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concordant and discordant pair counts of each row of two (rows, n) arrays.
+
+    Knight's method, row by row: sort by (x, y); the discordant pairs are
+    then exactly the strict inversions of y, and the concordant ones are the
+    pairs tied in neither coordinate that are not discordant.
+    """
+    rows, n = xs.shape
+    order = np.lexsort((ys, xs), axis=-1)
+    x_sorted = np.take_along_axis(xs, order, axis=1)
+    y_sorted = np.take_along_axis(ys, order, axis=1)
+    same_x = x_sorted[:, 1:] == x_sorted[:, :-1]
+    same_xy = same_x & (y_sorted[:, 1:] == y_sorted[:, :-1])
+    y_order = np.argsort(ys, axis=1, kind="stable")
+    y_by_rank = np.take_along_axis(ys, y_order, axis=1)
+    same_y = y_by_rank[:, 1:] == y_by_rank[:, :-1]
+    dense = np.zeros((rows, n), dtype=np.int64)
+    np.cumsum(~same_y, axis=1, out=dense[:, 1:])
+    y_ranks = np.empty_like(dense)
+    np.put_along_axis(y_ranks, y_order, dense, axis=1)
+    untied = n * (n - 1) // 2 - _tied_pairs(same_x) - _tied_pairs(same_y) + _tied_pairs(same_xy)
+    discordant = _strict_inversions(np.take_along_axis(y_ranks, order, axis=1))
+    return untied - discordant, discordant
+
+
+def _kendall_taus(
+    pairs: Sequence[tuple[Sequence[float], Sequence[float]]], convention: str = "standard"
+) -> list[RankComparison]:
+    """Kendall's tau of each (x, y) pair, every sequence of one length n.
+
+    The pairs are stacked as rows and counted together, at most
+    ``_TAU_ENTRIES`` row entries at a time, in O(n log n) time per pair;
+    NaN is rejected.
+    """
+    if convention not in TAU_CONVENTIONS:
+        raise ValueError(
+            f"unknown convention {convention!r}; choose from {TAU_CONVENTIONS}"
+        )
+    pairs = [(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)) for x, y in pairs]
+    if not pairs:
+        return []
+    shape = pairs[0][0].shape
+    for xs, ys in pairs:
+        if xs.shape != ys.shape or xs.ndim != 1 or xs.shape != shape:
+            raise ValueError(
+                f"sequences must be 1-d and equal length, got {xs.shape} and {ys.shape}"
+            )
+    (n,) = shape
+    if n < 2:
+        raise ValueError(f"need at least two elements, got {n}")
+    counts = []
+    chunk = max(1, _TAU_ENTRIES // n)
+    for start in range(0, len(pairs), chunk):
+        xs, ys = (np.stack(column) for column in zip(*pairs[start : start + chunk]))
+        if np.isnan(xs).any() or np.isnan(ys).any():
+            raise ValueError("sequences must not contain NaN")
+        counts.extend(zip(*(column.tolist() for column in _kendall_counts(xs, ys))))
+    pairs_total = n * (n - 1) // 2
+    denominator = n * (n - 1) if convention == "ordered-pairs" else pairs_total
+    return [
+        RankComparison(
+            tau=(concordant - discordant) / denominator,
+            concordant=concordant,
+            discordant=discordant,
+            pairs_total=pairs_total,
+            convention=convention,
+        )
+        for concordant, discordant in counts
+    ]
 
 
 def kendall_tau(
@@ -82,44 +170,10 @@ def kendall_tau(
 ) -> RankComparison:
     """Count concordant/discordant pairs of (x, y) and normalize to tau.
 
-    Runs in O(n log n) time and O(n) memory; NaN is rejected.
+    The one-pair case of the batched :func:`_kendall_taus`: O(n log n) time
+    and O(n) memory; NaN is rejected.
     """
-    if convention not in TAU_CONVENTIONS:
-        raise ValueError(
-            f"unknown convention {convention!r}; choose from {TAU_CONVENTIONS}"
-        )
-    xs = np.asarray(x, dtype=np.float64)
-    ys = np.asarray(y, dtype=np.float64)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError(f"sequences must be 1-d and equal length, got {xs.shape} and {ys.shape}")
-    n = xs.size
-    if n < 2:
-        raise ValueError(f"need at least two elements, got {n}")
-    if np.isnan(xs).any() or np.isnan(ys).any():
-        raise ValueError("sequences must not contain NaN")
-    # Knight's method: sort by (x, y); the discordant pairs are then exactly
-    # the strict inversions of y, and the concordant ones are the pairs tied
-    # in neither coordinate that are not discordant
-    order = np.lexsort((ys, xs))
-    x_sorted, y_sorted = xs[order], ys[order]
-    same_x = x_sorted[1:] == x_sorted[:-1]
-    same_xy = same_x & (y_sorted[1:] == y_sorted[:-1])
-    y_order = np.argsort(ys, kind="stable")
-    same_y = ys[y_order][1:] == ys[y_order][:-1]
-    y_ranks = np.empty(n, dtype=np.int64)
-    y_ranks[y_order] = np.concatenate(([0], np.cumsum(~same_y)))
-    pairs_total = n * (n - 1) // 2
-    untied = pairs_total - _tied_pairs(same_x) - _tied_pairs(same_y) + _tied_pairs(same_xy)
-    discordant = _strict_inversions(y_ranks[order])
-    concordant = untied - discordant
-    denominator = n * (n - 1) if convention == "ordered-pairs" else pairs_total
-    return RankComparison(
-        tau=(concordant - discordant) / denominator,
-        concordant=concordant,
-        discordant=discordant,
-        pairs_total=pairs_total,
-        convention=convention,
-    )
+    return _kendall_taus([(x, y)], convention)[0]
 
 
 def top_k_overlap(a: Ranking, b: Ranking, k: int) -> OverlapReport:
@@ -168,14 +222,19 @@ def _sweep_rows(
 
     ``powers`` holds the spreading-power vectors of the configs
     :func:`_sweep_configs` lists for ``betas``. Each measure's score vector
-    is correlated against each of them once; rows keep the requested
-    betas, in (beta, measure) order.
+    is correlated against each of them once, all in one
+    :func:`_kendall_taus` call; rows keep the requested betas, in (beta,
+    measure) order.
     """
     requested = list(betas)
     clamped, _ = clamp_betas(requested)
+    width = len(score_vectors)
+    scored = _kendall_taus(
+        [(sv.scores, power) for power in powers for sv in score_vectors], convention
+    )
     comparisons = {
-        beta: [kendall_tau(sv.scores, power, convention=convention) for sv in score_vectors]
-        for beta, power in zip(dict.fromkeys(clamped), powers)
+        beta: scored[index * width : (index + 1) * width]
+        for index, beta in enumerate(dict.fromkeys(clamped))
     }
     return [
         (sv.measure, float(beta_requested), comparison)

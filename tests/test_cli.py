@@ -122,6 +122,33 @@ def test_rank_writes_golden_scores(tmp_path, seven_node_file):
     assert scores["1"] == pytest.approx(6.5358, abs=1e-3)
 
 
+def test_rank_table_spanning_several_row_chunks_matches_rows_one_at_a_time(tmp_path):
+    # a random recursive tree on two full chunks of rows and a partial
+    # third, with shuffled labels and many tied degrees
+    from effgravity import compute_scores, load_edge_list, rank
+
+    rng = np.random.default_rng(97)
+    n = 2 * effgravity.cli._ROWS_PER_CHUNK + 37
+    labels = [f"v{label}" for label in rng.permutation(n)]
+    parents = [int(rng.integers(0, child)) for child in range(1, n)]
+    edge_file = tmp_path / "tree.edges"
+    edge_file.write_text(
+        "".join(f"{labels[p]} {labels[c]}\n" for c, p in enumerate(parents, start=1))
+    )
+    out = tmp_path / "out"
+    assert main(["rank", "--input", str(edge_file), "--out", str(out), "--measures", "dc"]) == 0
+    graph, _ = load_edge_list(edge_file)
+    sv = compute_scores(graph, ["dc"])["dc"]
+    ranking = rank(sv)
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["node_label", "score", "rank"])
+        for node in ranking.order:
+            writer.writerow([graph.labels[node], float(sv.scores[node]), int(ranking.ranks[node])])
+    assert (out / "scores_dc.csv").read_bytes() == expected.read_bytes()
+
+
 def test_rank_json_payload(tmp_path, seven_node_file):
     out = tmp_path / "out"
     assert main(

@@ -699,6 +699,98 @@ def test_level_lookup_matches_searchsorted(count):
     assert lookup.tobytes() == levels.searchsorted(draws, side="right").tobytes()
 
 
+@pytest.fixture
+def gathers(monkeypatch):
+    """Record how each step of several levels gathered its slots' words:
+    ("view", levels * n, kept slots) when it built the per-level view and
+    took each slot's row of it, ("slot", levels, kept slots) when it ANDed
+    each slot's level row into its source's words."""
+    records = []
+    epidemics = effgravity.epidemics
+    lookup = epidemics._levels_at_or_below
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def bitwise_and(self, words, open_sets, out):
+            records.append(("view", out.shape[0] * out.shape[1], None))
+            return np.bitwise_and(words, open_sets, out=out)
+
+    def recording_lookup(levels, draws):
+        if records and records[-1][2] is None:
+            records[-1] = records[-1][:2] + (draws.size,)
+        else:
+            records.append(("slot", levels.size, draws.size))
+        return lookup(levels, draws)
+
+    monkeypatch.setattr(epidemics, "np", RecordingNumpy())
+    monkeypatch.setattr(epidemics, "_levels_at_or_below", recording_lookup)
+    return records
+
+
+def dense_graph_seed_sets(rng, n, p, sets, pool):
+    # seed sets of one or two of the nodes 0 .. pool - 1
+    graph = random_connected_graph(rng, n, p)
+    seed_sets = [
+        sorted(rng.choice(pool, size=int(rng.integers(1, 3)), replace=False).tolist())
+        for _ in range(sets)
+    ]
+    return graph, seed_sets
+
+
+@pytest.mark.parametrize("sets", [65, 127, 129])
+@pytest.mark.parametrize("count", [2, 3, 5, 9])
+def test_engine_level_view_matches_oracle_across_word_boundaries(gathers, count, sets):
+    # a dense 40-node graph seeded from nodes 0 and 1: step 1 keeps too few
+    # slots per view row and ANDs each slot's level row, and once most nodes
+    # are reached a step keeps enough and builds the view; every word mixes
+    # the levels
+    rng = np.random.default_rng(1000 * count + sets)
+    graph, seed_sets = dense_graph_seed_sets(rng, 40, 0.9, sets, 2)
+    levels = np.linspace(0.35, 0.95, count).tolist()
+    betas = (levels * sets)[:sets]
+    config = SIConfig(beta=levels[0], t_max=6, runs=3, seed=count)
+    counts = assert_engine_matches_oracle(graph, seed_sets, config, betas)
+    assert counts[:, :, -1].max() > counts[:, :, 0].max()
+    views = [record for record in gathers if record[0] == "view"]
+    slots = [record for record in gathers if record[0] == "slot"]
+    assert views and slots
+    per_row = effgravity.epidemics._SLOTS_PER_VIEW_ROW
+    assert all(rows == count * graph.n and per_row * rows <= kept for _, rows, kept in views)
+    assert all(kept < per_row * levels * graph.n for _, levels, kept in slots)
+
+
+def test_engine_many_levels_at_small_beta_match_oracle(gathers):
+    # eight levels from 0.005 to 0.04: a step opens a few slots, far fewer
+    # than the view's 8n rows, so every step ANDs each slot's level row
+    rng = np.random.default_rng(109)
+    graph, seed_sets = dense_graph_seed_sets(rng, 24, 0.7, 100, 24)
+    levels = np.linspace(0.005, 0.04, 8).tolist()
+    betas = rng.choice(levels, size=100).tolist()
+    config = SIConfig(beta=0.04, t_max=12, runs=4, seed=17)
+    counts = assert_engine_matches_oracle(graph, seed_sets, config, betas)
+    assert counts[:, :, -1].max() > counts[:, :, 0].max()
+    assert gathers and all(record[0] == "slot" for record in gathers)
+
+
+def test_engine_phase_change_lowers_the_level_count(gathers):
+    # four levels until step 2, when the 0.9 and 0.7 sets leave, then two
+    # until step 4, when the 0.5 sets leave too; the view is built at four
+    # levels and again at two, in the buffer sized for the first phase
+    rng = np.random.default_rng(113)
+    graph, seed_sets = dense_graph_seed_sets(rng, 24, 0.95, 130, 24)
+    betas = rng.choice([0.3, 0.5, 0.7, 0.9], size=130).tolist()
+    order = sorted(range(130), key=lambda index: betas[index])
+    seed_sets = [seed_sets[index] for index in order]
+    betas = [betas[index] for index in order]
+    ends = [8 if beta == 0.3 else 4 if beta == 0.5 else 2 for beta in betas]
+    config = SIConfig(beta=0.3, t_max=8, runs=4, seed=23)
+    assert_engine_matches_oracle(graph, seed_sets, config, betas, ends)
+    views = {rows // graph.n for kind, rows, _ in gathers if kind == "view"}
+    assert views == {4, 2}
+
+
 @st.composite
 def si_cases(draw):
     # two blocks with no edge between them, so at least two components; in

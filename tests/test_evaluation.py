@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import effgravity.evaluation
 from effgravity import (
     Graph,
     Ranking,
@@ -151,6 +152,58 @@ def test_tau_matches_row_loop_on_longer_vectors():
         assert (result.concordant, result.discordant) == kendall_counts_by_rows(x, y)
 
 
+def tied_rows(rng, n, rows):
+    # per row, values from three of LEVELS (both infinities, both zeros) or,
+    # in every third row, continuous values with a few repeats
+    def row(index):
+        if index % 3 == 2:
+            return rng.choice(rng.random(max(1, n // 2)), size=n)
+        return rng.choice(rng.choice(LEVELS, size=3, replace=False), size=n)
+
+    return [(row(index), row(index + 1)) for index in range(rows)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64, 65])
+def test_batched_tau_matches_bruteforce_across_chunks(n, monkeypatch):
+    # five rows to a chunk, so 13 pairs take chunks of 5, 5 and 3 rows
+    monkeypatch.setattr(effgravity.evaluation, "_TAU_ENTRIES", 5 * n)
+    pairs = tied_rows(np.random.default_rng(n), n, 13)
+    for convention, denominator in (("standard", n * (n - 1) // 2), ("ordered-pairs", n * (n - 1))):
+        results = effgravity.evaluation._kendall_taus(pairs, convention)
+        assert len(results) == len(pairs)
+        for (x, y), result in zip(pairs, results):
+            concordant, discordant = kendall_counts_bruteforce(x.tolist(), y.tolist())
+            assert (result.concordant, result.discordant) == (concordant, discordant)
+            assert type(result.concordant) is int and type(result.discordant) is int
+            assert result.tau == (concordant - discordant) / denominator
+            assert result == kendall_tau(x, y, convention)
+
+
+def test_batched_tau_spans_chunks_at_the_default_budget():
+    # 198 items, the size of the Jazz network: 165 rows to a chunk
+    n = 198
+    rows = effgravity.evaluation._TAU_ENTRIES // n + 2
+    pairs = tied_rows(np.random.default_rng(127), n, rows)
+    results = effgravity.evaluation._kendall_taus(pairs, "ordered-pairs")
+    for (x, y), result in zip(pairs, results, strict=True):
+        assert (result.concordant, result.discordant) == kendall_counts_by_rows(x, y)
+        assert result == kendall_tau(x, y, "ordered-pairs")
+
+
+def test_batched_tau_input_validation():
+    batched = effgravity.evaluation._kendall_taus
+    assert batched([]) == []
+    good = ([1.0, 2.0, 3.0], [3.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="equal length"):
+        batched([good, ([1.0, 2.0], [1.0, 2.0])])
+    with pytest.raises(ValueError, match="NaN"):
+        batched([good, ([1.0, 2.0, 3.0], [1.0, np.nan, 2.0])])
+    with pytest.raises(ValueError, match="at least two"):
+        batched([([1.0], [2.0])])
+    with pytest.raises(ValueError, match="convention"):
+        batched([good], "nope")
+
+
 # --- top-k overlap ----------------------------------------------------------
 
 def test_overlap_identical_rankings(seven_node_graph):
@@ -247,24 +300,26 @@ def test_sweep_simulates_each_distinct_clamped_beta_once(seven_node_graph, monke
 def test_sweep_compares_each_measure_once_per_distinct_clamped_beta(
     seven_node_graph, monkeypatch
 ):
-    import effgravity.evaluation
     from effgravity.cli import DEFAULT_BETA_GRID
 
     betas = [float(token) for token in DEFAULT_BETA_GRID.split(",")]
     calls = []
+    batched = effgravity.evaluation._kendall_taus
     compare = effgravity.evaluation.kendall_tau
 
-    def counted(x, y, convention="standard"):
-        calls.append(convention)
-        return compare(x, y, convention=convention)
+    def counted(pairs, convention="standard"):
+        pairs = list(pairs)
+        calls.append((len(pairs), convention))
+        return batched(pairs, convention)
 
-    monkeypatch.setattr(effgravity.evaluation, "kendall_tau", counted)
+    monkeypatch.setattr(effgravity.evaluation, "_kendall_taus", counted)
     measures = [degree_centrality(seven_node_graph), closeness_centrality(seven_node_graph)]
     cfg = SIConfig(beta=0.2, t_max=2, runs=3, seed=1)
     with pytest.warns(UserWarning, match="clamped"):
         rows = tau_vs_beta_sweep(seven_node_graph, measures, betas, cfg, "ordered-pairs")
-    # 8 betas, of which 1.2, 1.4 and 1.6 clamp to 1.0: 5 distinct, 2 measures
-    assert calls == ["ordered-pairs"] * 10
+    # 8 betas, of which 1.2, 1.4 and 1.6 clamp to 1.0: 5 distinct, 2
+    # measures, all scored in one batched call
+    assert calls == [(10, "ordered-pairs")]
     assert [(measure, beta) for measure, beta, _ in rows] == [
         (sv.measure, beta) for beta in betas for sv in measures
     ]
