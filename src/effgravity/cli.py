@@ -99,6 +99,10 @@ def _write_json(path: Path, payload) -> None:
         handle.write("\n")
 
 
+def _records(header: Sequence[str], rows) -> list[dict]:
+    return [dict(zip(header, row)) for row in rows]
+
+
 def _load_graph(args: argparse.Namespace) -> Graph:
     graph, report = load_edge_list(args.input)
     if report.loops_dropped or report.duplicates_merged:
@@ -177,14 +181,10 @@ def cmd_spread(args: argparse.Namespace) -> Outputs:
     curves = top_k_infection_curves(
         graph, [(name, rankings[name]) for name in args.measures], args.k, config
     )
-    steps = range(args.t_max + 1)
-    if args.format == "json":
-        return {
-            "spread.json": {"t": list(steps)}
-            | {f"F_{name}": [float(v) for v in curves[name]] for name in args.measures}
-        }
     header = ["t"] + [f"F_{name}" for name in args.measures]
-    rows = [[t] + [float(curves[name][t]) for name in args.measures] for t in steps]
+    rows = [[t] + [float(curves[name][t]) for name in args.measures] for t in range(args.t_max + 1)]
+    if args.format == "json":
+        return {"spread.json": dict(zip(header, zip(*rows)))}
     return {"spread.csv": (header, rows)}
 
 
@@ -219,39 +219,23 @@ def cmd_evaluate(args: argparse.Namespace) -> Outputs:
             report = top_k_overlap(rankings[name_a], rankings[name_b], args.k)
             overlap_rows.append((name_a, name_b, report.k, report.shared))
 
+    # one (header, rows) table per output; the JSON is made from the same rows
+    tables = {
+        "tau_sweep": (["measure", "beta", "tau"], sweep_rows),
+        "overlap": (["measure_a", "measure_b", "k", "shared"], overlap_rows),
+    }
     spread_tables = {}
     for name in args.measures:
         table = rank_vs_spread(rankings[name], power)
-        spread_tables[name] = [
-            (position, graph.labels[node], mean_final)
-            for position, node, mean_final in table
-        ]
+        rows = [(position, graph.labels[node], mean_final) for position, node, mean_final in table]
+        spread_tables[name] = (["rank", "node_label", "mean_final"], rows)
 
     if args.format == "json":
-        payload = {
-            "tau_sweep": [
-                {"measure": name, "beta": beta, "tau": tau}
-                for name, beta, tau in sweep_rows
-            ],
-            "overlap": [
-                {"measure_a": a, "measure_b": b, "k": k, "shared": shared}
-                for a, b, k, shared in overlap_rows
-            ],
-            "rank_vs_spread": {
-                name: [
-                    {"rank": position, "node_label": label, "mean_final": mean_final}
-                    for position, label, mean_final in rows
-                ]
-                for name, rows in spread_tables.items()
-            },
-        }
+        payload = {key: _records(*table) for key, table in tables.items()}
+        payload["rank_vs_spread"] = {name: _records(*table) for name, table in spread_tables.items()}
         return {"evaluate.json": payload}
-    return {
-        "tau_sweep.csv": (["measure", "beta", "tau"], sweep_rows),
-        "overlap.csv": (["measure_a", "measure_b", "k", "shared"], overlap_rows),
-    } | {
-        f"rank_vs_spread_{name}.csv": (["rank", "node_label", "mean_final"], rows)
-        for name, rows in spread_tables.items()
+    return {f"{key}.csv": table for key, table in tables.items()} | {
+        f"rank_vs_spread_{name}.csv": table for name, table in spread_tables.items()
     }
 
 
@@ -361,3 +345,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

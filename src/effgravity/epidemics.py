@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .centrality import Ranking
-from .graph import Graph, _adjacency_slots
+from .graph import Graph, _adjacency_slots, _bits
 
 
 @dataclass(frozen=True)
@@ -83,23 +83,15 @@ def _pack(bits: np.ndarray, words: int) -> np.ndarray:
     return padded.view("<u8")
 
 
-def _set_counts(words: np.ndarray, sets: int) -> np.ndarray:
-    """Per seed set, the number of nodes whose ``words`` row has its bit set."""
-    bits = np.unpackbits(words.view(np.uint8), axis=1, count=sets, bitorder="little")
-    return bits.sum(axis=0, dtype=np.int32)
-
-
-def _level_table(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct ``betas``, the level table and the all-sets word mask.
+def _level_table(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``betas`` and the level table.
 
     Row i of the table holds the seed sets still open at a draw with i
-    levels at or below it. With no seed set at all there is one level,
-    which opens nothing.
+    levels at or below it, so row 0 holds every set. With no seed set at
+    all there is one level, which opens nothing.
     """
     levels = np.array(sorted(set(betas.tolist())) or [0.0])
-    words = -(-betas.size // 64)
-    open_sets = _pack(betas >= levels[:, None], words)
-    return levels, open_sets, _pack(np.ones(betas.size, dtype=bool), words)
+    return levels, _pack(betas >= levels[:, None], -(-betas.size // 64))
 
 
 def _levels_at_or_below(levels: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -114,15 +106,15 @@ def _levels_at_or_below(levels: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
 
 def _filters(
-    words: np.ndarray, full: np.ndarray, src: np.ndarray
+    words: np.ndarray, all_sets: np.ndarray, src: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The per-node saturated and per-slot live filters of infected ``words``.
 
-    A node is saturated when its words equal ``full``, infected in every
+    A node is saturated when its words equal ``all_sets``, infected in every
     carried seed set; a slot is live when its source is infected in some
     set.
     """
-    return (words == full).all(axis=1), words.any(axis=1).take(src)
+    return (words == all_sets).all(axis=1), words.any(axis=1).take(src)
 
 
 def _infected_counts(
@@ -169,8 +161,9 @@ def _infected_counts(
     words ANDed with that level's row) builds the view and takes each kept
     slot's words from it in one gather; a step that keeps fewer gathers
     the sources' words and ANDs in each slot's level row. So the view has
-    at most a third as many rows as the step keeps slots. Its buffer is
-    allocated on the first step that builds it, once per pass.
+    at most a third as many rows as the step keeps slots. A step builds it
+    from its phase's level table, whose row 0 is also the phase's mask of
+    every carried set.
 
     Every run still draws one uniform per slot per step, but only the open
     slots whose source is infected in some seed set and whose target is
@@ -207,21 +200,19 @@ def _infected_counts(
     # per set and column: the column is at or before the set's last step
     within = np.asarray(reported)[None, :] <= ends[:, None]
     # each phase of the pass: the sets it carries, which are those that end
-    # later, their level table, and the fewest kept slots at which a step
-    # builds the per-level view (more than the 2m slots with one level),
-    # from the start and after each step where some sets end; sets that end
-    # at step 0 are never carried
+    # later, and their distinct betas and level table, from the start and
+    # after each step where some sets end; sets that end at step 0 are never
+    # carried
     kept_after = {0: sets} | {end: np.count_nonzero(ends > end) for end in set(ends.tolist())}
-    phases = {}
-    for step, kept in kept_after.items():
-        if step < t_max or step == 0:
-            levels, open_sets, full = _level_table(betas[:kept])
-            view_from = _SLOTS_PER_VIEW_ROW * levels.size * n if levels.size > 1 else dst.size + 1
-            phases[step] = (kept, levels, open_sets, full, view_from)
+    phases = {
+        step: (kept, *_level_table(betas[:kept]))
+        for step, kept in kept_after.items()
+        if step < t_max or step == 0
+    }
     start = phases.pop(0)
-    kept, _, _, full, _ = start
-    start_words = _pack(seed_masks[:kept].T, full.size)
-    start_saturated, start_live = _filters(start_words, full, src)
+    kept, _, open_sets = start
+    start_words = _pack(seed_masks[:kept].T, open_sets.shape[1])
+    start_saturated, start_live = _filters(start_words, open_sets[0], src)
     start_done = np.count_nonzero(start_saturated)
     seeded = np.count_nonzero(seed_masks, axis=1)
     # one buffer each, reset by every run (infected until its first phase
@@ -234,26 +225,13 @@ def _infected_counts(
     hit = np.empty_like(start_live)
     # per kept slot of a step, whether it is its target's first, in place
     heads = np.empty_like(start_live)
-    # the per-level view's buffer, sized for the phase with the most levels
-    # and words that can build it (no step keeps more than the 2m slots);
-    # allocated on first use, as an unused buffer held through a pass cost
-    # time on a graph whose steps never build the view
-    view_words = max(
-        (
-            levels.size * n * full.size
-            for _, levels, _, full, view_from in [start, *phases.values()]
-            if view_from <= dst.size
-        ),
-        default=0,
-    )
-    view_buffer = None
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
         infected = infected_buffer
         infected[...] = start_words
         saturated[...] = start_saturated
         live[...] = start_live
-        kept, levels, open_sets, full, view_from = start
+        kept, levels, open_sets = start
         # nodes infected in every carried seed set; the live filter keeps
         # only slots into unsaturated targets, so a step's nodes were all
         # unsaturated
@@ -299,24 +277,21 @@ def _infected_counts(
                 starts = head.nonzero()[0]
                 nodes = targets.take(starts)
                 # take, as row gathers by fancy indexing are several times slower
-                if opened.size < view_from:
+                if levels.size > 1 and opened.size >= _SLOTS_PER_VIEW_ROW * levels.size * n:
+                    # block c of the view is infected & open_sets[c] (block 0
+                    # is infected, as open_sets[0] is every carried set), and
+                    # a slot's words are row level * n + source
+                    view = np.bitwise_and(infected, open_sets[:, None])
+                    rows = _levels_at_or_below(levels, draws)
+                    rows *= n
+                    rows += src.take(opened)
+                    carried = view.reshape(-1, infected.shape[1]).take(rows, axis=0)
+                else:
                     carried = infected.take(src.take(opened), axis=0)
                     if levels.size > 1:
                         # too few kept slots to pay for the view: AND each
                         # slot's level row into its source's words
                         carried &= open_sets.take(_levels_at_or_below(levels, draws), axis=0)
-                else:
-                    # block c of the view is infected & open_sets[c] (block 0
-                    # is infected, as open_sets[0] is every carried set), and
-                    # a slot's words are row level * n + source
-                    if view_buffer is None:
-                        view_buffer = np.empty(view_words, dtype=np.uint64)
-                    view = view_buffer[: levels.size * infected.size].reshape(levels.size, n, -1)
-                    np.bitwise_and(infected, open_sets[:, None], out=view)
-                    rows = _levels_at_or_below(levels, draws)
-                    rows *= n
-                    rows += src.take(opened)
-                    carried = view.reshape(-1, infected.shape[1]).take(rows, axis=0)
                 before = infected.take(nodes, axis=0)
                 fresh = np.bitwise_or.reduceat(carried, starts, axis=0) & ~before
                 after = before | fresh
@@ -328,25 +303,24 @@ def _infected_counts(
                 if not reached.all():
                     new = nodes[~reached]
                     live[_adjacency_slots(graph, new, graph.degrees.take(new))] = True
-                now_saturated = (after == full).all(axis=1)
+                now_saturated = (after == open_sets[0]).all(axis=1)
                 saturated[nodes] = now_saturated
                 done += np.count_nonzero(now_saturated)
             if steps is None:
                 # every step is read: add the bits this step infected
-                if fresh is None:
-                    counts[:kept, t] = counts[:kept, t - 1]
-                else:
-                    counts[:kept, t] = counts[:kept, t - 1] + _set_counts(fresh, kept)
+                counts[:kept, t] = counts[:kept, t - 1]
+                if fresh is not None:
+                    counts[:kept, t] += _bits(fresh, kept).sum(axis=0, dtype=np.int32)
             elif t in column:
-                counts[:kept, column[t]] = _set_counts(infected, kept)
+                counts[:kept, column[t]] = _bits(infected, kept).sum(axis=0, dtype=np.int32)
             if t in phases:
                 # a tail of sets ends here: cut their words and bits off and
                 # rebuild the filters from the sets still carried
-                kept, levels, open_sets, full, view_from = phases[t]
-                infected = np.ascontiguousarray(infected[:, : full.size])
+                kept, levels, open_sets = phases[t]
+                infected = np.ascontiguousarray(infected[:, : open_sets.shape[1]])
                 if kept % 64:
-                    infected[:, -1] &= full[-1]
-                saturated[...], live[...] = _filters(infected, full, src)
+                    infected[:, -1] &= open_sets[0, -1]
+                saturated[...], live[...] = _filters(infected, open_sets[0], src)
                 done = np.count_nonzero(saturated)
         yield counts
 

@@ -443,8 +443,10 @@ def _hop_rows(graph: Graph, sources: np.ndarray) -> np.ndarray:
 
 
 def _bits(words: np.ndarray, count: int) -> np.ndarray:
-    """``(len(words), count)`` uint8 table of the lowest ``count`` bits of ``words``."""
-    octets = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    """``(len(words), count)`` uint8 table of the lowest ``count`` bits of each
+    word, or of each row of words (bit i of a row is bit i % 64 of word i // 64).
+    """
+    octets = words.astype("<u8", copy=False).view(np.uint8).reshape(len(words), -1)
     return np.unpackbits(octets, axis=1, count=count, bitorder="little")
 
 

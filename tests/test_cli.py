@@ -27,6 +27,14 @@ def read_csv(path):
         return list(csv.reader(handle))
 
 
+def interpreter_env():
+    # a fresh interpreter that imports this package
+    env = dict(os.environ)
+    package_root = str(Path(effgravity.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_stats_on_triangle(tmp_path):
     edge_file = tmp_path / "triangle.edges"
     edge_file.write_text("1 2\n2 3\n1 3\n")
@@ -445,6 +453,40 @@ def test_evaluate_json_format(tmp_path, seven_node_file):
     assert payload["tau_sweep"][0]["measure"] == "dc"
 
 
+def test_json_holds_the_csv_rows(tmp_path, seven_node_file):
+    # evaluate.json has one record per CSV row and spread.json one column
+    # per CSV header name, with the same values
+    common = ["--input", str(seven_node_file), "--runs", "3", "--seed", "5", "--k", "2"]
+    evaluate = ["evaluate", "--measures", "dc,bc,effg", "--beta-grid", "0.3,0.6,1.5"]
+    evaluate += ["--t-max", "4"]
+    spread = ["spread", "--measures", "cc,dc", "--beta", "0.4", "--t-max", "5"]
+    for argv in (evaluate, spread):
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"{argv[0]}_{fmt}"
+            assert main(argv + common + ["--format", fmt, "--out", str(out)]) == 0
+
+    def values(header, records):
+        assert all(list(record) == sorted(header) for record in records)
+        return [[str(record[name]) for name in header] for record in records]
+
+    payload = json.loads((tmp_path / "evaluate_json" / "evaluate.json").read_text())
+    tables = {"tau_sweep": payload["tau_sweep"], "overlap": payload["overlap"]} | {
+        f"rank_vs_spread_{name}": records for name, records in payload["rank_vs_spread"].items()
+    }
+    assert sorted(path.name for path in (tmp_path / "evaluate_csv").glob("*.csv")) == sorted(
+        f"{name}.csv" for name in tables
+    )
+    for name, records in tables.items():
+        header, *rows = read_csv(tmp_path / "evaluate_csv" / f"{name}.csv")
+        assert rows and values(header, records) == rows
+
+    header, *rows = read_csv(tmp_path / "spread_csv" / "spread.csv")
+    columns = json.loads((tmp_path / "spread_json" / "spread.json").read_text())
+    assert len(rows) == 6 and sorted(columns) == sorted(header)
+    records = [dict(sorted(zip(columns, row))) for row in zip(*columns.values())]
+    assert values(header, records) == rows
+
+
 SMALL_RUNS = {
     "stats": [],
     "rank": ["--measures", "dc,effg"],
@@ -566,19 +608,33 @@ def test_evaluate_refuses_a_single_node_graph_before_any_work(tmp_path, monkeypa
 def test_evaluate_reports_clamped_betas_as_one_note(tmp_path, seven_node_file):
     # through a real interpreter, where a library warning would print the
     # file and line it came from
-    env = dict(os.environ)
-    package_root = str(Path(effgravity.cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     argv = [
         "evaluate", "--input", str(seven_node_file), "--out", str(tmp_path / "out"),
         "--measures", "dc,cc", "--runs", "2", "--t-max", "2", "--k", "2",
     ]
     script = "import sys; from effgravity.cli import main; sys.exit(main(sys.argv[1:]))"
     result = subprocess.run(
-        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-c", script, *argv], env=interpreter_env(), capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == "note: beta values [1.2, 1.4, 1.6] exceed 1 and were clamped to 1\n"
+
+
+def test_module_runs_the_command_like_the_console_script(tmp_path, seven_node_file):
+    # python -m effgravity.cli runs the command and exits with its code
+    argv = [sys.executable, "-m", "effgravity.cli", "stats", "--input"]
+    out = tmp_path / "out"
+    result = subprocess.run(
+        argv + [str(seven_node_file), "--out", str(out)],
+        env=interpreter_env(), capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert read_csv(out / "stats.csv")[1][:2] == ["7", "10"]
+    result = subprocess.run(
+        argv + [str(tmp_path / "absent.edges"), "--out", str(tmp_path / "absent")],
+        env=interpreter_env(), capture_output=True, text=True,
+    )
+    assert result.returncode == 2 and "absent.edges" in result.stderr
 
 
 def test_cli_import_does_not_pull_scipy(tmp_path):
@@ -587,9 +643,7 @@ def test_cli_import_does_not_pull_scipy(tmp_path):
     # imports on first use, adds 1.6 MB. No module the CLI imports may bring
     # in scipy, and stats and rank, which draw no random numbers, load none
     # of them; numpy.random itself loads hashlib, through secrets and hmac
-    env = dict(os.environ)
-    package_root = str(Path(effgravity.cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env = interpreter_env()
     check = "import sys, effgravity.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
     result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

@@ -699,6 +699,38 @@ def test_level_lookup_matches_searchsorted(count):
     assert lookup.tobytes() == levels.searchsorted(draws, side="right").tobytes()
 
 
+@pytest.mark.parametrize("sets", [0, 1, 63, 64, 65, 129])
+def test_level_table_row_zero_is_every_set(sets):
+    # tied betas, beta = 0 among them: row 0 holds the sets open at a draw
+    # below every beta, which is all of them, and no bit past the last set
+    rng = np.random.default_rng(sets)
+    betas = rng.choice([0.0, 0.25, 0.25, 0.5, 1.0], size=sets)
+    levels, open_sets = effgravity.epidemics._level_table(betas)
+    words = -(-sets // 64)
+    assert levels.tolist() == (sorted(set(betas.tolist())) or [0.0])
+    assert open_sets.shape == (levels.size, words) and open_sets.dtype == np.uint64
+    every_set = effgravity.epidemics._pack(np.ones(sets, dtype=bool), words)
+    assert open_sets[0].tobytes() == every_set.tobytes()
+    bits = effgravity.graph._bits(open_sets[:1], 64 * words)[0]
+    assert bits[:sets].all() and not bits[sets:].any()
+
+
+@pytest.mark.parametrize("kept", [1, 63, 64, 65, 129])
+def test_phase_cut_clears_exactly_the_bits_past_the_kept_sets(kept):
+    # four words of sets cut to the first kept sets: the words past the
+    # kept sets' last go, and ANDing in the last word of row 0 of the kept
+    # sets' level table clears the bits past kept in it
+    rng = np.random.default_rng(kept)
+    infected = rng.integers(0, 2**64, size=(7, 4), dtype=np.uint64)
+    _, open_sets = effgravity.epidemics._level_table(rng.choice([0.0, 0.3, 0.6], size=kept))
+    cut = np.ascontiguousarray(infected[:, : open_sets.shape[1]])
+    cut[:, -1] &= open_sets[0, -1]
+    before = effgravity.graph._bits(infected, 256)
+    after = effgravity.graph._bits(cut, 64 * cut.shape[1])
+    assert (after[:, :kept] == before[:, :kept]).all()
+    assert not after[:, kept:].any()
+
+
 @pytest.fixture
 def gathers(monkeypatch):
     """Record how each step of several levels gathered its slots' words:
@@ -713,9 +745,10 @@ def gathers(monkeypatch):
         def __getattr__(self, name):
             return getattr(np, name)
 
-        def bitwise_and(self, words, open_sets, out):
-            records.append(("view", out.shape[0] * out.shape[1], None))
-            return np.bitwise_and(words, open_sets, out=out)
+        def bitwise_and(self, words, open_sets):
+            view = np.bitwise_and(words, open_sets)
+            records.append(("view", view.shape[0] * view.shape[1], None))
+            return view
 
     def recording_lookup(levels, draws):
         if records and records[-1][2] is None:
@@ -777,7 +810,7 @@ def test_engine_many_levels_at_small_beta_match_oracle(gathers):
 def test_engine_phase_change_lowers_the_level_count(gathers):
     # four levels until step 2, when the 0.9 and 0.7 sets leave, then two
     # until step 4, when the 0.5 sets leave too; the view is built at four
-    # levels and again at two, in the buffer sized for the first phase
+    # levels and again at two, each from its phase's level table
     rng = np.random.default_rng(113)
     graph, seed_sets = dense_graph_seed_sets(rng, 24, 0.95, 130, 24)
     betas = rng.choice([0.3, 0.5, 0.7, 0.9], size=130).tolist()

@@ -460,3 +460,17 @@ def test_graph_is_read_only(seven_node_graph):
         seven_node_graph.degrees[0] = 3
     with pytest.raises(ValueError):
         seven_node_graph.hop_sums.gravity[0] = 1.0
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 1), (3, 2), (4, 3)])
+def test_bits_reads_words_and_rows_of_words(shape):
+    # bit i of a row of words is bit i % 64 of word i // 64
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    words = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+    rows = words.reshape(shape[0], -1)
+    for count in (0, 1, 63, 64 * rows.shape[1] - 1, 64 * rows.shape[1]):
+        want = [
+            [int(row[i // 64]) >> (i % 64) & 1 for i in range(count)] for row in rows
+        ]
+        got = effgravity.graph._bits(words, count)
+        assert got.dtype == np.uint8 and got.tolist() == want
