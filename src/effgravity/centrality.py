@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import MEASURES, ConvergenceError
 from . import effective_distance as ed
 from .graph import (
     _NOT_SEEN,
@@ -24,19 +25,8 @@ from .graph import (
     gravity_sums,
 )
 
-MEASURES = ("dc", "bc", "cc", "ec", "pagerank", "gm", "effg")
-
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1000
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative measure failed to reach its tolerance."""
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)

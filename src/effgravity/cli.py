@@ -6,6 +6,9 @@ succeeded, writes the tables there, and drops a ``config.json`` beside them
 with the fully resolved parameters (including the master seed) so any
 output can be reproduced byte for byte. Exit codes: 0 success, 1
 computation error such as non-convergence, 2 usage or I/O error.
+
+A command imports the layers beyond ``graph`` when it runs, so each
+short-lived process loads and compiles only the modules its command uses.
 """
 
 from __future__ import annotations
@@ -17,27 +20,13 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from . import __version__
-from .centrality import (
-    MEASURES,
-    ConvergenceError,
-    Ranking,
-    ScoreVector,
-    compute_scores,
-    rank,
-)
-from .epidemics import SIConfig, spreading_powers, top_k_infection_curves
-from .evaluation import (
-    TAU_CONVENTIONS,
-    _sweep_configs,
-    _sweep_rows,
-    clamp_betas,
-    rank_vs_spread,
-    top_k_overlap,
-)
+from . import MEASURES, TAU_CONVENTIONS, ConvergenceError, __version__
 from .graph import Graph, ParseError, load_edge_list, topology_stats
+
+if TYPE_CHECKING:
+    from .centrality import Ranking, ScoreVector
 
 DEFAULT_BETA = 0.2
 DEFAULT_BETA_GRID = "0.2,0.4,0.6,0.8,1.0,1.2,1.4,1.6"
@@ -124,8 +113,14 @@ def _check_k(args: argparse.Namespace) -> None:
         raise ValueError(f"k must be >= 1, got {args.k}")
 
 
-def _rankings(scores: Mapping[str, ScoreVector]) -> dict[str, Ranking]:
-    return {name: rank(sv) for name, sv in scores.items()}
+def _scores(
+    graph: Graph, args: argparse.Namespace
+) -> tuple[Mapping[str, ScoreVector], dict[str, Ranking]]:
+    """The requested measures' scores and rankings, in the order requested."""
+    from .centrality import compute_scores, rank
+
+    scores = compute_scores(graph, args.measures, damping=args.damping)
+    return scores, {name: rank(sv) for name, sv in scores.items()}
 
 
 def _score_rows(graph: Graph, sv: ScoreVector, ranking: Ranking):
@@ -152,13 +147,12 @@ def cmd_stats(args: argparse.Namespace) -> Outputs:
 def cmd_rank(args: argparse.Namespace) -> Outputs:
     _check_damping(args)
     graph = _load_graph(args)
-    scores = compute_scores(graph, args.measures, damping=args.damping)
-    rankings = _rankings(scores)
+    scores, rankings = _scores(graph, args)
     if args.format == "json":
         payload = {
             name: {
-                "scores": [float(s) for s in sv.scores],
-                "ranking": [graph.labels[i] for i in rankings[name].order],
+                "scores": sv.scores.tolist(),
+                "ranking": list(map(graph.labels.__getitem__, rankings[name].order.tolist())),
                 "metadata": sv.metadata,
             }
             for name, sv in scores.items()
@@ -171,13 +165,16 @@ def cmd_rank(args: argparse.Namespace) -> Outputs:
 
 
 def cmd_spread(args: argparse.Namespace) -> Outputs:
+    from .epidemics import SIConfig, top_k_infection_curves
+
     _check_damping(args)
     _check_k(args)
     config = SIConfig(beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed)
     graph = _load_graph(args)
     if args.k > graph.n:
         raise ValueError(f"k={args.k} exceeds the graph's {graph.n} nodes")
-    rankings = _rankings(compute_scores(graph, args.measures, damping=args.damping))
+    # only the rankings: the score vectors are freed before the SI pass
+    rankings = _scores(graph, args)[1]
     curves = top_k_infection_curves(
         graph, [(name, rankings[name]) for name in args.measures], args.k, config
     )
@@ -189,6 +186,9 @@ def cmd_spread(args: argparse.Namespace) -> Outputs:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> Outputs:
+    from .epidemics import SIConfig, spreading_powers
+    from .evaluation import _sweep_configs, _sweep_rows, clamp_betas, rank_vs_spread, top_k_overlap
+
     _check_damping(args)
     _check_k(args)
     spread_config = SIConfig(beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed)
@@ -199,8 +199,7 @@ def cmd_evaluate(args: argparse.Namespace) -> Outputs:
         raise ValueError(f"need at least two elements to compare rankings, got {graph.n} node(s)")
     if args.k > graph.n:
         raise ValueError(f"k={args.k} exceeds the graph's {graph.n} nodes")
-    scores = compute_scores(graph, args.measures, damping=args.damping)
-    rankings = _rankings(scores)
+    scores, rankings = _scores(graph, args)
 
     if over:
         print(f"note: beta values {over} exceed 1 and were clamped to 1", file=sys.stderr)

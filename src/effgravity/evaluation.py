@@ -15,11 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import TAU_CONVENTIONS
 from .centrality import Ranking, ScoreVector
 from .epidemics import SIConfig, spreading_powers
 from .graph import Graph
-
-TAU_CONVENTIONS = ("standard", "ordered-pairs")
 
 
 @dataclass(frozen=True)

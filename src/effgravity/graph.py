@@ -43,7 +43,7 @@ class HopSums(NamedTuple):
 
     distance: np.ndarray  # sum of d(i, j), int64
     reachable: np.ndarray  # number of such peers, int64
-    gravity: np.ndarray  # sum of degree(j) / d(i, j)^2, float64
+    gravity: np.ndarray | None  # sum of degree(j) / d(i, j)^2, float64; None if not asked for
 
 
 @dataclass(frozen=True)
@@ -137,32 +137,11 @@ class Graph:
     def hop_sums(self) -> HopSums:
         """All-pairs hop distances, reduced to per-node sums.
 
-        The breadth-first searches run 64 sources at a time, one bit per
-        source (see :func:`_hop_rows`). Closeness, the gravity score and
-        the topology statistics all read these, so the all-pairs hop pass
-        runs once per graph. The integer sums are taken a block of rows at
-        a time. :func:`gravity_sums` reduces the gravity sums of as many of
-        the block's rows at once as fit the sweeps' slot budget (rows x n
-        at most ``_SLOT_BUDGET``, at least one row), each row in the order
-        ``np.sum`` adds it alone, so its float64 terms never outgrow the
-        sweeps' own per-level arrays.
+        Closeness and the gravity score both read these, so the all-pairs
+        hop pass (see :func:`_hop_pass`) runs once per graph;
+        :func:`topology_stats` reads them too once they are here.
         """
-        degrees = self.degrees.astype(np.float64)
-        distance = np.zeros(self.n, dtype=np.int64)
-        reachable = np.zeros(self.n, dtype=np.int64)
-        gravity = np.zeros(self.n, dtype=np.float64)
-        chunk = max(1, _SLOT_BUDGET // max(self.n, 1))
-        for start in range(0, self.n, _BLOCK):
-            block = np.arange(start, min(start + _BLOCK, self.n))
-            rows = _hop_rows(self, block)
-            distance[block] = rows.clip(min=0).sum(axis=1, dtype=np.int64)
-            reachable[block] = np.count_nonzero(rows > 0, axis=1)
-            for first in range(0, block.size, chunk):
-                part = rows[first : first + chunk]
-                gravity[block[first : first + chunk]] = gravity_sums(degrees, part, part > 0)
-        for array in (distance, reachable, gravity):
-            array.setflags(write=False)
-        return HopSums(distance, reachable, gravity)
+        return _hop_pass(self, gravity=True)
 
     def neighbors(self, i: int) -> np.ndarray:
         self.check_node(i)
@@ -450,11 +429,45 @@ def _bits(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=count, bitorder="little")
 
 
+def _hop_pass(graph: Graph, gravity: bool) -> HopSums:
+    """All-pairs hop distances, reduced to per-node sums; the gravity sums
+    are taken only when ``gravity`` is true, and are None otherwise.
+
+    The breadth-first searches run 64 sources at a time, one bit per
+    source (see :func:`_hop_rows`). The integer sums are taken a block of
+    rows at a time. :func:`gravity_sums` reduces the gravity sums of as
+    many of the block's rows at once as fit the sweeps' slot budget (rows
+    x n at most ``_SLOT_BUDGET``, at least one row), each row in the order
+    ``np.sum`` adds it alone, so its float64 terms never outgrow the
+    sweeps' own per-level arrays.
+    """
+    n = graph.n
+    degrees = graph.degrees.astype(np.float64)
+    distance = np.zeros(n, dtype=np.int64)
+    reachable = np.zeros(n, dtype=np.int64)
+    sums = np.zeros(n, dtype=np.float64) if gravity else None
+    chunk = max(1, _SLOT_BUDGET // max(n, 1))
+    for start in range(0, n, _BLOCK):
+        block = np.arange(start, min(start + _BLOCK, n))
+        rows = _hop_rows(graph, block)
+        distance[block] = rows.clip(min=0).sum(axis=1, dtype=np.int64)
+        reachable[block] = np.count_nonzero(rows > 0, axis=1)
+        if sums is None:
+            continue
+        for first in range(0, block.size, chunk):
+            part = rows[first : first + chunk]
+            sums[block[first : first + chunk]] = gravity_sums(degrees, part, part > 0)
+    for array in (distance, reachable, sums):
+        if array is not None:
+            array.setflags(write=False)
+    return HopSums(distance, reachable, sums)
+
+
 def hop_distances(graph: Graph, source: int) -> np.ndarray:
     """Breadth-first hop counts from ``source``; UNREACHABLE where no path exists.
 
     This is the one-source block of the bit-parallel search that
-    :attr:`Graph.hop_sums` runs 64 sources at a time.
+    :func:`_hop_pass` runs 64 sources at a time.
     """
     graph.check_node(source)
     return _hop_rows(graph, np.array([source]))[0].astype(np.int64)
@@ -506,13 +519,19 @@ class TopologyStats:
 
 
 def topology_stats(graph: Graph) -> TopologyStats:
-    """Node/edge counts, mean degree and distance, clustering, assortativity."""
+    """Node/edge counts, mean degree and distance, clustering, assortativity.
+
+    Reads ``graph.hop_sums`` if a measure has already computed them, and
+    otherwise runs the hop pass without the gravity sums it does not use.
+    """
     n = graph.n
     if n == 0:
         raise ValueError("topology statistics are undefined for an empty graph")
     m = graph.m
-    total_distance = int(graph.hop_sums.distance.sum())
-    reachable_pairs = int(graph.hop_sums.reachable.sum())
+    # the cached Graph.hop_sums, looked up without computing it
+    sums = graph.__dict__.get("hop_sums") or _hop_pass(graph, gravity=False)
+    total_distance = int(sums.distance.sum())
+    reachable_pairs = int(sums.reachable.sum())
     ordered_pairs = n * (n - 1)
     avg_distance = total_distance / reachable_pairs if reachable_pairs else 0.0
     unreachable_fraction = (
@@ -532,7 +551,8 @@ def topology_stats(graph: Graph) -> TopologyStats:
 def _average_clustering(graph: Graph) -> float:
     """Mean over nodes of (closed neighbor pairs / all neighbor pairs); 0 below degree 2."""
     n = graph.n
-    neighbor_sets = [set(map(int, graph.neighbors(u))) for u in range(n)]
+    indices, indptr = graph.indices.tolist(), graph.indptr.tolist()
+    neighbor_sets = [set(indices[a:b]) for a, b in zip(indptr, indptr[1:])]
     total = 0.0
     for u in range(n):
         nbrs = neighbor_sets[u]

@@ -9,13 +9,24 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 from collections import Counter, deque
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+import effgravity
 from effgravity import UNREACHABLE, Graph, ParseError, ParseReport, SIConfig, hop_distances
 from effgravity.graph import _BLOCK, COMMENT_PREFIXES, _hop_rows
+
+
+def interpreter_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this package."""
+    env = dict(os.environ)
+    package_root = str(Path(effgravity.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:

@@ -1,18 +1,18 @@
 import argparse
 import csv
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import effgravity.centrality
 import effgravity.cli
 import effgravity.effective_distance
 from effgravity.cli import build_parser, main
 from conftest import SEVEN_NODE_EDGE_LIST
+from helpers import interpreter_env
 
 
 @pytest.fixture
@@ -25,14 +25,6 @@ def seven_node_file(tmp_path):
 def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
-
-
-def interpreter_env():
-    # a fresh interpreter that imports this package
-    env = dict(os.environ)
-    package_root = str(Path(effgravity.cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return env
 
 
 def test_stats_on_triangle(tmp_path):
@@ -547,7 +539,8 @@ def test_bad_si_arguments_fail_before_any_work(tmp_path, seven_node_file, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("scores computed before the arguments were checked")
 
-    monkeypatch.setattr(effgravity.cli, "compute_scores", refuse)
+    # the commands import compute_scores from centrality when they run
+    monkeypatch.setattr(effgravity.centrality, "compute_scores", refuse)
     out = tmp_path / "out"
     argv += ["--input", str(seven_node_file), "--out", str(out)]
     assert main(argv) == 2
@@ -595,7 +588,7 @@ def test_evaluate_refuses_a_single_node_graph_before_any_work(tmp_path, monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("scores computed for a graph too small to evaluate")
 
-    monkeypatch.setattr(effgravity.cli, "compute_scores", refuse)
+    monkeypatch.setattr(effgravity.centrality, "compute_scores", refuse)
     edge_file = tmp_path / "loop.edges"
     edge_file.write_text("a a\n")
     out = tmp_path / "out"
@@ -660,3 +653,63 @@ assert not loaded, sorted(loaded)
 """
     result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+LAYERS = ["effgravity", "effgravity.cli", "effgravity.graph"]
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("stats", LAYERS),
+        ("rank", LAYERS + ["effgravity.centrality", "effgravity.effective_distance"]),
+        (
+            "spread",
+            LAYERS + ["effgravity.centrality", "effgravity.effective_distance", "effgravity.epidemics"],
+        ),
+        (
+            "evaluate",
+            LAYERS
+            + [
+                "effgravity.centrality",
+                "effgravity.effective_distance",
+                "effgravity.epidemics",
+                "effgravity.evaluation",
+            ],
+        ),
+    ],
+)
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, seven_node_file, command, loaded):
+    # every module a short CLI process imports is compiled and run at start-up
+    argv = [command, "--input", str(seven_node_file), "--out", str(tmp_path / "out")]
+    check = f"""
+import sys
+from effgravity.cli import main
+assert main({argv + SMALL_RUNS[command]!r}) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "effgravity"))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", check], env=interpreter_env(), capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{sorted(loaded)}\n"
+
+
+def test_stats_makes_no_gravity_sums(tmp_path, seven_node_file, monkeypatch):
+    import effgravity.graph
+
+    calls = []
+    original = effgravity.graph.gravity_sums
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return original(*args)
+
+    monkeypatch.setattr(effgravity.graph, "gravity_sums", counted)
+    argv = ["--input", str(seven_node_file), "--out", str(tmp_path / "out")]
+    for fmt in ("csv", "json"):
+        assert main(["stats", *argv, "--format", fmt]) == 0
+    assert calls == []
+    # the stand-in does see the hop pass of the measures, all 7 rows at once
+    assert main(["rank", *argv, "--measures", "gm"]) == 0
+    assert calls == [7]

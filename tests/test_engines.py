@@ -286,6 +286,45 @@ def test_hop_sums_of_a_cycle_have_closed_forms(n):
     assert np.all(sums.reachable == n - 1)
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [*GRAPHS, two_components_and_isolated_nodes()],
+    ids=[*GRAPH_IDS, "two-components-isolated-n130"],
+)
+def test_topology_stats_hop_pass_skips_gravity_and_matches_hop_sums(graph, monkeypatch):
+    """``topology_stats`` runs the hop pass without gravity sums when
+    ``hop_sums`` is not cached, and reads the cache when it is; both give
+    the record built from ``hop_sums``, whose sums are integers, exactly."""
+    import effgravity.graph
+
+    passes = []
+    original = effgravity.graph._hop_pass
+
+    def counted(graph, gravity):
+        passes.append(gravity)
+        return original(graph, gravity=gravity)
+
+    monkeypatch.setattr(effgravity.graph, "_hop_pass", counted)
+    fresh = Graph(indptr=graph.indptr, indices=graph.indices, labels=graph.labels)
+    lean = topology_stats(fresh)
+    assert passes == [False] and "hop_sums" not in vars(fresh)
+    sums = fresh.hop_sums
+    assert passes == [False, True]
+    assert topology_stats(fresh) == lean
+    assert passes == [False, True]
+
+    lean_sums = original(graph, gravity=False)
+    assert lean_sums.gravity is None
+    assert lean_sums.distance.tobytes() == sums.distance.tobytes()
+    assert lean_sums.reachable.tobytes() == sums.reachable.tobytes()
+    pairs = int(sums.reachable.sum())
+    ordered_pairs = graph.n * (graph.n - 1)
+    assert lean.avg_distance == (int(sums.distance.sum()) / pairs if pairs else 0.0)
+    assert lean.unreachable_pair_fraction == (
+        1.0 - pairs / ordered_pairs if ordered_pairs else 0.0
+    )
+
+
 # --- the block gravity reducer ----------------------------------------------
 
 def test_gravity_sums_group_rows_by_target_count():
