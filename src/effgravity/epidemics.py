@@ -213,7 +213,6 @@ def _infected_counts(
     kept, _, open_sets = start
     start_words = _pack(seed_masks[:kept].T, open_sets.shape[1])
     start_saturated, start_live = _filters(start_words, open_sets[0], src)
-    start_done = np.count_nonzero(start_saturated)
     seeded = np.count_nonzero(seed_masks, axis=1)
     # one buffer each, reset by every run (infected until its first phase
     # change): a fresh copy per run raised the peak RSS of a large spread by
@@ -232,19 +231,16 @@ def _infected_counts(
         saturated[...] = start_saturated
         live[...] = start_live
         kept, levels, open_sets = start
-        # nodes infected in every carried seed set; the live filter keeps
-        # only slots into unsaturated targets, so a step's nodes were all
-        # unsaturated
-        done = start_done
         counts = np.zeros((sets, len(reported)), dtype=np.int64)
         if 0 in column:
             counts[:, column[0]] = seeded
         # ndarray methods rather than np.* wrappers, and no np.diff: on a
         # tiny graph each step is a few dozen microsecond-sized calls
         for t in range(1, t_max + 1):
-            if done == n:
+            if np.count_nonzero(saturated) == n:
                 # every carried set has all n nodes at this and every later
-                # step it reads
+                # step it reads (count_nonzero is one C call, a third of the
+                # cost of ndarray.all on a tiny graph)
                 since = bisect_left(reported, t)
                 np.copyto(counts[:kept, since:], n, where=within[:kept, since:])
                 break
@@ -303,9 +299,7 @@ def _infected_counts(
                 if not reached.all():
                     new = nodes[~reached]
                     live[_adjacency_slots(graph, new, graph.degrees.take(new))] = True
-                now_saturated = (after == open_sets[0]).all(axis=1)
-                saturated[nodes] = now_saturated
-                done += np.count_nonzero(now_saturated)
+                saturated[nodes] = (after == open_sets[0]).all(axis=1)
             if steps is None:
                 # every step is read: add the bits this step infected
                 counts[:kept, t] = counts[:kept, t - 1]
@@ -321,7 +315,6 @@ def _infected_counts(
                 if kept % 64:
                     infected[:, -1] &= open_sets[0, -1]
                 saturated[...], live[...] = _filters(infected, open_sets[0], src)
-                done = np.count_nonzero(saturated)
         yield counts
 
 

@@ -43,7 +43,7 @@ class HopSums(NamedTuple):
 
     distance: np.ndarray  # sum of d(i, j), int64
     reachable: np.ndarray  # number of such peers, int64
-    gravity: np.ndarray | None  # sum of degree(j) / d(i, j)^2, float64; None if not asked for
+    gravity: np.ndarray  # sum of degree(j) / d(i, j)^2, float64
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,29 @@ class Graph:
         """All-pairs hop distances, reduced to per-node sums.
 
         Closeness and the gravity score both read these, so the all-pairs
-        hop pass (see :func:`_hop_pass`) runs once per graph;
-        :func:`topology_stats` reads them too once they are here.
+        hop pass (see :func:`_hop_blocks`) runs once per graph for both.
+        The integer sums are taken a block of rows at a time.
+        :func:`gravity_sums` reduces the gravity sums of as many of the
+        block's rows at once as fit the sweeps' slot budget (rows x n at
+        most ``_SLOT_BUDGET``, at least one row), each row in the order
+        ``np.sum`` adds it alone, so its float64 terms never outgrow the
+        sweeps' own per-level arrays.
         """
-        return _hop_pass(self, gravity=True)
+        n = self.n
+        degrees = self.degrees.astype(np.float64)
+        distance = np.zeros(n, dtype=np.int64)
+        reachable = np.zeros(n, dtype=np.int64)
+        gravity = np.zeros(n, dtype=np.float64)
+        chunk = max(1, _SLOT_BUDGET // max(n, 1))
+        for block, rows in _hop_blocks(self):
+            distance[block] = rows.clip(min=0).sum(axis=1, dtype=np.int64)
+            reachable[block] = np.count_nonzero(rows > 0, axis=1)
+            for first in range(0, block.size, chunk):
+                part = rows[first : first + chunk]
+                gravity[block[first : first + chunk]] = gravity_sums(degrees, part, part > 0)
+        for array in (distance, reachable, gravity):
+            array.setflags(write=False)
+        return HopSums(distance, reachable, gravity)
 
     def neighbors(self, i: int) -> np.ndarray:
         self.check_node(i)
@@ -299,31 +318,6 @@ def _adjacency_slots(graph: Graph | _Union, nodes: np.ndarray, counts: np.ndarra
     return (graph.indptr.take(nodes) - (ends - counts)).repeat(counts) + np.arange(ends[-1])
 
 
-# Marks an unused entry of the scratch array that _first_occurrences takes.
-_NOT_SEEN = np.iinfo(np.int64).max
-
-
-def _first_occurrences(values: np.ndarray, first_seen: np.ndarray) -> np.ndarray:
-    """Distinct entries of ``values`` in the order they first appear.
-
-    ``first_seen`` is int64 scratch indexed by value. It must hold
-    ``_NOT_SEEN`` wherever ``values`` points, and it does again on return, so
-    a caller allocates it once (``np.full(n, _NOT_SEEN)``) for many calls.
-    Unlike ``np.unique`` it does not sort, and it does not import
-    ``numpy.ma``, which ``np.unique`` does on first use in numpy 2.4 and
-    which adds about 1.6 MB to a process's peak RSS.
-
-    Brandes betweenness is its only caller, because each BFS level there
-    must keep FIFO order. The label correction in ``effective_distance``
-    needs only a distinct set, in any order.
-    """
-    position = np.arange(values.size)
-    np.minimum.at(first_seen, values, position)
-    distinct = values.take((first_seen.take(values) == position).nonzero()[0])
-    first_seen[distinct] = _NOT_SEEN
-    return distinct
-
-
 # Adjacency slots that one block of the per-source sweeps spans: a block of
 # B sources runs on B copies of the graph, so B * 2m slots in all.
 _SLOT_BUDGET = 1 << 15
@@ -429,45 +423,20 @@ def _bits(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=count, bitorder="little")
 
 
-def _hop_pass(graph: Graph, gravity: bool) -> HopSums:
-    """All-pairs hop distances, reduced to per-node sums; the gravity sums
-    are taken only when ``gravity`` is true, and are None otherwise.
-
-    The breadth-first searches run 64 sources at a time, one bit per
-    source (see :func:`_hop_rows`). The integer sums are taken a block of
-    rows at a time. :func:`gravity_sums` reduces the gravity sums of as
-    many of the block's rows at once as fit the sweeps' slot budget (rows
-    x n at most ``_SLOT_BUDGET``, at least one row), each row in the order
-    ``np.sum`` adds it alone, so its float64 terms never outgrow the
-    sweeps' own per-level arrays.
-    """
-    n = graph.n
-    degrees = graph.degrees.astype(np.float64)
-    distance = np.zeros(n, dtype=np.int64)
-    reachable = np.zeros(n, dtype=np.int64)
-    sums = np.zeros(n, dtype=np.float64) if gravity else None
-    chunk = max(1, _SLOT_BUDGET // max(n, 1))
-    for start in range(0, n, _BLOCK):
-        block = np.arange(start, min(start + _BLOCK, n))
-        rows = _hop_rows(graph, block)
-        distance[block] = rows.clip(min=0).sum(axis=1, dtype=np.int64)
-        reachable[block] = np.count_nonzero(rows > 0, axis=1)
-        if sums is None:
-            continue
-        for first in range(0, block.size, chunk):
-            part = rows[first : first + chunk]
-            sums[block[first : first + chunk]] = gravity_sums(degrees, part, part > 0)
-    for array in (distance, reachable, sums):
-        if array is not None:
-            array.setflags(write=False)
-    return HopSums(distance, reachable, sums)
+def _hop_blocks(graph: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The all-pairs hop rows: one ``(block, rows)`` pair per ``_BLOCK``
+    consecutive sources, ``rows`` being ``_hop_rows(graph, block)``. Each
+    reader reduces them its own way."""
+    for start in range(0, graph.n, _BLOCK):
+        block = np.arange(start, min(start + _BLOCK, graph.n))
+        yield block, _hop_rows(graph, block)
 
 
 def hop_distances(graph: Graph, source: int) -> np.ndarray:
     """Breadth-first hop counts from ``source``; UNREACHABLE where no path exists.
 
-    This is the one-source block of the bit-parallel search that
-    :func:`_hop_pass` runs 64 sources at a time.
+    This is the one-source block of the bit-parallel search that the
+    all-pairs hop pass (:func:`_hop_blocks`) runs 64 sources at a time.
     """
     graph.check_node(source)
     return _hop_rows(graph, np.array([source]))[0].astype(np.int64)
@@ -521,17 +490,22 @@ class TopologyStats:
 def topology_stats(graph: Graph) -> TopologyStats:
     """Node/edge counts, mean degree and distance, clustering, assortativity.
 
-    Reads ``graph.hop_sums`` if a measure has already computed them, and
-    otherwise runs the hop pass without the gravity sums it does not use.
+    Runs its own all-pairs hop pass and keeps only the two totals it
+    reads: it neither reads nor fills ``graph.hop_sums``, whose per-node
+    arrays and gravity sums it has no use for.
     """
     n = graph.n
     if n == 0:
         raise ValueError("topology statistics are undefined for an empty graph")
     m = graph.m
-    # the cached Graph.hop_sums, looked up without computing it
-    sums = graph.__dict__.get("hop_sums") or _hop_pass(graph, gravity=False)
-    total_distance = int(sums.distance.sum())
-    reachable_pairs = int(sums.reachable.sum())
+    # Python ints: numpy integers would make the ratios below np.float64
+    total_distance = reachable_pairs = 0
+    for _, rows in _hop_blocks(graph):
+        total_distance += int(rows.clip(min=0).sum(dtype=np.int64))
+        reachable_pairs += int(np.count_nonzero(rows > 0))
+        # free the block before the next block's search and the clustering
+        # below, which would otherwise run with it held
+        del rows
     ordered_pairs = n * (n - 1)
     avg_distance = total_distance / reachable_pairs if reachable_pairs else 0.0
     unreachable_fraction = (

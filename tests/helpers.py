@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 import effgravity
-from effgravity import UNREACHABLE, Graph, ParseError, ParseReport, SIConfig, hop_distances
+from effgravity import UNREACHABLE, Graph, ParseError, ParseReport, SIConfig
 from effgravity.graph import _BLOCK, COMMENT_PREFIXES, _hop_rows
 
 
@@ -314,7 +314,7 @@ def hop_distance_totals_per_source(graph: Graph) -> tuple[int, int]:
     total_distance = 0
     reachable_pairs = 0
     for source in range(graph.n):
-        row = hop_distances(graph, source)
+        row = hop_distances_by_queue(graph, source)
         mask = row > 0
         total_distance += int(row[mask].sum())
         reachable_pairs += int(mask.sum())
@@ -325,7 +325,7 @@ def closeness_per_source(graph: Graph) -> np.ndarray:
     """Reciprocal summed hop distance per node, one BFS per source; 0 with no peers."""
     scores = np.zeros(graph.n, dtype=np.float64)
     for i in range(graph.n):
-        row = hop_distances(graph, i)
+        row = hop_distances_by_queue(graph, i)
         total = int(row[row > 0].sum())
         if total > 0:
             scores[i] = 1.0 / total
@@ -337,7 +337,7 @@ def gravity_per_source(graph: Graph) -> np.ndarray:
     degrees = graph.degrees.astype(np.float64)
     scores = np.zeros(graph.n, dtype=np.float64)
     for i in range(graph.n):
-        row = hop_distances(graph, i)
+        row = hop_distances_by_queue(graph, i)
         mask = row > 0
         scores[i] = degrees[i] * float(np.sum(degrees[mask] / row[mask] ** 2))
     return scores
@@ -432,7 +432,7 @@ def betweenness_bruteforce(graph: Graph) -> np.ndarray:
     n = graph.n
     scores = np.zeros(n)
     for s in range(n):
-        dist = hop_distances(graph, s)
+        dist = hop_distances_by_queue(graph, s)
 
         def shortest_paths_to(t: int) -> list[list[int]]:
             if t == s:

@@ -251,7 +251,7 @@ def test_streamed_effg_matches_matrix_path():
         assert np.array_equal(streamed, gravity_over_rows(graph, effective_distance_matrix(graph)))
 
 
-def test_cc_gm_and_stats_share_one_hop_pass(monkeypatch):
+def test_cc_and_gm_share_one_hop_pass_and_stats_runs_its_own(monkeypatch):
     import effgravity.graph
 
     # 130 nodes take three blocks of the bit-parallel search: 64, 64 and 2
@@ -263,10 +263,17 @@ def test_cc_gm_and_stats_share_one_hop_pass(monkeypatch):
         return original(graph, sources)
 
     monkeypatch.setattr(effgravity.graph, "_hop_rows", counted)
-    compute_scores(graph, ["cc", "gm"])
+    # stats keeps two totals, not the per-node sums: it neither fills the
+    # cache nor reads it
     topology_stats(graph)
-    assert [len(block) for block in blocks] == [64, 64, 2]
-    assert sorted(s for block in blocks for s in block) == list(range(graph.n))
+    assert len(blocks) == 3 and "hop_sums" not in vars(graph)
+    compute_scores(graph, ["cc", "gm"])
+    assert len(blocks) == 6
+    topology_stats(graph)
+    assert [len(block) for block in blocks] == [64, 64, 2] * 3
+    for first in (0, 3, 6):
+        sources = sorted(s for block in blocks[first : first + 3] for s in block)
+        assert sources == list(range(graph.n))
 
 
 def test_effg_with_hop_distances_reduces_to_gravity(monkeypatch):

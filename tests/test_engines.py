@@ -36,15 +36,8 @@ from effgravity import (
     pagerank,
     topology_stats,
 )
-from effgravity.graph import (
-    _BLOCK,
-    _NOT_SEEN,
-    _adjacency_slots,
-    _first_occurrences,
-    _hop_rows,
-    _source_blocks,
-    gravity_sums,
-)
+from effgravity.centrality import _NOT_SEEN, _first_occurrences
+from effgravity.graph import _BLOCK, _adjacency_slots, _hop_rows, _source_blocks, gravity_sums
 from helpers import (
     ba_graph_with_leaves,
     betweenness_by_stack,
@@ -52,6 +45,7 @@ from helpers import (
     engine_graphs,
     gravity_over_rows,
     gravity_sums_by_row,
+    hop_distance_totals_per_source,
     hop_distances_by_queue,
 )
 
@@ -292,37 +286,38 @@ def test_hop_sums_of_a_cycle_have_closed_forms(n):
     ids=[*GRAPH_IDS, "two-components-isolated-n130"],
 )
 def test_topology_stats_hop_pass_skips_gravity_and_matches_hop_sums(graph, monkeypatch):
-    """``topology_stats`` runs the hop pass without gravity sums when
-    ``hop_sums`` is not cached, and reads the cache when it is; both give
-    the record built from ``hop_sums``, whose sums are integers, exactly."""
+    """``topology_stats`` runs its own hop pass without gravity sums, and
+    gives the record built from ``hop_sums``, whose sums are integers, and
+    from one BFS per source, exactly, whether or not ``hop_sums`` is cached."""
     import effgravity.graph
 
-    passes = []
-    original = effgravity.graph._hop_pass
+    calls = []
+    original = effgravity.graph.gravity_sums
 
-    def counted(graph, gravity):
-        passes.append(gravity)
-        return original(graph, gravity=gravity)
+    def counted(degrees, rows, mask):
+        calls.append(len(rows))
+        return original(degrees, rows, mask)
 
-    monkeypatch.setattr(effgravity.graph, "_hop_pass", counted)
+    monkeypatch.setattr(effgravity.graph, "gravity_sums", counted)
     fresh = Graph(indptr=graph.indptr, indices=graph.indices, labels=graph.labels)
     lean = topology_stats(fresh)
-    assert passes == [False] and "hop_sums" not in vars(fresh)
+    assert calls == [] and "hop_sums" not in vars(fresh)
     sums = fresh.hop_sums
-    assert passes == [False, True]
+    assert sums.gravity is not None and sums.gravity.dtype == np.float64
+    assert sum(calls) == graph.n
     assert topology_stats(fresh) == lean
-    assert passes == [False, True]
+    assert sum(calls) == graph.n
 
-    lean_sums = original(graph, gravity=False)
-    assert lean_sums.gravity is None
-    assert lean_sums.distance.tobytes() == sums.distance.tobytes()
-    assert lean_sums.reachable.tobytes() == sums.reachable.tobytes()
-    pairs = int(sums.reachable.sum())
+    total, pairs = hop_distance_totals_per_source(graph)
+    assert (int(sums.distance.sum()), int(sums.reachable.sum())) == (total, pairs)
     ordered_pairs = graph.n * (graph.n - 1)
-    assert lean.avg_distance == (int(sums.distance.sum()) / pairs if pairs else 0.0)
-    assert lean.unreachable_pair_fraction == (
-        1.0 - pairs / ordered_pairs if ordered_pairs else 0.0
+    want = (
+        total / pairs if pairs else 0.0,
+        1.0 - pairs / ordered_pairs if ordered_pairs else 0.0,
     )
+    assert (lean.avg_distance, lean.unreachable_pair_fraction) == want
+    # Python floats, so the record's repr and equality are those of floats
+    assert [type(lean.avg_distance), type(lean.unreachable_pair_fraction)] == [float, float]
 
 
 # --- the block gravity reducer ----------------------------------------------

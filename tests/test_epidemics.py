@@ -19,7 +19,13 @@ from effgravity import (
     spreading_powers,
     top_k_infection_curves,
 )
-from helpers import engine_graphs, oracle_graphs, random_connected_graph, si_curves_per_seed_set
+from helpers import (
+    engine_graphs,
+    hop_distances_by_queue,
+    oracle_graphs,
+    random_connected_graph,
+    si_curves_per_seed_set,
+)
 
 
 def star_graph(leaves):
@@ -369,7 +375,7 @@ def test_spreading_powers_beta_one_is_one_run_of_hop_balls(monkeypatch):
     assert passes == [(8, [1.0], t_max, 1), (7, [1.0], t_max, 1)]
     balls = [
         np.count_nonzero((row >= 0) & (row <= t_max))
-        for row in (hop_distances(graph, s) for s in range(n))
+        for row in (hop_distances_by_queue(graph, s) for s in range(n))
     ]
     assert power.tolist() == balls
 
