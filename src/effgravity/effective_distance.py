@@ -8,19 +8,31 @@ left, the optimal walk is a shortest path under per-edge weight
 ``log2(degree(u))`` for the edge leaving u. Those shortest paths are found
 by label correction, a block of sources at a time, relaxing in each round
 the edges out of every node whose distance dropped in the round before.
-A round that expands at least as many adjacency slots as the block has
-labels is dense: it scatters every candidate with a minimum and finds the
-lowered labels with one compare of all of them against the round's start.
-A smaller round keeps only the candidates below their target's label and
-deduplicates those targets with a scatter. Both find the same set of
-dropped nodes, so the switch, by frontier size as in direction-optimising
-BFS (Beamer et al., SC 2012), changes the time only: on scale-free graphs
-the middle rounds are dense, while the first and last rounds and every
-round on a long cycle are small. A round depends only on which nodes
-dropped, not on their order, and taking the minimum is exact, so the
-fixpoint does not depend on it either. The quantity is asymmetric even on
-undirected graphs, and the self-distance is infinite (a walk never
-"arrives" at its start).
+Rounds come in three kinds, picked by frontier size as in
+direction-optimising BFS (Beamer et al., SC 2012):
+
+- once at least a third of the block's labels dropped, a round relaxes
+  every adjacency slot of the block, with no gather of the dropped nodes'
+  slots, and finds the lowered labels with one compare of all of them
+  against the round's start;
+- otherwise a round that expands at least as many adjacency slots as the
+  block has labels is dense: it scatters every candidate of the dropped
+  nodes with a minimum and finds the lowered labels the same way;
+- a smaller round keeps only the candidates below their target's label
+  and deduplicates those targets with a scatter.
+
+All three lower the same labels to the same values. Relaxing every slot
+is exact because a finite label that did not drop in the round before
+was set earlier (a source's 0 at the start) and expanded in the round
+after that, with the value it still has: its candidates are already
+applied, and a minimum with them again changes nothing. An infinite
+label offers only infinite candidates. So the switch changes the time
+only: on scale-free graphs the middle rounds relax everything or are
+dense, while the first and last rounds and every round on a long cycle
+are small. A round depends only on which nodes dropped, not on their
+order, and taking the minimum is exact, so the fixpoint does not depend
+on it either. The quantity is asymmetric even on undirected graphs, and
+the self-distance is infinite (a walk never "arrives" at its start).
 """
 
 from __future__ import annotations
@@ -31,6 +43,10 @@ from typing import IO, Iterator
 import numpy as np
 
 from .graph import Graph, _adjacency_slots, _source_blocks
+
+# A round relaxes every slot of the union once this many times its dropped
+# labels reach the block's labels, that is, once a third of them dropped.
+_RELAX_ALL_FACTOR = 3
 
 
 def effective_distances(graph: Graph, source: int) -> np.ndarray:
@@ -71,7 +87,8 @@ def _effective_rows(graph: Graph, sources: np.ndarray) -> Iterator[tuple[np.ndar
     # weight of every edge leaving u; isolated nodes have no outgoing edges
     leave_cost = np.log2(np.maximum(union.degrees, 1))
     # scratch for deduplicating a small round's targets, and the labels at
-    # the start of a dense round; only entries a round writes are read back
+    # the start of a dense or relax-all round; only entries a round writes
+    # are read back
     seen = np.zeros(size, dtype=np.int64)
     before = np.empty(size, dtype=np.float64)
     for block, starts in blocks:
@@ -79,14 +96,22 @@ def _effective_rows(graph: Graph, sources: np.ndarray) -> Iterator[tuple[np.ndar
         dist[starts] = 0.0
         dropped = starts
         while dropped.size:
-            counts = union.degrees.take(dropped)
-            targets = union.indices.take(_adjacency_slots(union, dropped, counts))
-            candidates = (dist.take(dropped) + leave_cost.take(dropped)).repeat(counts)
+            relax_all = _RELAX_ALL_FACTOR * dropped.size >= size
+            if relax_all:
+                # every slot's candidate, with no gather of the dropped
+                # nodes' slots; the labels that did not drop lower nothing
+                # (see the module docstring)
+                targets = union.indices
+                candidates = (dist + leave_cost).repeat(union.degrees)
+            else:
+                counts = union.degrees.take(dropped)
+                targets = union.indices.take(_adjacency_slots(union, dropped, counts))
+                candidates = (dist.take(dropped) + leave_cost.take(dropped)).repeat(counts)
             # Only strictly lower labels enter the next round, so the rounds
             # end. Adding a non-negative cost is monotone in floating point,
             # so the fixpoint is the least float path sum, which is what a
             # heap Dijkstra returns too, bit for bit.
-            if targets.size >= size:
+            if relax_all or targets.size >= size:
                 # dense: scatter every candidate, then one compare of all
                 # the labels with the round's start finds the lowered ones
                 np.copyto(before, dist)

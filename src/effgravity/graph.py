@@ -138,8 +138,9 @@ class Graph:
         """All-pairs hop distances, reduced to per-node sums.
 
         Closeness and the gravity score both read these, so the all-pairs
-        hop pass (see :func:`_hop_blocks`) runs once per graph for both.
-        The integer sums are taken a block of rows at a time.
+        hop pass runs once per graph for both, ``_BLOCK`` consecutive
+        sources at a time (see :func:`_hop_rows`). The integer sums are
+        taken a block of rows at a time.
         :func:`gravity_sums` reduces the gravity sums of as many of the
         block's rows at once as fit the sweeps' slot budget (rows x n at
         most ``_SLOT_BUDGET``, at least one row), each row in the order
@@ -152,7 +153,9 @@ class Graph:
         reachable = np.zeros(n, dtype=np.int64)
         gravity = np.zeros(n, dtype=np.float64)
         chunk = max(1, _SLOT_BUDGET // max(n, 1))
-        for block, rows in _hop_blocks(self):
+        for start in range(0, n, _BLOCK):
+            block = np.arange(start, min(start + _BLOCK, n))
+            rows = _hop_rows(self, block)
             distance[block] = rows.clip(min=0).sum(axis=1, dtype=np.int64)
             reachable[block] = np.count_nonzero(rows > 0, axis=1)
             for first in range(0, block.size, chunk):
@@ -379,39 +382,52 @@ def _source_blocks(
 _BLOCK = np.iinfo(np.uint64).bits
 
 
-def _hop_rows(graph: Graph, sources: np.ndarray) -> np.ndarray:
-    """Hop counts from up to ``_BLOCK`` distinct ``sources``, searched together.
+def _hop_levels(graph: Graph, sources: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The levels of one bit-parallel search from up to ``_BLOCK`` distinct
+    ``sources``: per level 1, 2, ... in order, the nodes that level first
+    reaches from some source, and each such node's word of new bits.
 
-    Returns an int32 array of shape ``(len(sources), n)`` whose row i holds
-    the hop counts from ``sources[i]``, UNREACHABLE where no path exists.
     Each node keeps one uint64 word whose bit i says that source i has
     reached it. A level pulls every node's word from the frontier words of
     its neighbors, so it costs O(m) for the whole block; the bits not seen
-    before are recorded at that level, and the search stops when a level
-    adds none. Working memory is O(m + 64 n).
+    before are that level's, and the search stops when a level adds none.
+    Working memory is O(m + n).
     """
-    n, count = graph.n, len(sources)
+    n = graph.n
     # reduceat gives an empty segment the next element, so only nodes with
     # neighbors take part in the pull
     has_edges = np.flatnonzero(graph.degrees)
     starts = graph.indptr[has_edges]
     visited = np.zeros(n, dtype=np.uint64)
-    visited[sources] = np.left_shift(np.uint64(1), np.arange(count, dtype=np.uint64))
+    visited[sources] = np.left_shift(np.uint64(1), np.arange(len(sources), dtype=np.uint64))
     frontier = visited.copy()
-    levels = np.zeros((n, count), dtype=np.int32)
-    level = 0
     while True:
-        level += 1
         reached = np.zeros(n, dtype=np.uint64)
         reached[has_edges] = np.bitwise_or.reduceat(frontier[graph.indices], starts)
         frontier = reached & ~visited
         hit = np.flatnonzero(frontier)
         if not hit.size:
-            break
+            return
         visited |= frontier
+        yield hit, frontier[hit]
+
+
+def _hop_rows(graph: Graph, sources: np.ndarray) -> np.ndarray:
+    """Hop counts from up to ``_BLOCK`` distinct ``sources``, searched together.
+
+    Returns an int32 array of shape ``(len(sources), n)`` whose row i holds
+    the hop counts from ``sources[i]``, UNREACHABLE where no path exists.
+    Each level of :func:`_hop_levels` writes its number into the entries
+    of the bits it first sets; every other entry but a source's own is
+    unreachable. Working memory is O(m + 64 n).
+    """
+    n, count = graph.n, len(sources)
+    levels = np.zeros((n, count), dtype=np.int32)
+    for level, (hit, words) in enumerate(_hop_levels(graph, sources), start=1):
         # an explicit int32 product: uint8 bits times a level past 255 would overflow
-        levels[hit] += np.multiply(_bits(frontier[hit], count), level, dtype=np.int32)
-    levels[_bits(visited, count) == 0] = UNREACHABLE
+        levels[hit] += np.multiply(_bits(words, count), level, dtype=np.int32)
+    levels[levels == 0] = UNREACHABLE
+    levels[sources, np.arange(count)] = 0
     return np.ascontiguousarray(levels.T)
 
 
@@ -423,20 +439,11 @@ def _bits(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=count, bitorder="little")
 
 
-def _hop_blocks(graph: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The all-pairs hop rows: one ``(block, rows)`` pair per ``_BLOCK``
-    consecutive sources, ``rows`` being ``_hop_rows(graph, block)``. Each
-    reader reduces them its own way."""
-    for start in range(0, graph.n, _BLOCK):
-        block = np.arange(start, min(start + _BLOCK, graph.n))
-        yield block, _hop_rows(graph, block)
-
-
 def hop_distances(graph: Graph, source: int) -> np.ndarray:
     """Breadth-first hop counts from ``source``; UNREACHABLE where no path exists.
 
     This is the one-source block of the bit-parallel search that the
-    all-pairs hop pass (:func:`_hop_blocks`) runs 64 sources at a time.
+    all-pairs hop pass (:attr:`Graph.hop_sums`) runs 64 sources at a time.
     """
     graph.check_node(source)
     return _hop_rows(graph, np.array([source]))[0].astype(np.int64)
@@ -492,7 +499,10 @@ def topology_stats(graph: Graph) -> TopologyStats:
 
     Runs its own all-pairs hop pass and keeps only the two totals it
     reads: it neither reads nor fills ``graph.hop_sums``, whose per-node
-    arrays and gravity sums it has no use for.
+    arrays and gravity sums it has no use for. Each level of the search
+    (see :func:`_hop_levels`) adds its count of first-reached (source,
+    target) pairs, the population count of its new-bit words, so no
+    per-source table is built.
     """
     n = graph.n
     if n == 0:
@@ -500,12 +510,12 @@ def topology_stats(graph: Graph) -> TopologyStats:
     m = graph.m
     # Python ints: numpy integers would make the ratios below np.float64
     total_distance = reachable_pairs = 0
-    for _, rows in _hop_blocks(graph):
-        total_distance += int(rows.clip(min=0).sum(dtype=np.int64))
-        reachable_pairs += int(np.count_nonzero(rows > 0))
-        # free the block before the next block's search and the clustering
-        # below, which would otherwise run with it held
-        del rows
+    for start in range(0, n, _BLOCK):
+        sources = np.arange(start, min(start + _BLOCK, n))
+        for level, (_, words) in enumerate(_hop_levels(graph, sources), start=1):
+            found = int(np.bitwise_count(words).sum())
+            reachable_pairs += found
+            total_distance += level * found
     ordered_pairs = n * (n - 1)
     avg_distance = total_distance / reachable_pairs if reachable_pairs else 0.0
     unreachable_fraction = (

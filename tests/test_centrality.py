@@ -256,24 +256,32 @@ def test_cc_and_gm_share_one_hop_pass_and_stats_runs_its_own(monkeypatch):
 
     # 130 nodes take three blocks of the bit-parallel search: 64, 64 and 2
     graph = random_graph(np.random.default_rng(4), 130, 0.03)
-    blocks = []
-    original = effgravity.graph._hop_rows
-    def counted(graph, sources):
-        blocks.append(sources.tolist())
-        return original(graph, sources)
+    searches = []
+    tables = []
+    original_levels = effgravity.graph._hop_levels
+    original_rows = effgravity.graph._hop_rows
 
-    monkeypatch.setattr(effgravity.graph, "_hop_rows", counted)
-    # stats keeps two totals, not the per-node sums: it neither fills the
-    # cache nor reads it
+    def counted_levels(graph, sources):
+        searches.append(sources.tolist())
+        return original_levels(graph, sources)
+
+    def counted_rows(graph, sources):
+        tables.append(sources.tolist())
+        return original_rows(graph, sources)
+
+    monkeypatch.setattr(effgravity.graph, "_hop_levels", counted_levels)
+    monkeypatch.setattr(effgravity.graph, "_hop_rows", counted_rows)
+    # stats counts each level's pairs straight from the search, so it builds
+    # no hop table, and it neither fills the cache nor reads it
     topology_stats(graph)
-    assert len(blocks) == 3 and "hop_sums" not in vars(graph)
+    assert [len(block) for block in searches] == [64, 64, 2]
+    assert tables == [] and "hop_sums" not in vars(graph)
+    # cc and gm share one pass, which builds each block's table
     compute_scores(graph, ["cc", "gm"])
-    assert len(blocks) == 6
-    topology_stats(graph)
-    assert [len(block) for block in blocks] == [64, 64, 2] * 3
-    for first in (0, 3, 6):
-        sources = sorted(s for block in blocks[first : first + 3] for s in block)
-        assert sources == list(range(graph.n))
+    assert [len(block) for block in tables] == [64, 64, 2]
+    assert searches[3:] == tables
+    for blocks in (searches[:3], tables):
+        assert sorted(s for block in blocks for s in block) == list(range(graph.n))
 
 
 def test_effg_with_hop_distances_reduces_to_gravity(monkeypatch):

@@ -45,8 +45,10 @@ from helpers import (
     engine_graphs,
     gravity_over_rows,
     gravity_sums_by_row,
+    grid_graph,
     hop_distance_totals_per_source,
     hop_distances_by_queue,
+    random_graph,
 )
 
 GRAPHS = engine_graphs()
@@ -133,57 +135,129 @@ def test_source_blocks_of_any_size_match_oracles(index, copies, monkeypatch):
         assert effective_distances(graph, s).tobytes() == rows[s].tobytes()
 
 
-def test_label_correction_mixing_dense_and_small_rounds_matches_heap(monkeypatch):
-    """A round is dense when it expands at least as many slots as the
-    block's B * n labels, and small otherwise. On this 20-node graph (16
-    preferential-attachment nodes with 2 links each and 4 pendant leaves)
-    at B = 8 the three blocks run, round by round (s small, D dense):
+def record_label_correction(monkeypatch) -> list[tuple[np.ndarray, list]]:
+    """Patch the label correction so that it records its rounds.
 
-    - sources 0-7: sDDss, a small first round from the 8 sources, two
-      dense rounds through the hubs, then two small rounds of the last
-      corrections;
-    - sources 8-15: ssDsss, one dense round between small ones;
-    - sources 16-19: ssssss, all small, as these 4 sources leave half of
-      the union's 8 copies unused.
-
-    Each round is recorded as small when its slots are expanded and marked
-    dense when it takes the dense branch's snapshot of the labels, so the
-    pattern is what ran. The matrix must equal the heap Dijkstra's byte
-    for byte either way.
+    Returns a list that fills with one ``(labels, rounds)`` pair per block,
+    ``rounds`` holding per round its kind and the nodes it lowered: "A" for a round that relaxes every
+    slot of the union, "D" for a dense round (it snapshots the labels, but
+    expands only the dropped nodes' slots) and "s" for a small one. Each
+    round makes exactly one ``np.minimum.at`` call, and the lowered nodes
+    are read from the labels on either side of it.
     """
     import effgravity.effective_distance as ed
-    import effgravity.graph
 
-    graph = ba_graph_with_leaves(np.random.default_rng(0), 16, 2, 4)
-    monkeypatch.setattr(effgravity.graph, "_SLOT_BUDGET", 8 * max(2 * graph.m, graph.n))
-    starts = []
-    rounds = []
+    unions = []
+    blocks = []
+    snapshots = []
 
     def recording_blocks(graph, sources):
-        union, blocks = _source_blocks(graph, sources)
-        starts.extend(block_starts for _, block_starts in blocks)
-        return union, blocks
+        union, pairs = _source_blocks(graph, sources)
+        unions.append(union)
+        return union, pairs
 
-    def recording_slots(union, nodes, counts):
-        if any(nodes is block_starts for block_starts in starts):
-            rounds.append("")
-        rounds[-1] += "s"
-        return _adjacency_slots(union, nodes, counts)
+    class RecordingMinimum:
+        def at(self, dist, targets, candidates):
+            if not blocks or blocks[-1][0] is not dist:
+                blocks.append((dist, []))
+            if targets is unions[-1].indices:
+                kind = "A"
+            else:
+                kind = "D" if snapshots else "s"
+            snapshots.clear()
+            before = dist.copy()
+            np.minimum.at(dist, targets, candidates)
+            blocks[-1][1].append((kind, np.flatnonzero(dist < before)))
 
     class RecordingNumpy:
+        minimum = RecordingMinimum()
+
         def __getattr__(self, name):
             return getattr(np, name)
 
         def copyto(self, dst, src):
-            rounds[-1] = rounds[-1][:-1] + "D"
+            snapshots.append(True)
             np.copyto(dst, src)
 
     monkeypatch.setattr(ed, "_source_blocks", recording_blocks)
-    monkeypatch.setattr(ed, "_adjacency_slots", recording_slots)
     monkeypatch.setattr(ed, "np", RecordingNumpy())
+    return blocks
+
+
+def round_kinds(blocks) -> list[str]:
+    return ["".join(kind for kind, _ in rounds) for _, rounds in blocks]
+
+
+def test_label_correction_mixing_dense_and_small_rounds_matches_heap(monkeypatch):
+    """A round relaxes every slot once a third of the block's B * n labels
+    dropped in the round before; otherwise it is dense when it expands at
+    least as many slots as there are labels, and small below that. On this
+    20-node graph (16 preferential-attachment nodes with 2 links each and
+    4 pendant leaves) at B = 8 the three blocks run, round by round (s
+    small, D dense, A all slots):
+
+    - sources 0-7: sDAss, a small first round from the 8 sources, a dense
+      round through the hubs, which lowers 81 of the 160 labels, so the
+      third round relaxes every slot, then two small rounds of the last
+      corrections;
+    - sources 8-15: ssAsss, where the second round lowers 67 labels, so
+      the third relaxes every slot;
+    - sources 16-19: ssssss, all small, as these 4 sources leave half of
+      the union's 8 copies unused.
+
+    The matrix must equal the heap Dijkstra's byte for byte.
+    """
+    import effgravity.graph
+
+    graph = ba_graph_with_leaves(np.random.default_rng(0), 16, 2, 4)
+    monkeypatch.setattr(effgravity.graph, "_SLOT_BUDGET", 8 * max(2 * graph.m, graph.n))
+    blocks = record_label_correction(monkeypatch)
     want = np.stack([effective_distances_by_heap(graph, s) for s in range(graph.n)])
     assert effective_distance_matrix(graph).tobytes() == want.tobytes()
-    assert rounds == ["sDDss", "ssDsss", "ssssss"]
+    assert round_kinds(blocks) == ["sDAss", "ssAsss", "ssssss"]
+    assert [lowered.size for _, lowered in blocks[0][1]] == [38, 81, 30, 4, 0]
+
+
+# graphs for the relax-all check, built on first use: zero-cost leaf edges,
+# unreachable copies and isolated nodes, hundreds of tiny rounds, many tied
+# labels, one hub, and a first round that lowers every label but the sources'
+RELAX_ALL_GRAPHS = {
+    "ba-with-leaves": lambda: ba_graph_with_leaves(np.random.default_rng(3), 60, 3, 15),
+    "two-components-isolated": lambda: two_components_and_isolated_nodes(),
+    "path-n700": lambda: path_graph(700),
+    "grid-20x12": lambda: grid_graph(20, 12),
+    "star-8": lambda: Graph.from_edges(9, [(0, i) for i in range(1, 9)]),
+    "complete-9": lambda: Graph.from_edges(9, list(itertools.combinations(range(9), 2))),
+}
+
+
+@pytest.mark.parametrize("name", RELAX_ALL_GRAPHS)
+def test_relaxing_every_slot_lowers_the_labels_the_dropped_nodes_lower(name, monkeypatch):
+    """A label that did not drop in the round before has had its
+    candidates applied already, so relaxing every slot lowers exactly what
+    relaxing the dropped nodes' slots lowers. With the third-of-labels rule
+    forced to every round and to none, every round of every block lowers
+    the same nodes, and both sets of rows equal the heap Dijkstra's. On the
+    path every seventh node is a source, which keeps its hundreds of
+    all-slot rounds to about 100 sources."""
+    import effgravity.effective_distance as ed
+
+    graph = RELAX_ALL_GRAPHS[name]()
+    sources = np.arange(0, graph.n, max(1, graph.n // 100))
+    want = np.stack([effective_distances_by_heap(graph, s) for s in sources])
+    lowered = {}
+    for rule, factor in (("always", 2**40), ("never", 0)):
+        monkeypatch.setattr(ed, "_RELAX_ALL_FACTOR", factor)
+        blocks = record_label_correction(monkeypatch)
+        rows = np.concatenate([rows for _, rows in ed._effective_rows(graph, sources)])
+        assert rows.tobytes() == want.tobytes()
+        kinds = set("".join(round_kinds(blocks)))
+        if rule == "always":
+            assert kinds == {"A"}
+        else:
+            assert "A" not in kinds
+        lowered[rule] = [[nodes.tolist() for _, nodes in rounds] for _, rounds in blocks]
+    assert lowered["always"] == lowered["never"]
 
 
 @pytest.mark.parametrize("n", [6, 7, 10, 11, 1000])
@@ -258,6 +332,41 @@ def sparse_graphs(draw, max_nodes: int = 150):
 @given(sparse_graphs())
 def test_hop_blocks_match_queue_oracle_on_random_graphs(graph):
     assert_hop_blocks_match_queue(graph)
+
+
+def assert_stats_totals_match_queue(graph: Graph) -> None:
+    """``topology_stats``' popcount totals against one queue BFS per source,
+    and its two ratios as Python floats, as numpy integer totals would
+    make them ``np.float64``."""
+    total, reachable = hop_distance_totals_per_source(graph)
+    ordered = graph.n * (graph.n - 1)
+    stats = topology_stats(graph)
+    assert type(stats.avg_distance) is float
+    assert type(stats.unreachable_pair_fraction) is float
+    assert stats.avg_distance == (total / reachable if reachable else 0.0)
+    assert stats.unreachable_pair_fraction == (1.0 - reachable / ordered if ordered else 0.0)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        two_components_and_isolated_nodes(),
+        random_graph(np.random.default_rng(65), 65, 0.05),
+        random_graph(np.random.default_rng(130), 130, 0.03),
+        path_graph(299),
+    ],
+    ids=["two-components-isolated-n130", "random-n65", "random-n130", "path-n299"],
+)
+def test_stats_popcount_totals_match_queue_oracle(graph):
+    # 65 and 130 nodes end in a partial block of 1 and 2 sources; the path
+    # has 298 levels
+    assert_stats_totals_match_queue(graph)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(sparse_graphs())
+def test_stats_popcount_totals_match_queue_oracle_on_random_graphs(graph):
+    assert_stats_totals_match_queue(graph)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 130, 300])
