@@ -15,9 +15,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-# Hop-distance sentinel for node pairs with no connecting path. Kept as a
-# dedicated value (never a large finite number) so distance-weighted sums can
-# skip unreachable pairs exactly.
+# Hop count that hop_distances returns where no path exists, never a large
+# finite number. Inside the hop layer 0 means "no path", as in the search's
+# bit words, since no sum counts a node's distance to itself.
 UNREACHABLE = -1
 
 COMMENT_PREFIXES = ("#", "%")
@@ -42,7 +42,6 @@ class HopSums(NamedTuple):
     """Per-node sums over the peers j != i reachable from i, at hop distance d(i, j)."""
 
     distance: np.ndarray  # sum of d(i, j), int64
-    reachable: np.ndarray  # number of such peers, int64
     gravity: np.ndarray  # sum of degree(j) / d(i, j)^2, float64
 
 
@@ -139,7 +138,10 @@ class Graph:
 
         Closeness and the gravity score both read these, so the all-pairs
         hop pass runs once per graph for both, ``_BLOCK`` consecutive
-        sources at a time (see :func:`_hop_rows`). The integer sums are
+        sources at a time. Each level of a block's search (see
+        :func:`_hop_levels`) writes its number into an int32 table of the
+        block's rows, in O(64 n) memory, where an unreached target and the
+        source itself keep 0 and add to neither sum. The integer sums are
         taken a block of rows at a time.
         :func:`gravity_sums` reduces the gravity sums of as many of the
         block's rows at once as fit the sweeps' slot budget (rows x n at
@@ -150,20 +152,23 @@ class Graph:
         n = self.n
         degrees = self.degrees.astype(np.float64)
         distance = np.zeros(n, dtype=np.int64)
-        reachable = np.zeros(n, dtype=np.int64)
         gravity = np.zeros(n, dtype=np.float64)
         chunk = max(1, _SLOT_BUDGET // max(n, 1))
+        _raise_heap_thresholds()
         for start in range(0, n, _BLOCK):
             block = np.arange(start, min(start + _BLOCK, n))
-            rows = _hop_rows(self, block)
-            distance[block] = rows.clip(min=0).sum(axis=1, dtype=np.int64)
-            reachable[block] = np.count_nonzero(rows > 0, axis=1)
+            levels = np.zeros((n, block.size), dtype=np.int32)
+            for level, (hit, words) in enumerate(_hop_levels(self, block), start=1):
+                # an explicit int32 product: uint8 bits times a level past 255 would overflow
+                levels[hit] += np.multiply(_bits(words, block.size), level, dtype=np.int32)
+            rows = np.ascontiguousarray(levels.T)
+            distance[block] = rows.sum(axis=1, dtype=np.int64)
             for first in range(0, block.size, chunk):
                 part = rows[first : first + chunk]
                 gravity[block[first : first + chunk]] = gravity_sums(degrees, part, part > 0)
-        for array in (distance, reachable, gravity):
+        for array in (distance, gravity):
             array.setflags(write=False)
-        return HopSums(distance, reachable, gravity)
+        return HopSums(distance, gravity)
 
     def neighbors(self, i: int) -> np.ndarray:
         self.check_node(i)
@@ -354,14 +359,7 @@ def _source_blocks(
     """
     n, count = graph.n, len(sources)
     copies = max(1, min(count, _SLOT_BUDGET // max(2 * graph.m, n, 1)))
-    # An untouched array of 32 bytes per budget slot (1 MiB), dropped at
-    # once. When glibc frees a chunk it had to mmap, it raises its dynamic
-    # mmap and trim thresholds to that size (mallopt(3), M_MMAP_THRESHOLD),
-    # so the sweep's per-level arrays, up to 256 KB each at the budget,
-    # come from and go back to the heap instead of being mapped, faulted in
-    # and unmapped level after level. Its pages are never written, so it
-    # adds no RSS; other allocators ignore it.
-    np.empty(32 * _SLOT_BUDGET, dtype=np.uint8)
+    _raise_heap_thresholds()
     copy = np.arange(copies, dtype=np.int64)[:, None]
     if copies == 1:
         # one copy is the graph itself, so it lends its own arrays
@@ -376,6 +374,19 @@ def _source_blocks(
     starts = copy[:, 0] * n
     blocks = [sources[first : first + copies] for first in range(0, count, copies)]
     return union, [(block, starts[: block.size] + block) for block in blocks]
+
+
+def _raise_heap_thresholds() -> None:
+    """Allocate and drop an untouched array of 32 bytes per budget slot (1 MiB).
+
+    When glibc frees a chunk it had to mmap, it raises its dynamic mmap and
+    trim thresholds to that size (mallopt(3), M_MMAP_THRESHOLD), so a
+    sweep's per-level arrays, up to 256 KB each at the budget, come from
+    and go back to the heap instead of being mapped, faulted in and
+    unmapped level after level. Its pages are never written, so it adds no
+    RSS; other allocators ignore it.
+    """
+    np.empty(32 * _SLOT_BUDGET, dtype=np.uint8)
 
 
 # Sources per bit-parallel hop search: one bit of a uint64 word each.
@@ -412,25 +423,6 @@ def _hop_levels(graph: Graph, sources: np.ndarray) -> Iterator[tuple[np.ndarray,
         yield hit, frontier[hit]
 
 
-def _hop_rows(graph: Graph, sources: np.ndarray) -> np.ndarray:
-    """Hop counts from up to ``_BLOCK`` distinct ``sources``, searched together.
-
-    Returns an int32 array of shape ``(len(sources), n)`` whose row i holds
-    the hop counts from ``sources[i]``, UNREACHABLE where no path exists.
-    Each level of :func:`_hop_levels` writes its number into the entries
-    of the bits it first sets; every other entry but a source's own is
-    unreachable. Working memory is O(m + 64 n).
-    """
-    n, count = graph.n, len(sources)
-    levels = np.zeros((n, count), dtype=np.int32)
-    for level, (hit, words) in enumerate(_hop_levels(graph, sources), start=1):
-        # an explicit int32 product: uint8 bits times a level past 255 would overflow
-        levels[hit] += np.multiply(_bits(words, count), level, dtype=np.int32)
-    levels[levels == 0] = UNREACHABLE
-    levels[sources, np.arange(count)] = 0
-    return np.ascontiguousarray(levels.T)
-
-
 def _bits(words: np.ndarray, count: int) -> np.ndarray:
     """``(len(words), count)`` uint8 table of the lowest ``count`` bits of each
     word, or of each row of words (bit i of a row is bit i % 64 of word i // 64).
@@ -440,13 +432,20 @@ def _bits(words: np.ndarray, count: int) -> np.ndarray:
 
 
 def hop_distances(graph: Graph, source: int) -> np.ndarray:
-    """Breadth-first hop counts from ``source``; UNREACHABLE where no path exists.
+    """Breadth-first hop counts from ``source`` as int64, 0 at ``source``;
+    UNREACHABLE where no path exists.
 
-    This is the one-source block of the bit-parallel search that the
-    all-pairs hop pass (:attr:`Graph.hop_sums`) runs 64 sources at a time.
+    This is the one-source search of :func:`_hop_levels`, which the
+    all-pairs hop pass (:attr:`Graph.hop_sums`) runs 64 sources at a time:
+    each level's number goes into the nodes it first reaches. It is the
+    only writer of UNREACHABLE.
     """
     graph.check_node(source)
-    return _hop_rows(graph, np.array([source]))[0].astype(np.int64)
+    row = np.full(graph.n, UNREACHABLE, dtype=np.int64)
+    row[source] = 0
+    for level, (hit, _) in enumerate(_hop_levels(graph, np.array([source])), start=1):
+        row[hit] = level
+    return row
 
 
 def gravity_sums(degrees: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:

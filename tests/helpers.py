@@ -18,7 +18,7 @@ import numpy as np
 
 import effgravity
 from effgravity import UNREACHABLE, Graph, ParseError, ParseReport, SIConfig
-from effgravity.graph import _BLOCK, COMMENT_PREFIXES, _hop_rows
+from effgravity.graph import _BLOCK, COMMENT_PREFIXES
 
 
 def interpreter_env() -> dict[str, str]:
@@ -362,13 +362,13 @@ def gravity_over_rows(graph: Graph, rows) -> np.ndarray:
 def hop_row_blocks(graph: Graph, sources: np.ndarray):
     """Hop-distance rows of ``sources`` as the ``(block, rows)`` pairs of
     ``effective_distance._effective_rows``, in blocks of the bit-parallel
-    search: floats, with ``inf`` for the source itself and for unreachable
-    targets, the layout of an effective-distance row."""
+    search's size, one queue BFS per row: floats, with ``inf`` for the
+    source itself and for unreachable targets, the layout of an
+    effective-distance row."""
     for first in range(0, len(sources), _BLOCK):
         block = sources[first : first + _BLOCK]
-        rows = _hop_rows(graph, block).astype(np.float64)
-        rows[rows < 0] = np.inf
-        rows[np.arange(block.size), block] = np.inf
+        rows = np.array([hop_distances_by_queue(graph, s) for s in block], dtype=np.float64)
+        rows[rows <= 0] = np.inf
         yield block, rows
 
 

@@ -257,31 +257,26 @@ def test_cc_and_gm_share_one_hop_pass_and_stats_runs_its_own(monkeypatch):
     # 130 nodes take three blocks of the bit-parallel search: 64, 64 and 2
     graph = random_graph(np.random.default_rng(4), 130, 0.03)
     searches = []
-    tables = []
     original_levels = effgravity.graph._hop_levels
-    original_rows = effgravity.graph._hop_rows
 
     def counted_levels(graph, sources):
         searches.append(sources.tolist())
         return original_levels(graph, sources)
 
-    def counted_rows(graph, sources):
-        tables.append(sources.tolist())
-        return original_rows(graph, sources)
-
     monkeypatch.setattr(effgravity.graph, "_hop_levels", counted_levels)
-    monkeypatch.setattr(effgravity.graph, "_hop_rows", counted_rows)
-    # stats counts each level's pairs straight from the search, so it builds
-    # no hop table, and it neither fills the cache nor reads it
+    # stats counts each level's pairs straight from its own search, and it
+    # neither fills the cache nor reads it
     topology_stats(graph)
     assert [len(block) for block in searches] == [64, 64, 2]
-    assert tables == [] and "hop_sums" not in vars(graph)
-    # cc and gm share one pass, which builds each block's table
+    assert sorted(s for block in searches for s in block) == list(range(graph.n))
+    assert "hop_sums" not in vars(graph)
+    # cc and gm share one pass over the same blocks, which fills the cache
     compute_scores(graph, ["cc", "gm"])
-    assert [len(block) for block in tables] == [64, 64, 2]
-    assert searches[3:] == tables
-    for blocks in (searches[:3], tables):
-        assert sorted(s for block in blocks for s in block) == list(range(graph.n))
+    assert searches[3:] == searches[:3]
+    assert "hop_sums" in vars(graph)
+    # with the sums cached, neither measure searches again
+    compute_scores(graph, ["cc", "gm"])
+    assert len(searches) == 6
 
 
 def test_effg_with_hop_distances_reduces_to_gravity(monkeypatch):

@@ -37,7 +37,7 @@ from effgravity import (
     topology_stats,
 )
 from effgravity.centrality import _NOT_SEEN, _first_occurrences
-from effgravity.graph import _BLOCK, _adjacency_slots, _hop_rows, _source_blocks, gravity_sums
+from effgravity.graph import _BLOCK, _adjacency_slots, _source_blocks, gravity_sums
 from helpers import (
     ba_graph_with_leaves,
     betweenness_by_stack,
@@ -273,22 +273,14 @@ def test_betweenness_of_a_cycle_has_a_closed_form(n):
 # --- the bit-parallel hop search across blocks of 64 sources -----------------
 
 def assert_hop_blocks_match_queue(graph: Graph) -> None:
-    """Every block's rows, some one-source rows and the hop sums against the
+    """Every one-source row and the hop sums of every block against the
     queue oracle; the sums repeat the library's float operations."""
     want = [hop_distances_by_queue(graph, s) for s in range(graph.n)]
-    for start in range(0, graph.n, _BLOCK):
-        block = np.arange(start, min(start + _BLOCK, graph.n))
-        rows = _hop_rows(graph, block)
-        assert rows.shape == (block.size, graph.n)
-        for s, row in zip(block, rows):
-            assert row.astype(np.int64).tobytes() == want[s].tobytes()
-    # the one-source block, at both ends and the middle
-    for s in {0, graph.n // 2, graph.n - 1}:
+    for s in range(graph.n):
         assert hop_distances(graph, s).tobytes() == want[s].tobytes()
     degrees = graph.degrees.astype(np.float64)
     sums = graph.hop_sums
     assert sums.distance.tobytes() == np.array([r[r > 0].sum() for r in want]).tobytes()
-    assert sums.reachable.tobytes() == np.array([(r > 0).sum() for r in want]).tobytes()
     gravity = gravity_sums_by_row(degrees, want, [r > 0 for r in want])
     assert sums.gravity.tobytes() == gravity.tobytes()
 
@@ -377,7 +369,6 @@ def test_hop_sums_of_a_path_have_closed_forms(n):
     i = np.arange(n)
     assert np.array_equal(sums.distance, i * (i + 1) // 2 + (n - 1 - i) * (n - i) // 2)
     assert int(sums.distance.sum()) == n * (n * n - 1) // 3
-    assert np.all(sums.reachable == n - 1)
 
 
 @pytest.mark.parametrize("n", [3, 4, 64, 129, 300, 301])
@@ -386,7 +377,6 @@ def test_hop_sums_of_a_cycle_have_closed_forms(n):
     # n/2 when n is even: floor(n^2 / 4) in all
     sums = cycle_graph(n).hop_sums
     assert np.all(sums.distance == n * n // 4)
-    assert np.all(sums.reachable == n - 1)
 
 
 @pytest.mark.parametrize(
@@ -418,7 +408,7 @@ def test_topology_stats_hop_pass_skips_gravity_and_matches_hop_sums(graph, monke
     assert sum(calls) == graph.n
 
     total, pairs = hop_distance_totals_per_source(graph)
-    assert (int(sums.distance.sum()), int(sums.reachable.sum())) == (total, pairs)
+    assert int(sums.distance.sum()) == total
     ordered_pairs = graph.n * (graph.n - 1)
     want = (
         total / pairs if pairs else 0.0,
@@ -498,7 +488,8 @@ def test_gravity_sums_match_row_by_row_oracle(graph, monkeypatch):
 
 def test_two_components_graph_mixes_target_counts_in_a_hop_block():
     # so the test above reduces rows of 0, 49 and 59 targets in one call
-    hops = _hop_rows(two_components_and_isolated_nodes(), np.arange(_BLOCK))
+    graph = two_components_and_isolated_nodes()
+    hops = np.array([hop_distances_by_queue(graph, s) for s in range(_BLOCK)])
     assert set(np.count_nonzero(hops > 0, axis=1).tolist()) == {0, 49, 59}
 
 
