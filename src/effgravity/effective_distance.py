@@ -38,6 +38,7 @@ the self-distance is infinite (a walk never "arrives" at its start).
 from __future__ import annotations
 
 import csv
+import math
 from typing import IO, Iterator
 
 import numpy as np
@@ -84,8 +85,14 @@ def _effective_rows(graph: Graph, sources: np.ndarray) -> Iterator[tuple[np.ndar
     n = graph.n
     union, blocks = _source_blocks(graph, sources)
     size = union.degrees.size
-    # weight of every edge leaving u; isolated nodes have no outgoing edges
-    leave_cost = np.log2(np.maximum(union.degrees, 1))
+    # weight of every edge leaving u, looked up by u's degree; isolated
+    # nodes have no outgoing edges. math.log2 of each distinct degree is
+    # correctly rounded on every CPU, where numpy's SIMD log2 can miss by
+    # the last bit (it does at 1621 on AVX-512).
+    distinct = np.flatnonzero(np.bincount(graph.degrees))
+    cost_by_degree = np.zeros(distinct.max(initial=0) + 1)
+    cost_by_degree[distinct] = [math.log2(max(degree, 1)) for degree in distinct.tolist()]
+    leave_cost = cost_by_degree.take(union.degrees)
     # scratch for deduplicating a small round's targets, and the labels at
     # the start of a dense or relax-all round; only entries a round writes
     # are read back

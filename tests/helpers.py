@@ -251,7 +251,7 @@ def effective_distances_by_heap(graph: Graph, source: int) -> np.ndarray:
     graph.check_node(source)
     n = graph.n
     # weight of every edge leaving u; isolated nodes have no outgoing edges
-    leave_cost = np.log2(np.maximum(graph.degrees, 1)).astype(np.float64)
+    leave_cost = [math.log2(max(degree, 1)) for degree in graph.degrees.tolist()]
     dist = np.full(n, np.inf, dtype=np.float64)
     dist[source] = 0.0
     done = np.zeros(n, dtype=bool)

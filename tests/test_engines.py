@@ -613,10 +613,28 @@ def test_degree_assortativity_matches_networkx(graph):
 @given(graphs())
 def test_neighbor_distance_is_one_plus_log2_degree(graph):
     matrix = effective_distance_matrix(graph)
-    leave_cost = np.log2(np.maximum(graph.degrees, 1).astype(np.float64))
+    leave_cost = [math.log2(max(degree, 1)) for degree in graph.degrees.tolist()]
     for u, v in graph.edges():
         assert matrix[u, v] == 1.0 + leave_cost[u]
         assert matrix[v, u] == 1.0 + leave_cost[v]
+
+
+def test_star_step_weight_is_the_correctly_rounded_log2_of_its_degree():
+    # 1621 is the smallest integer whose log2 numpy's AVX-512 path rounds
+    # one bit away from the correctly rounded value that math.log2 gives
+    leaves = 1621
+    star = Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    assert effective_distances(star, 0)[1] == 1.0 + math.log2(leaves)
+    # every leaf's heap row is leaf 1's with the entries of the two leaves
+    # swapped, as swapping them is an automorphism
+    centre = effective_distances_by_heap(star, 0)
+    leaf = effective_distances_by_heap(star, 1)
+    rows = np.tile(leaf, (leaves + 1, 1))
+    rows[0] = centre
+    swapped = np.arange(2, leaves + 1)
+    rows[swapped, swapped], rows[swapped, 1] = leaf[1], leaf[2]
+    assert rows[leaves].tobytes() == effective_distances_by_heap(star, leaves).tobytes()
+    assert effg_centrality(star).scores.tobytes() == gravity_over_rows(star, rows).tobytes()
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
