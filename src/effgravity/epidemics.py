@@ -117,6 +117,111 @@ def _filters(
     return (words == all_sets).all(axis=1), words.any(axis=1).take(src)
 
 
+def _select(
+    rng: np.random.Generator,
+    top: float,
+    live: np.ndarray,
+    saturated: np.ndarray,
+    dst: np.ndarray,
+    shift: int,
+    hit: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """One step's selection of open slots, shared by every carried seed set.
+
+    Draws one uniform per adjacency slot and keeps the slots that are open
+    for some set (draw below the ``top`` level), ``live`` (source infected
+    in some set) and into a target that is not ``saturated`` (susceptible
+    in some set): any other open slot would only OR zero bits into its
+    target. The live test is ANDed into the draw compare, so ``nonzero``
+    finds only open slots out of seeds and out of nodes that an earlier
+    step reached.
+
+    Returns the kept slots sorted by target, their draws, the start of each
+    target's group among them and the targets, or None when no slot is
+    kept. The kept slots' keys are (target << shift) | slot, with ``shift``
+    wide enough for every slot. ``hit`` is per-slot scratch: the draw
+    compare, then the group starts.
+    """
+    draws = rng.random(dst.size)
+    np.less(draws, top, out=hit)
+    hit &= live
+    slots = hit.nonzero()[0]
+    slots = slots.take((~saturated.take(dst.take(slots))).nonzero()[0])
+    if slots.size == 0:
+        return None
+    # group the open slots by target, one reduceat segment per node: numpy
+    # sorts int64 keys with SIMD but not an argsort, and within a target the
+    # keys keep slot order, which neither the OR nor the per-slot draws
+    # depend on
+    keys = dst.take(slots)
+    keys <<= shift
+    keys |= slots
+    keys.sort()
+    slots = keys & ((1 << shift) - 1)
+    targets = keys >> shift
+    # keep only the kept slots' draws: the 2m draws are freed before the
+    # group starts are allocated
+    draws = draws.take(slots)
+    head = hit[: targets.size]
+    head[0] = True
+    np.not_equal(targets[1:], targets[:-1], out=head[1:])
+    starts = head.nonzero()[0]
+    return slots, draws, starts, targets.take(starts)
+
+
+def _reduce(
+    infected: np.ndarray,
+    src: np.ndarray,
+    levels: np.ndarray,
+    open_sets: np.ndarray,
+    slots: np.ndarray,
+    draws: np.ndarray,
+    starts: np.ndarray,
+    nodes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """OR the words each group of selected slots carries into its target.
+
+    ``slots``, ``draws``, ``starts`` and ``nodes`` are one step's
+    selection (see :func:`_select`). Updates the ``nodes``' rows of
+    ``infected`` in place and returns their new bits and their words after
+    the step.
+
+    The sets open at a slot are nested (every set whose beta exceeds the
+    draw), so they are one row of the phase's level table ``open_sets``,
+    indexed by the slot's level: how many of the distinct betas ``levels``
+    are at or below its draw. With one level a slot carries its source's
+    words. With several, a step that keeps at least ``_SLOTS_PER_VIEW_ROW``
+    slots per row of the per-level view of the infected words (levels * n
+    rows, row level * n + v holding node v's words ANDed with that level's
+    row) builds the view and takes each slot's words from it in one gather;
+    a step that keeps fewer gathers the sources' words and ANDs in each
+    slot's level row. So the view has at most a third as many rows as the
+    step keeps slots.
+    """
+    n = infected.shape[0]
+    # take, as row gathers by fancy indexing are several times slower
+    if levels.size > 1 and slots.size >= _SLOTS_PER_VIEW_ROW * levels.size * n:
+        # block c of the view is infected & open_sets[c] (block 0 is
+        # infected, as open_sets[0] is every carried set), and a slot's
+        # words are row level * n + source
+        view = np.bitwise_and(infected, open_sets[:, None])
+        rows = _levels_at_or_below(levels, draws)
+        rows *= n
+        rows += src.take(slots)
+        carried = view.reshape(-1, infected.shape[1]).take(rows, axis=0)
+    else:
+        carried = infected.take(src.take(slots), axis=0)
+        if levels.size > 1:
+            # too few kept slots to pay for the view: AND each slot's level
+            # row into its source's words
+            carried &= open_sets.take(_levels_at_or_below(levels, draws), axis=0)
+    before = infected.take(nodes, axis=0)
+    fresh = np.bitwise_or.reduceat(carried, starts, axis=0) & ~before
+    after = before | fresh
+    infected[nodes] = after
+    return fresh, after
+
+
 def _infected_counts(
     graph: Graph,
     seed_masks: np.ndarray,
@@ -151,35 +256,19 @@ def _infected_counts(
     levels, its compare threshold and its per-node and per-slot filters
     from those sets alone. A set's columns after its last step read 0.
 
-    Seed sets are bits, 64 to a word per node. The sets open at a slot are
-    nested (every set whose beta exceeds the draw), so they are one row of
-    a small table, indexed by the slot's level: how many distinct betas
-    are at or below its draw. With one level a kept slot carries its
-    source's words. With several, a step that keeps at least
-    ``_SLOTS_PER_VIEW_ROW`` slots per row of the per-level view of the
-    infected words (levels * n rows, row level * n + v holding node v's
-    words ANDed with that level's row) builds the view and takes each kept
-    slot's words from it in one gather; a step that keeps fewer gathers
-    the sources' words and ANDs in each slot's level row. So the view has
-    at most a third as many rows as the step keeps slots. A step builds it
-    from its phase's level table, whose row 0 is also the phase's mask of
-    every carried set.
-
-    Every run still draws one uniform per slot per step, but only the open
-    slots whose source is infected in some seed set and whose target is
-    susceptible in some seed set are grouped and reduced: any other open
-    slot would only OR zero bits into its target. The source test is a
-    per-slot mask ANDed into the draw compare, so ``nonzero`` finds only
-    open slots out of seeds and out of nodes that an earlier step reached;
-    a node's out-slots join the mask on the step that first reaches it. The
-    mask is the only record of reached nodes: a node a step reaches has an
-    out-slot (the reverse of the slot into it), and it was reached before
-    when its first out-slot is live. The target test is a per-node
-    saturated filter. One builder, :func:`_filters`, makes both filters
-    from the infected words, for the pass start and after each step where
-    a tail of sets ends; each run starts from the pass-start copies. A run
-    stops drawing once every node is infected in every seed set, as no
-    count can change after.
+    Seed sets are bits, 64 to a word per node. Each step is two stages:
+    :func:`_select` draws and picks the open slots that can infect some
+    set, grouped by target, and :func:`_reduce` ORs each group's words into
+    its target. The selection reads two filters, a per-slot live mask and
+    a per-node saturated one. The live mask is the only record of reached
+    nodes: a node a step reaches has an out-slot (the reverse of the slot
+    into it), and it was reached before when its first out-slot is live;
+    a node's out-slots join the mask on the step that first reaches it.
+    One builder, :func:`_filters`, makes both filters from the infected
+    words, for the pass start and after each step where a tail of sets
+    ends; each run starts from the pass-start copies. A run stops drawing
+    once every node is infected in every seed set, as no count can change
+    after.
     """
     sets, n = seed_masks.shape
     src, dst = graph.edge_sources, graph.indices.astype(np.int64, copy=False)
@@ -187,7 +276,6 @@ def _infected_counts(
     # target < n, slot < 2m < 2**shift <= 4m: the keys fit in int64 while
     # n * 4m < 2**63
     shift = dst.size.bit_length()
-    slot_bits = (1 << shift) - 1
     # the column of each step the caller reads
     reported = range(t_max + 1) if steps is None else list(steps)
     column = {step: index for index, step in enumerate(reported)}
@@ -220,10 +308,8 @@ def _infected_counts(
     infected_buffer = np.empty_like(start_words)
     saturated = np.empty_like(start_saturated)
     live = np.empty_like(start_live)
-    # each step's open live slots, written in place
+    # the selection's per-slot scratch, written in place
     hit = np.empty_like(start_live)
-    # per kept slot of a step, whether it is its target's first, in place
-    heads = np.empty_like(start_live)
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
         infected = infected_buffer
@@ -244,54 +330,14 @@ def _infected_counts(
                 since = bisect_left(reported, t)
                 np.copyto(counts[:kept, since:], n, where=within[:kept, since:])
                 break
-            draws = rng.random(dst.size)
-            np.less(draws, levels[-1], out=hit)
-            hit &= live
-            opened = hit.nonzero()[0]
-            opened = opened.take((~saturated.take(dst.take(opened))).nonzero()[0])
-            if opened.size == 0:
-                # drop the 2m draws before the next step draws its own
-                del draws
+            selection = _select(rng, levels[-1], live, saturated, dst, shift, hit)
+            if selection is None:
                 fresh = None
             else:
-                # group the open slots by target, one reduceat segment per
-                # node: numpy sorts int64 keys with SIMD but not an argsort,
-                # and within a target the keys keep slot order, which
-                # neither the OR nor the per-slot draws depend on
-                keys = dst.take(opened)
-                keys <<= shift
-                keys |= opened
-                keys.sort()
-                opened = keys & slot_bits
-                targets = keys >> shift
-                # keep only the kept slots' draws, so that the next step's 2m
-                # draws are not allocated while this step's are still held
-                draws = draws.take(opened)
-                head = heads[: targets.size]
-                head[0] = True
-                np.not_equal(targets[1:], targets[:-1], out=head[1:])
-                starts = head.nonzero()[0]
-                nodes = targets.take(starts)
-                # take, as row gathers by fancy indexing are several times slower
-                if levels.size > 1 and opened.size >= _SLOTS_PER_VIEW_ROW * levels.size * n:
-                    # block c of the view is infected & open_sets[c] (block 0
-                    # is infected, as open_sets[0] is every carried set), and
-                    # a slot's words are row level * n + source
-                    view = np.bitwise_and(infected, open_sets[:, None])
-                    rows = _levels_at_or_below(levels, draws)
-                    rows *= n
-                    rows += src.take(opened)
-                    carried = view.reshape(-1, infected.shape[1]).take(rows, axis=0)
-                else:
-                    carried = infected.take(src.take(opened), axis=0)
-                    if levels.size > 1:
-                        # too few kept slots to pay for the view: AND each
-                        # slot's level row into its source's words
-                        carried &= open_sets.take(_levels_at_or_below(levels, draws), axis=0)
-                before = infected.take(nodes, axis=0)
-                fresh = np.bitwise_or.reduceat(carried, starts, axis=0) & ~before
-                after = before | fresh
-                infected[nodes] = after
+                slots, draws, starts, nodes = selection
+                fresh, after = _reduce(
+                    infected, src, levels, open_sets, slots, draws, starts, nodes
+                )
                 # a node reached for the first time adds its out-slots to the
                 # live mask, which its first out-slot records; every reached
                 # node has one, as the slot into it has a reverse
