@@ -372,6 +372,23 @@ def hop_row_blocks(graph: Graph, sources: np.ndarray):
         yield block, rows
 
 
+def average_clustering_by_sets(graph: Graph) -> float:
+    """Mean clustering by neighbour-set intersections, node by node: the
+    closed pairs at u are the common neighbours of u and each neighbour v,
+    each pair counted from both of its ends. Adds the ratios in node order."""
+    indices, indptr = graph.indices.tolist(), graph.indptr.tolist()
+    neighbor_sets = [set(indices[a:b]) for a, b in zip(indptr, indptr[1:])]
+    total = 0.0
+    for u in range(graph.n):
+        nbrs = neighbor_sets[u]
+        k = len(nbrs)
+        if k < 2:
+            continue
+        closed = sum(len(neighbor_sets[v] & nbrs) for v in nbrs) // 2
+        total += closed / (k * (k - 1) / 2)
+    return total / graph.n
+
+
 def si_curves_per_seed_set(graph: Graph, seed_sets, config: SIConfig) -> np.ndarray:
     """Per-run infected counts, shape (runs, seed sets, t_max + 1), simulated
     one seed set and one run at a time.

@@ -37,8 +37,15 @@ from effgravity import (
     topology_stats,
 )
 from effgravity.centrality import _NOT_SEEN, _first_occurrences
-from effgravity.graph import _BLOCK, _adjacency_slots, _source_blocks, gravity_sums
+from effgravity.graph import (
+    _BLOCK,
+    _adjacency_slots,
+    _average_clustering,
+    _source_blocks,
+    gravity_sums,
+)
 from helpers import (
+    average_clustering_by_sets,
     ba_graph_with_leaves,
     betweenness_by_stack,
     effective_distances_by_heap,
@@ -592,6 +599,36 @@ def test_average_clustering_matches_networkx(graph):
     # Both average over every node, counting nodes of degree below 2 as 0.
     want = nx.average_clustering(to_networkx(graph))
     assert topology_stats(graph).clustering == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("budget", [1, 3, 1 << 15])
+@pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
+def test_average_clustering_matches_set_oracle(graph, budget, monkeypatch):
+    # a budget of 1 cuts after every wedge, and a pointed edge with several
+    # wedges leaves empty chunks between its cuts. Graphs 5 and 6 are ones
+    # where a pairwise sum of the ratios differs from the node-order sum
+    import effgravity.graph
+
+    monkeypatch.setattr(effgravity.graph, "_SLOT_BUDGET", budget)
+    got = _average_clustering(graph)
+    assert type(got) is float
+    assert got.hex() == average_clustering_by_sets(graph).hex()
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(graphs(max_nodes=14))
+def test_average_clustering_matches_set_oracle_on_random_graphs(graph):
+    assert _average_clustering(graph).hex() == average_clustering_by_sets(graph).hex()
+
+
+def test_average_clustering_of_a_windmill_has_a_closed_form():
+    # 500 triangles that share a hub, the last node: every leaf scores 1
+    # and the hub, with 500 closed pairs of its 999 * 500, scores 1 / 999
+    k = 500
+    edges = [(2 * i, 2 * i + 1) for i in range(k)] + [(leaf, 2 * k) for leaf in range(2 * k)]
+    windmill = Graph.from_edges(2 * k + 1, edges)
+    want = (2 * k + 1 / (2 * k - 1)) / (2 * k + 1)
+    assert _average_clustering(windmill) == want == average_clustering_by_sets(windmill)
 
 
 @pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
