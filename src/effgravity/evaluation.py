@@ -181,8 +181,6 @@ def top_k_overlap(a: Ranking, b: Ranking, k: int) -> OverlapReport:
         raise ValueError(
             f"rankings cover different node sets ({a.order.size} vs {b.order.size} nodes)"
         )
-    if not 0 <= k <= a.order.size:
-        raise ValueError(f"k={k} out of range for {a.order.size} nodes")
     shared = len(set(map(int, a.top(k))) & set(map(int, b.top(k))))
     return OverlapReport(k=k, shared=shared)
 

@@ -175,6 +175,18 @@ def test_pagerank_damping_restores_convergence():
     assert sv.scores.sum() == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("damping", [0.0, -0.5, 1.5, float("nan")])
+def test_pagerank_rejects_damping_outside_zero_to_one(damping):
+    with pytest.raises(ValueError, match=r"damping must be in \(0, 1\]"):
+        pagerank(path_graph(3), damping=damping)
+
+
+def test_pagerank_edgeless_graph_scores_zero_without_iterating():
+    sv = pagerank(Graph.from_edges(3, []))
+    assert sv.scores.tolist() == [0.0, 0.0, 0.0]
+    assert sv.metadata == {"iterations": 0, "delta": 0.0}
+
+
 def test_pagerank_two_node_path_uniform_start_is_stationary():
     # both nodes have degree 1, so the uniform start is already the fixed
     # point and the bipartite oscillation never shows up

@@ -563,6 +563,45 @@ def test_infinite_beta_grid_is_usage_error(tmp_path, seven_node_file, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("0.2,abc", "bad beta grid '0.2,abc'"),
+        ("", "beta grid must contain at least one value"),
+        (" , ", "beta grid must contain at least one value"),
+    ],
+    ids=["not-a-number", "empty", "only-separators"],
+)
+def test_unreadable_beta_grid_is_usage_error(
+    tmp_path, seven_node_file, monkeypatch, capsys, grid, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the input was read before the beta grid was checked")
+
+    monkeypatch.setattr(effgravity.cli, "load_edge_list", refuse)
+    out = tmp_path / "out"
+    argv = ["evaluate", f"--beta-grid={grid}", "--input", str(seven_node_file), "--out", str(out)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_k_above_the_node_count_fails_before_any_work(
+    tmp_path, seven_node_file, monkeypatch, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scores computed for a k the graph cannot hold")
+
+    monkeypatch.setattr(effgravity.centrality, "compute_scores", refuse)
+    out = tmp_path / "out"
+    argv = ["evaluate", "--input", str(seven_node_file), "--out", str(out), "--k", "8"]
+    assert main(argv + ["--measures", "dc"]) == 2
+    assert "k=8 exceeds the graph's 7 nodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     # one node once the loop is dropped, which evaluate refuses
     edge_file = tmp_path / "loop.edges"

@@ -65,6 +65,11 @@ def test_matrix_rows_match_single_source(seven_node_graph):
         assert np.array_equal(matrix[s], effective_distances(seven_node_graph, s), equal_nan=True)
 
 
+def test_matrix_of_an_empty_graph_is_rejected():
+    with pytest.raises(ValueError, match="undefined for an empty graph"):
+        effective_distance_matrix(Graph.from_edges(0, []))
+
+
 def test_matches_simple_path_enumeration_oracle():
     rng = np.random.default_rng(37)
     for _ in range(40):

@@ -226,6 +226,14 @@ def test_overlap_mismatched_universes_rejected():
         top_k_overlap(a, b, 2)
 
 
+@pytest.mark.parametrize("k", [-1, 4])
+def test_overlap_k_out_of_range_rejected(k):
+    # Ranking.top refuses the k, for both rankings alike
+    a = Ranking(order=np.array([0, 1, 2]), ranks=np.array([1, 2, 3]))
+    with pytest.raises(ValueError, match=f"k={k} out of range for 3 nodes"):
+        top_k_overlap(a, a, k)
+
+
 # --- tau-vs-beta sweep --------------------------------------------------------
 
 def test_sweep_beta_zero_is_degenerate(seven_node_graph):

@@ -143,6 +143,12 @@ def test_from_edges_rejects_degenerate_input():
         Graph.from_edges(2, [(0, 5)])
 
 
+@pytest.mark.parametrize("labels", [["a", "b"], ["a", "b", "c", "d"]])
+def test_from_edges_rejects_a_label_count_other_than_n(labels):
+    with pytest.raises(ValueError, match=f"expected 3 labels, got {len(labels)}"):
+        Graph.from_edges(3, [(0, 1)], labels)
+
+
 def assert_same_graph(graph, oracle):
     assert graph.indptr.tobytes() == oracle.indptr.tobytes()
     assert graph.indices.tobytes() == oracle.indices.tobytes()
