@@ -59,20 +59,11 @@ class SIOutcome:
 
 # Budget, in bytes, for one block of spreading_powers' single-node seed
 # sets: a seed set is one bit per node or adjacency slot, so every per-step
-# array of the engine, the per-level view of a step with several betas
-# included (it has fewer rows than the 2m slots), then stays near a
-# megabyte, and a Jazz-sized graph (2m ~ 5k slots) simulates all of its
-# nodes at four betas in one block.
+# array of the engine stays near a megabyte (the per-level view of a step
+# with several betas has levels * n rows, fewer than the 2m slots while the
+# mean degree exceeds the level count), and a Jazz-sized graph (2m ~ 5k
+# slots) simulates all of its nodes at four betas in one block.
 _BLOCK_BYTES = 1 << 20
-
-# A step with several betas builds the per-level view of the infected words
-# only when it keeps at least this many slots per view row. Building it is
-# one pass over the view whose inner loop is a row's words; it broke even
-# with the per-slot gather and AND it replaces at 1.5 to 3 kept slots per
-# row (13 to 40 words a row, one pinned CPU). A step keeps about 5 slots per
-# row on a Jazz-sized graph and about 2 on a BA graph with 1000 nodes and 5
-# edges per node.
-_SLOTS_PER_VIEW_ROW = 3
 
 
 def _pack(bits: np.ndarray, words: int) -> np.ndarray:
@@ -189,32 +180,23 @@ def _reduce(
     The sets open at a slot are nested (every set whose beta exceeds the
     draw), so they are one row of the phase's level table ``open_sets``,
     indexed by the slot's level: how many of the distinct betas ``levels``
-    are at or below its draw. With one level a slot carries its source's
-    words. With several, a step that keeps at least ``_SLOTS_PER_VIEW_ROW``
-    slots per row of the per-level view of the infected words (levels * n
-    rows, row level * n + v holding node v's words ANDed with that level's
-    row) builds the view and takes each slot's words from it in one gather;
-    a step that keeps fewer gathers the sources' words and ANDs in each
-    slot's level row. So the view has at most a third as many rows as the
-    step keeps slots.
+    are at or below its draw. Each slot's words are one row of the
+    per-level view of the infected words, taken in one gather: with one
+    level the view is ``infected`` and the row is the slot's source; with
+    several, block c of the view is ``infected`` ANDed with row c of
+    ``open_sets`` and the row is level * n + source.
     """
     n = infected.shape[0]
+    rows = src.take(slots)
+    view = infected
+    if levels.size > 1:
+        # block 0 is infected, as open_sets[0] is every carried set
+        view = np.bitwise_and(infected, open_sets[:, None]).reshape(-1, infected.shape[1])
+        level = _levels_at_or_below(levels, draws)
+        level *= n
+        rows += level
     # take, as row gathers by fancy indexing are several times slower
-    if levels.size > 1 and slots.size >= _SLOTS_PER_VIEW_ROW * levels.size * n:
-        # block c of the view is infected & open_sets[c] (block 0 is
-        # infected, as open_sets[0] is every carried set), and a slot's
-        # words are row level * n + source
-        view = np.bitwise_and(infected, open_sets[:, None])
-        rows = _levels_at_or_below(levels, draws)
-        rows *= n
-        rows += src.take(slots)
-        carried = view.reshape(-1, infected.shape[1]).take(rows, axis=0)
-    else:
-        carried = infected.take(src.take(slots), axis=0)
-        if levels.size > 1:
-            # too few kept slots to pay for the view: AND each slot's level
-            # row into its source's words
-            carried &= open_sets.take(_levels_at_or_below(levels, draws), axis=0)
+    carried = view.take(rows, axis=0)
     before = infected.take(nodes, axis=0)
     fresh = np.bitwise_or.reduceat(carried, starts, axis=0) & ~before
     after = before | fresh

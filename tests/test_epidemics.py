@@ -739,11 +739,11 @@ def test_phase_cut_clears_exactly_the_bits_past_the_kept_sets(kept):
 
 @pytest.fixture
 def gathers(monkeypatch):
-    """Record how each step of several levels gathered its slots' words:
-    ("view", levels * n, kept slots) when it built the per-level view and
-    took each slot's row of it, ("slot", levels, kept slots) when it ANDed
-    each slot's level row into its source's words."""
+    """Record each step of several levels as (view rows, levels, kept
+    slots): the rows of the per-level view it built, and the level count
+    and slot count of the level lookup that indexes that view."""
     records = []
+    views = []
     epidemics = effgravity.epidemics
     lookup = epidemics._levels_at_or_below
 
@@ -753,19 +753,19 @@ def gathers(monkeypatch):
 
         def bitwise_and(self, words, open_sets):
             view = np.bitwise_and(words, open_sets)
-            records.append(("view", view.shape[0] * view.shape[1], None))
+            views.append(view.shape[0] * view.shape[1])
             return view
 
     def recording_lookup(levels, draws):
-        if records and records[-1][2] is None:
-            records[-1] = records[-1][:2] + (draws.size,)
-        else:
-            records.append(("slot", levels.size, draws.size))
+        # each lookup reads the one view its step built just before
+        assert len(views) == 1
+        records.append((views.pop(), levels.size, draws.size))
         return lookup(levels, draws)
 
     monkeypatch.setattr(epidemics, "np", RecordingNumpy())
     monkeypatch.setattr(epidemics, "_levels_at_or_below", recording_lookup)
-    return records
+    yield records
+    assert not views
 
 
 def dense_graph_seed_sets(rng, n, p, sets, pool):
@@ -781,10 +781,10 @@ def dense_graph_seed_sets(rng, n, p, sets, pool):
 @pytest.mark.parametrize("sets", [65, 127, 129])
 @pytest.mark.parametrize("count", [2, 3, 5, 9])
 def test_engine_level_view_matches_oracle_across_word_boundaries(gathers, count, sets):
-    # a dense 40-node graph seeded from nodes 0 and 1: step 1 keeps too few
-    # slots per view row and ANDs each slot's level row, and once most nodes
-    # are reached a step keeps enough and builds the view; every word mixes
-    # the levels
+    # a dense 40-node graph seeded from nodes 0 and 1: step 1 keeps fewer
+    # slots than the view has rows, and once most nodes are reached a step
+    # keeps at least three per row; every step builds the view and takes
+    # each slot's row of it, and every word mixes the levels
     rng = np.random.default_rng(1000 * count + sets)
     graph, seed_sets = dense_graph_seed_sets(rng, 40, 0.9, sets, 2)
     levels = np.linspace(0.35, 0.95, count).tolist()
@@ -792,17 +792,15 @@ def test_engine_level_view_matches_oracle_across_word_boundaries(gathers, count,
     config = SIConfig(beta=levels[0], t_max=6, runs=3, seed=count)
     counts = assert_engine_matches_oracle(graph, seed_sets, config, betas)
     assert counts[:, :, -1].max() > counts[:, :, 0].max()
-    views = [record for record in gathers if record[0] == "view"]
-    slots = [record for record in gathers if record[0] == "slot"]
-    assert views and slots
-    per_row = effgravity.epidemics._SLOTS_PER_VIEW_ROW
-    assert all(rows == count * graph.n and per_row * rows <= kept for _, rows, kept in views)
-    assert all(kept < per_row * levels * graph.n for _, levels, kept in slots)
+    assert gathers
+    assert all(size == count and rows == count * graph.n for rows, size, _ in gathers)
+    assert any(kept < rows for rows, _, kept in gathers)
+    assert any(kept >= 3 * rows for rows, _, kept in gathers)
 
 
 def test_engine_many_levels_at_small_beta_match_oracle(gathers):
     # eight levels from 0.005 to 0.04: a step opens a few slots, far fewer
-    # than the view's 8n rows, so every step ANDs each slot's level row
+    # than the view's 8n rows, and still builds the view
     rng = np.random.default_rng(109)
     graph, seed_sets = dense_graph_seed_sets(rng, 24, 0.7, 100, 24)
     levels = np.linspace(0.005, 0.04, 8).tolist()
@@ -810,7 +808,9 @@ def test_engine_many_levels_at_small_beta_match_oracle(gathers):
     config = SIConfig(beta=0.04, t_max=12, runs=4, seed=17)
     counts = assert_engine_matches_oracle(graph, seed_sets, config, betas)
     assert counts[:, :, -1].max() > counts[:, :, 0].max()
-    assert gathers and all(record[0] == "slot" for record in gathers)
+    assert gathers
+    assert all(size == 8 and rows == 8 * graph.n for rows, size, _ in gathers)
+    assert all(kept < rows for rows, _, kept in gathers)
 
 
 def test_engine_phase_change_lowers_the_level_count(gathers):
@@ -826,8 +826,8 @@ def test_engine_phase_change_lowers_the_level_count(gathers):
     ends = [8 if beta == 0.3 else 4 if beta == 0.5 else 2 for beta in betas]
     config = SIConfig(beta=0.3, t_max=8, runs=4, seed=23)
     assert_engine_matches_oracle(graph, seed_sets, config, betas, ends)
-    views = {rows // graph.n for kind, rows, _ in gathers if kind == "view"}
-    assert views == {4, 2}
+    assert all(rows == size * graph.n for rows, size, _ in gathers)
+    assert {size for _, size, _ in gathers} == {4, 2}
 
 
 @st.composite
