@@ -205,8 +205,11 @@ def eigenvector_centrality(
     eigenvalue = 0.0
     for iteration in range(1, max_iter + 1):
         ax = _neighbor_sums(graph, x)
-        eigenvalue = float(x @ ax)
-        residual = float(np.linalg.norm(ax - eigenvalue * x))
+        # elementwise products and numpy's own sums, not BLAS ddot, whose
+        # kernel (and so the last bits) depends on the CPU
+        eigenvalue = float((x * ax).sum())
+        error = ax - eigenvalue * x
+        residual = float(np.sqrt((error * error).sum()))
         if residual <= tol:
             return ScoreVector(
                 "ec",
@@ -218,7 +221,7 @@ def eigenvector_centrality(
                 },
             )
         shifted = ax + x
-        x = shifted / np.linalg.norm(shifted)
+        x = shifted / np.sqrt((shifted * shifted).sum())
     raise ConvergenceError(
         f"eigenvector centrality did not reach tol={tol} after {max_iter} "
         f"iterations (last residual {residual:.3e}); power iteration converges "
