@@ -41,7 +41,7 @@ _EXPORTS = {
         "pagerank",
         "rank",
     ),
-    "effective_distance": ("effective_distance_matrix", "effective_distances", "write_matrix_csv"),
+    "effective_distance": ("effective_distance_matrix", "effective_distances"),
     "epidemics": (
         "SIConfig",
         "SIOutcome",

@@ -37,9 +37,8 @@ the self-distance is infinite (a walk never "arrives" at its start).
 
 from __future__ import annotations
 
-import csv
 import math
-from typing import IO, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -136,19 +135,3 @@ def _effective_rows(graph: Graph, sources: np.ndarray) -> Iterator[tuple[np.ndar
         rows = dist[: block.size * n].reshape(block.size, n) + 1.0
         rows[np.arange(block.size), block] = np.inf
         yield block, rows
-
-
-def write_matrix_csv(graph: Graph, matrix: np.ndarray, out: IO[str]) -> None:
-    """Dump a distance matrix as CSV: target labels across, one row per source.
-
-    Entries are written by ``repr``, so infinite ones read ``inf``; labels
-    holding a comma or a quote are quoted.
-    """
-    if matrix.shape != (graph.n, graph.n):
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match graph with {graph.n} nodes"
-        )
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["source", *graph.labels])
-    for label, row in zip(graph.labels, matrix):
-        writer.writerow([label, *map(float, row)])

@@ -18,7 +18,7 @@ import numpy as np
 from . import TAU_CONVENTIONS
 from .centrality import Ranking, ScoreVector
 from .epidemics import SIConfig, spreading_powers
-from .graph import Graph
+from .graph import _SLOT_BUDGET, Graph
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,6 @@ class OverlapReport:
 
     k: int
     shared: int
-
-
-# Row entries (rows x n) per chunk of :func:`_kendall_taus`, so that each of
-# its arrays stays a few hundred kilobytes however many pairs a sweep scores.
-_TAU_ENTRIES = 1 << 15
 
 
 def _tied_pairs(same: np.ndarray) -> np.ndarray:
@@ -124,7 +119,7 @@ def _kendall_taus(
     """Kendall's tau of each (x, y) pair, every sequence of one length n.
 
     The pairs are stacked as rows and counted together, at most
-    ``_TAU_ENTRIES`` row entries at a time, in O(n log n) time per pair;
+    ``_SLOT_BUDGET`` row entries at a time, in O(n log n) time per pair;
     NaN is rejected.
     """
     if convention not in TAU_CONVENTIONS:
@@ -144,7 +139,7 @@ def _kendall_taus(
     if n < 2:
         raise ValueError(f"need at least two elements, got {n}")
     counts = []
-    chunk = max(1, _TAU_ENTRIES // n)
+    chunk = max(1, _SLOT_BUDGET // n)
     for start in range(0, len(pairs), chunk):
         xs, ys = (np.stack(column) for column in zip(*pairs[start : start + chunk]))
         if np.isnan(xs).any() or np.isnan(ys).any():

@@ -22,8 +22,6 @@ UNREACHABLE = -1
 
 COMMENT_PREFIXES = ("#", "%")
 _BOM = "\ufeff"
-# labels the parser would skip or strip at the start of a line
-_CANNOT_LEAD = COMMENT_PREFIXES + (_BOM,)
 # Tokens the parser holds as strings before it maps them to node indices
 _CHUNK = 1 << 14
 
@@ -183,34 +181,6 @@ class Graph:
         upper = self.edge_sources < self.indices
         return zip(self.edge_sources[upper].tolist(), self.indices[upper].tolist())
 
-    def to_edge_list(self) -> str:
-        """Serialize as edge-list text, one edge per line, that parses back.
-
-        Lines are ``"<a> <b>"`` with (a, b) the endpoint labels ordered so
-        a <= b, sorted by (a, b), except that a label starting with '#', '%'
-        or a byte-order mark goes second: at the start of a line the parser
-        would skip or strip it. Nodes without any edge are not representable
-        in this format.
-
-        Raises ValueError naming a label that cannot be written so that it
-        parses back: one that is empty or holds whitespace or a comma, or
-        an edge whose two labels both start with one of those prefixes.
-        Only labels given to :meth:`from_edges` can be empty or hold a
-        separator.
-        """
-        pairs = []
-        for u, v in self.edges():
-            a, b = sorted((self.labels[u], self.labels[v]))
-            for label in (a, b):
-                if label.split() != [label] or "," in label:
-                    raise ValueError(f"label {label!r} is not a single edge-list token")
-            if a.startswith(_CANNOT_LEAD):
-                if b.startswith(_CANNOT_LEAD):
-                    raise ValueError(f"edge ({a!r}, {b!r}): neither label can start a line")
-                a, b = b, a
-            pairs.append((a, b))
-        return "".join(f"{a} {b}\n" for a, b in sorted(pairs))
-
 
 def parse_edge_list(source: str | bytes | Iterable[str]) -> tuple[Graph, ParseReport]:
     """Parse edge-list text into a graph plus a cleaning report.
@@ -327,7 +297,8 @@ def _adjacency_slots(graph: Graph | _Union, nodes: np.ndarray, counts: np.ndarra
 
 
 # Adjacency slots that one block of the per-source sweeps spans: a block of
-# B sources runs on B copies of the graph, so B * 2m slots in all.
+# B sources runs on B copies of the graph, so B * 2m slots in all. Hop
+# rows, wedges and Kendall tau rows are chunked by the same budget.
 _SLOT_BUDGET = 1 << 15
 
 

@@ -500,3 +500,41 @@ def kendall_counts_by_rows(x, y) -> tuple[int, int]:
             concordant += int((sign > 0).sum())
             discordant += int((sign < 0).sum())
     return concordant, discordant
+
+
+# --- symmetries -------------------------------------------------------------
+#
+# A permutation p of the nodes is an automorphism when (u, v) is an edge
+# exactly when (p[u], p[v]) is one. Every measure depends on the graph only,
+# so it scores u and p[u] alike; a computed score may still split them when
+# the two nodes' sums run in different orders.
+
+
+def cycle_symmetries(n: int) -> list[np.ndarray]:
+    """The rotation of the n-cycle by one step and its reflection i -> -i.
+
+    They generate every automorphism of the cycle, so scores equal under
+    both are equal under all of them."""
+    nodes = np.arange(n)
+    return [(nodes + 1) % n, -nodes % n]
+
+
+def grid_reflections(rows: int, cols: int) -> list[np.ndarray]:
+    """The row reflection r -> rows - 1 - r and the column reflection
+    c -> cols - 1 - c of :func:`grid_graph`'s lattice."""
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    return [(rows - 1 - r) * cols + c, r * cols + cols - 1 - c]
+
+
+def is_automorphism(graph: Graph, perm: np.ndarray) -> bool:
+    edges = set(graph.edges())
+    return {tuple(sorted((int(perm[u]), int(perm[v])))) for u, v in edges} == edges
+
+
+def twin_groups(graph: Graph) -> list[list[int]]:
+    """Groups of two or more nodes with equal neighbour sets, such as the
+    leaves of one parent: swapping any two of a group is an automorphism."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for u in range(graph.n):
+        groups.setdefault(tuple(graph.neighbors(u).tolist()), []).append(u)
+    return [group for group in groups.values() if len(group) > 1]

@@ -20,13 +20,19 @@ from effgravity import (
 )
 from conftest import SEVEN_NODE_DEGREES, SEVEN_NODE_EFFG
 from helpers import (
+    ba_graph_with_leaves,
     betweenness_bruteforce,
     closeness_per_source,
+    cycle_symmetries,
     gravity_over_rows,
     gravity_per_source,
+    grid_graph,
+    grid_reflections,
     hop_row_blocks,
+    is_automorphism,
     oracle_graphs,
     random_graph,
+    twin_groups,
 )
 
 
@@ -365,6 +371,42 @@ def test_eigenvector_relabeling_invariance(seven_node_graph):
     original = eigenvector_centrality(seven_node_graph).scores
     shuffled = eigenvector_centrality(remapped).scores
     assert np.allclose(original, shuffled[perm], atol=1e-7)
+
+
+def same_bytes(scores: np.ndarray, other: np.ndarray) -> bool:
+    return np.array_equal(scores.view(np.uint64), other.view(np.uint64))
+
+
+def test_symmetric_nodes_score_byte_equal():
+    # gm and effg can split symmetric nodes by their summation order, so
+    # they are left out here
+    measures = ["dc", "cc", "bc", "ec", "pagerank"]
+    for n in (12, 13, 200):
+        graph = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        scores = compute_scores(graph, measures, damping=0.85)
+        for perm in cycle_symmetries(n):
+            assert is_automorphism(graph, perm)
+            for name in measures:
+                values = scores[name].scores
+                assert same_bytes(values[perm], values), (n, name, perm[:3])
+    for seed in range(3):
+        tree = ba_graph_with_leaves(np.random.default_rng(seed), 300, 1, 0)
+        groups = twin_groups(tree)
+        assert groups
+        scores = compute_scores(tree, measures, damping=0.85)
+        for name in measures:
+            values = scores[name].scores
+            for group in groups:
+                assert same_bytes(values[group], np.full(len(group), values[group[0]])), (
+                    seed, name, group,
+                )
+    grid = grid_graph(10, 12)
+    scores = compute_scores(grid, ["dc", "cc"])
+    for perm in grid_reflections(10, 12):
+        assert is_automorphism(grid, perm)
+        for name in ("dc", "cc"):
+            values = scores[name].scores
+            assert same_bytes(values[perm], values), name
 
 
 def test_compute_scores_orchestration(seven_node_graph):

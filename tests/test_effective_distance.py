@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 
 import numpy as np
@@ -10,7 +8,6 @@ from effgravity import (
     effective_distance_matrix,
     effective_distances,
     parse_edge_list,
-    write_matrix_csv,
 )
 from helpers import effective_distance_bruteforce, random_connected_graph, random_graph
 
@@ -132,32 +129,3 @@ def test_min_weight_path_is_max_probability_path():
                     continue
                 best_product = 2.0 ** (1.0 - brute[i, j])
                 assert 2.0 ** (1.0 - matrix[i, j]) == pytest.approx(best_product)
-
-
-def test_matrix_csv_dump(seven_node_graph):
-    matrix = effective_distance_matrix(seven_node_graph)
-    buffer = io.StringIO()
-    write_matrix_csv(seven_node_graph, matrix, buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "source,1,2,3,4,5,6,7"
-    assert len(lines) == 8
-    row2 = lines[2].split(",")
-    assert row2[0] == "2"
-    assert row2[2] == "inf"  # self distance
-    assert float(row2[1]) == pytest.approx(2.0)
-
-
-def test_matrix_csv_round_trips_labels_with_a_comma_and_a_quote():
-    graph = Graph.from_edges(3, [(0, 1), (1, 2)], labels=["a,b", 'say "hi"', "c"])
-    matrix = effective_distance_matrix(graph)
-    buffer = io.StringIO()
-    write_matrix_csv(graph, matrix, buffer)
-    rows = list(csv.reader(io.StringIO(buffer.getvalue())))
-    assert rows[0] == ["source", "a,b", 'say "hi"', "c"]
-    assert [row[0] for row in rows[1:]] == list(graph.labels)
-    assert np.array_equal(np.array([row[1:] for row in rows[1:]], dtype=float), matrix)
-
-
-def test_matrix_csv_shape_mismatch_rejected(seven_node_graph):
-    with pytest.raises(ValueError):
-        write_matrix_csv(seven_node_graph, np.zeros((3, 3)), io.StringIO())

@@ -166,7 +166,7 @@ def tied_rows(rng, n, rows):
 @pytest.mark.parametrize("n", [2, 3, 17, 64, 65])
 def test_batched_tau_matches_bruteforce_across_chunks(n, monkeypatch):
     # five rows to a chunk, so 13 pairs take chunks of 5, 5 and 3 rows
-    monkeypatch.setattr(effgravity.evaluation, "_TAU_ENTRIES", 5 * n)
+    monkeypatch.setattr(effgravity.evaluation, "_SLOT_BUDGET", 5 * n)
     pairs = tied_rows(np.random.default_rng(n), n, 13)
     for convention, denominator in (("standard", n * (n - 1) // 2), ("ordered-pairs", n * (n - 1))):
         results = effgravity.evaluation._kendall_taus(pairs, convention)
@@ -182,7 +182,7 @@ def test_batched_tau_matches_bruteforce_across_chunks(n, monkeypatch):
 def test_batched_tau_spans_chunks_at_the_default_budget():
     # 198 items, the size of the Jazz network: 165 rows to a chunk
     n = 198
-    rows = effgravity.evaluation._TAU_ENTRIES // n + 2
+    rows = effgravity.evaluation._SLOT_BUDGET // n + 2
     pairs = tied_rows(np.random.default_rng(127), n, rows)
     results = effgravity.evaluation._kendall_taus(pairs, "ordered-pairs")
     for (x, y), result in zip(pairs, results, strict=True):

@@ -49,7 +49,6 @@ EXPORTS = {
     "top_k_infection_curves": "epidemics",
     "top_k_overlap": "evaluation",
     "topology_stats": "graph",
-    "write_matrix_csv": "effective_distance",
 }
 
 
