@@ -56,7 +56,6 @@ _EXPORTS = {
         "clamp_betas",
         "kendall_tau",
         "rank_vs_spread",
-        "tau_vs_beta_sweep",
         "top_k_overlap",
     ),
     "graph": (

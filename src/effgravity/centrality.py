@@ -243,9 +243,12 @@ def pagerank(
     Updates x(i) <- (1-d)/n_active + d * sum over neighbors j of
     x(j)/degree(j), with d the damping, starting from the uniform
     distribution, until the L1 change drops to tol. The default d = 1.0 is
-    the undamped update, which diverges on bipartite structure (period-2
-    oscillation); pass d < 1 to damp it. Isolated nodes are pinned to score
-    0 and excluded from the uniform start and the damping redistribution.
+    the undamped update. It never converges when a component is bipartite
+    with colour classes of different sizes: the uniform start then has a
+    part that flips sign every step. A slowly mixing component, such as a
+    long path or a large grid, can also run out of iterations. Pass d < 1
+    to damp it. Isolated nodes are pinned to score 0 and excluded from the
+    uniform start and the damping redistribution.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping}")

@@ -187,13 +187,16 @@ def cmd_spread(args: argparse.Namespace) -> Outputs:
 
 def cmd_evaluate(args: argparse.Namespace) -> Outputs:
     from .epidemics import SIConfig, spreading_powers
-    from .evaluation import _sweep_configs, _sweep_rows, clamp_betas, rank_vs_spread, top_k_overlap
+    from .evaluation import _sweep_rows, clamp_betas, rank_vs_spread, top_k_overlap
 
     _check_damping(args)
     _check_k(args)
     spread_config = SIConfig(beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed)
-    sweep_config = SIConfig(beta=DEFAULT_BETA, t_max=args.t_max_sweep, runs=args.runs, seed=args.seed)
-    _, over = clamp_betas(args.beta_grid)
+    clamped, over = clamp_betas(args.beta_grid)
+    # _sweep_rows takes one power vector per distinct clamped beta, first seen first
+    sweep_configs = [
+        SIConfig(beta, args.t_max_sweep, args.runs, args.seed) for beta in dict.fromkeys(clamped)
+    ]
     graph = _load_graph(args)
     if graph.n < 2:
         raise ValueError(f"need at least two elements to compare rankings, got {graph.n} node(s)")
@@ -204,8 +207,7 @@ def cmd_evaluate(args: argparse.Namespace) -> Outputs:
     if over:
         print(f"note: beta values {over} exceed 1 and were clamped to 1", file=sys.stderr)
     # one spreading_powers call serves the sweep and the rank-vs-spread tables
-    configs = _sweep_configs(args.beta_grid, sweep_config)
-    *powers, power = spreading_powers(graph, configs + [spread_config])
+    *powers, power = spreading_powers(graph, sweep_configs + [spread_config])
     sweep = _sweep_rows(
         [scores[name] for name in args.measures], args.beta_grid, powers, args.tau_convention
     )

@@ -9,16 +9,14 @@ pairs N(N-1)/2 (so |tau| <= 1), "ordered-pairs" divides by N(N-1) (so
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import TAU_CONVENTIONS
 from .centrality import Ranking, ScoreVector
-from .epidemics import SIConfig, spreading_powers
-from .graph import _SLOT_BUDGET, Graph
+from .graph import _SLOT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -197,26 +195,18 @@ def clamp_betas(betas: Sequence[float]) -> tuple[list[float], list[float]]:
     return clamped, over
 
 
-def _sweep_configs(betas: Sequence[float], config: SIConfig) -> list[SIConfig]:
-    """One config per distinct clamped beta of ``betas``, in first-seen
-    order, with config.beta replaced by it."""
-    clamped, _ = clamp_betas(betas)
-    return [replace(config, beta=beta) for beta in dict.fromkeys(clamped)]
-
-
 def _sweep_rows(
     score_vectors: Sequence[ScoreVector],
     betas: Sequence[float],
     powers: Sequence[np.ndarray],
     convention: str = "standard",
 ) -> list[tuple[str, float, RankComparison]]:
-    """The rows of :func:`tau_vs_beta_sweep` from ready spreading powers.
+    """The tau-vs-beta table of each measure against ready spreading powers.
 
-    ``powers`` holds the spreading-power vectors of the configs
-    :func:`_sweep_configs` lists for ``betas``. Each measure's score vector
-    is correlated against each of them once, all in one
-    :func:`_kendall_taus` call; rows keep the requested betas, in (beta,
-    measure) order.
+    ``powers`` holds one spreading-power vector per distinct clamped beta of
+    ``betas``, in first-seen order. Each measure's score vector is
+    correlated against each of them once, all in one :func:`_kendall_taus`
+    call; rows keep the requested betas, in (beta, measure) order.
     """
     requested = list(betas)
     clamped, _ = clamp_betas(requested)
@@ -233,34 +223,6 @@ def _sweep_rows(
         for beta_requested, beta in zip(requested, clamped)
         for sv, comparison in zip(score_vectors, comparisons[beta])
     ]
-
-
-def tau_vs_beta_sweep(
-    graph: Graph,
-    score_vectors: Sequence[ScoreVector],
-    betas: Sequence[float],
-    config: SIConfig,
-    convention: str = "standard",
-) -> list[tuple[str, float, RankComparison]]:
-    """Correlate each measure with simulated spreading power across betas.
-
-    The single-seed spreading power of all nodes is computed once per
-    distinct clamped beta (config.beta is replaced by it), all in one
-    :func:`spreading_powers` call, and :func:`_sweep_rows` correlates each
-    measure's score vector against it once per distinct clamped beta.
-    Betas above 1 are clamped with a warning. Rows keep the requested beta
-    values; order is (beta, measure).
-    """
-    requested = list(betas)
-    _, over = clamp_betas(requested)
-    if over:
-        warnings.warn(
-            f"beta values {over} exceed 1 and were clamped to 1 "
-            "(transmission is a per-contact probability)",
-            stacklevel=2,
-        )
-    powers = spreading_powers(graph, _sweep_configs(requested, config))
-    return _sweep_rows(score_vectors, requested, powers, convention)
 
 
 def rank_vs_spread(ranking: Ranking, power: np.ndarray) -> list[tuple[int, int, float]]:

@@ -347,23 +347,28 @@ def test_evaluate_writes_three_tables(tmp_path, seven_node_file):
     [
         # the sweep's four betas below 1 at t 5, with beta 0.2 read again at
         # t 20; beta 1 passes alone, with one run
-        ([], [(4 * 7, [0.2, 0.4, 0.6, 0.8], 20, 50), (7, [1.0], 5, 1)]),
+        ([], [(4 * 7, [0.2, 0.4, 0.6, 0.8], 20, 50, [5, 20]), (7, [1.0], 5, 1, [5])]),
         # a rank-vs-spread beta outside the grid is one more level
-        (["--beta", "0.3"], [(5 * 7, [0.2, 0.3, 0.4, 0.6, 0.8], 20, 50), (7, [1.0], 5, 1)]),
+        (
+            ["--beta", "0.3"],
+            [(5 * 7, [0.2, 0.3, 0.4, 0.6, 0.8], 20, 50, [5, 20]), (7, [1.0], 5, 1, [5])],
+        ),
         # rank-vs-spread at beta 1 is read from the beta = 1 group at t 20
-        (["--beta", "1.0"], [(4 * 7, [0.2, 0.4, 0.6, 0.8], 5, 50), (7, [1.0], 20, 1)]),
+        (
+            ["--beta", "1.0"],
+            [(4 * 7, [0.2, 0.4, 0.6, 0.8], 5, 50, [5]), (7, [1.0], 20, 1, [5, 20])],
+        ),
         # beta 0.2 is read at t 3 and at the sweep's longer t 9
         (
             ["--t-max", "3", "--t-max-sweep", "9"],
-            [(4 * 7, [0.2, 0.4, 0.6, 0.8], 9, 50), (7, [1.0], 9, 1)],
+            [(4 * 7, [0.2, 0.4, 0.6, 0.8], 9, 50, [3, 9]), (7, [1.0], 9, 1, [9])],
         ),
     ],
     ids=["defaults", "beta-off-grid", "beta-one", "short-spread"],
 )
 def test_evaluate_makes_one_si_pass_per_group(seven_node_file, monkeypatch, options, passes):
     import effgravity.epidemics
-    from effgravity import SIConfig, compute_scores, rank, spreading_power, tau_vs_beta_sweep
-    from effgravity.cli import DEFAULT_BETA
+    from effgravity import SIConfig, compute_scores, kendall_tau, rank, spreading_power
     from effgravity.evaluation import clamp_betas
 
     argv = ["evaluate", "--input", str(seven_node_file), "--out", "unused", "--k", "3", *options]
@@ -371,27 +376,36 @@ def test_evaluate_makes_one_si_pass_per_group(seven_node_file, monkeypatch, opti
     seen = []
     engine = effgravity.epidemics._infected_counts
 
-    def counted(graph, seed_masks, betas, t_max, runs, seed, **options):
-        seen.append((len(seed_masks), sorted(set(betas)), t_max, runs))
-        return engine(graph, seed_masks, betas, t_max, runs, seed, **options)
+    def counted(graph, seed_masks, betas, t_max, runs, seed, *, steps=None, **options):
+        seen.append((len(seed_masks), sorted(set(betas)), t_max, runs, steps))
+        return engine(graph, seed_masks, betas, t_max, runs, seed, steps=steps, **options)
 
     monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counted)
     outputs = effgravity.cli.cmd_evaluate(args)
-    # the seven nodes fit in one block: one pass below beta 1, one at beta 1
+    # the seven nodes fit in one block: one pass below beta 1, one at beta 1,
+    # and each pass counts infections only at the horizons read from it
     assert seen == passes
 
-    # the tables are those of a sweep call and a separate rank-vs-spread call
+    # the tables are those of one spreading_power call per distinct clamped
+    # config and one kendall_tau call per (measure, beta)
     graph, _ = effgravity.parse_edge_list(seven_node_file.read_text())
     scores = compute_scores(graph, args.measures, damping=args.damping)
-    sweep_config = SIConfig(DEFAULT_BETA, args.t_max_sweep, args.runs, args.seed)
     clamped, _ = clamp_betas(args.beta_grid)
-    sweep = tau_vs_beta_sweep(graph, list(scores.values()), clamped, sweep_config)
+    powers = {
+        beta: spreading_power(graph, SIConfig(beta, args.t_max_sweep, args.runs, args.seed))
+        for beta in set(clamped)
+    }
+    taus = {
+        (name, beta): kendall_tau(sv.scores, power).tau
+        for beta, power in powers.items()
+        for name, sv in scores.items()
+    }
     _, rows = outputs["tau_sweep.csv"]
     assert [(name, beta) for name, beta, _ in rows] == [
         (name, beta) for beta in args.beta_grid for name in args.measures
     ]
-    taus = np.array([tau for _, _, tau in rows])
-    assert taus.tobytes() == np.array([c.tau for _, _, c in sweep]).tobytes()
+    want = [taus[name, beta] for beta in clamped for name in args.measures]
+    assert np.array([tau for _, _, tau in rows]).tobytes() == np.array(want).tobytes()
     power = spreading_power(graph, SIConfig(args.beta, args.t_max, args.runs, args.seed))
     for name, sv in scores.items():
         _, rows = outputs[f"rank_vs_spread_{name}.csv"]
@@ -533,6 +547,7 @@ def test_effg_builds_no_distance_matrix(tmp_path, seven_node_file, monkeypatch, 
         ["evaluate", "--k", "-1"],
         ["evaluate", "--k", "0"],
         ["evaluate", "--beta-grid", "0.2,nan", "--k", "2"],
+        ["evaluate", "--t-max-sweep", "-1", "--k", "2"],
     ],
 )
 def test_bad_si_arguments_fail_before_any_work(tmp_path, seven_node_file, monkeypatch, argv):
@@ -732,6 +747,20 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "effgravity")
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"{sorted(loaded)}\n"
+
+
+def test_evaluation_compares_rankings_without_the_si_layer():
+    # the evaluation layer scores given vectors; the SI runs are the caller's
+    check = """
+import sys
+import effgravity.evaluation
+assert effgravity.evaluation.kendall_tau([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]).tau == 1 / 3
+assert "effgravity.epidemics" not in sys.modules, sorted(sys.modules)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", check], env=interpreter_env(), capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_stats_makes_no_gravity_sums(tmp_path, seven_node_file, monkeypatch):

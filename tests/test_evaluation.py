@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +15,11 @@ from effgravity import (
     rank,
     rank_vs_spread,
     spreading_power,
-    tau_vs_beta_sweep,
+    spreading_powers,
     top_k_overlap,
 )
+from effgravity.evaluation import _sweep_rows
+from conftest import SEVEN_NODE_EDGE_LIST
 from helpers import kendall_counts_bruteforce, kendall_counts_by_rows
 
 
@@ -235,12 +235,12 @@ def test_overlap_k_out_of_range_rejected(k):
 
 
 # --- tau-vs-beta sweep --------------------------------------------------------
+# evaluate simulates one config per distinct clamped beta in one
+# spreading_powers call, and _sweep_rows builds the table from its vectors
 
 def test_sweep_beta_zero_is_degenerate(seven_node_graph):
-    cfg = SIConfig(beta=0.2, t_max=4, runs=5, seed=1)
-    rows = tau_vs_beta_sweep(
-        seven_node_graph, [degree_centrality(seven_node_graph)], [0.0], cfg
-    )
+    powers = spreading_powers(seven_node_graph, [SIConfig(beta=0.0, t_max=4, runs=5, seed=1)])
+    rows = _sweep_rows([degree_centrality(seven_node_graph)], [0.0], powers)
     (measure, beta, comparison), = rows
     assert measure == "dc"
     assert beta == 0.0
@@ -249,10 +249,8 @@ def test_sweep_beta_zero_is_degenerate(seven_node_graph):
 
 
 def test_sweep_saturated_ground_truth_is_degenerate(seven_node_graph):
-    cfg = SIConfig(beta=0.2, t_max=6, runs=3, seed=1)
-    rows = tau_vs_beta_sweep(
-        seven_node_graph, [degree_centrality(seven_node_graph)], [1.0], cfg
-    )
+    powers = spreading_powers(seven_node_graph, [SIConfig(beta=1.0, t_max=6, runs=3, seed=1)])
+    rows = _sweep_rows([degree_centrality(seven_node_graph)], [1.0], powers)
     comparison = rows[0][2]
     assert comparison.tau == 0.0
     assert comparison.degenerate
@@ -267,53 +265,13 @@ def test_clamp_betas_returns_the_values_over_one_without_a_warning():
             clamp_betas(bad)
 
 
-def test_sweep_clamps_betas_above_one(seven_node_graph):
-    cfg = SIConfig(beta=0.2, t_max=2, runs=2, seed=1)
-    with pytest.warns(UserWarning, match="clamped"):
-        rows = tau_vs_beta_sweep(
-            seven_node_graph, [degree_centrality(seven_node_graph)], [1.2], cfg
-        )
-    assert rows[0][1] == 1.2  # requested value is what the table reports
+def test_sweep_compares_each_measure_once_per_distinct_clamped_beta(tmp_path, monkeypatch):
+    from effgravity.cli import build_parser, cmd_evaluate
 
-
-def test_sweep_simulates_each_distinct_clamped_beta_once(seven_node_graph, monkeypatch):
-    import effgravity.epidemics
-    from effgravity.cli import DEFAULT_BETA_GRID
-
-    betas = [float(token) for token in DEFAULT_BETA_GRID.split(",")]
-    passes, steps_read = [], []
-    engine = effgravity.epidemics._infected_counts
-
-    def counted(graph, seed_masks, set_betas, t_max, runs, seed, *, steps=None, **options):
-        passes.append((len(seed_masks), sorted(set(set_betas)), t_max, runs))
-        steps_read.append(steps)
-        return engine(graph, seed_masks, set_betas, t_max, runs, seed, steps=steps, **options)
-
-    monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counted)
-    cfg = SIConfig(beta=0.2, t_max=2, runs=3, seed=1)
-    with pytest.warns(UserWarning, match="clamped"):
-        rows = tau_vs_beta_sweep(
-            seven_node_graph, [degree_centrality(seven_node_graph)], betas, cfg
-        )
-    # one engine pass over one block of the 7 nodes, stacked once per
-    # distinct beta below 1; beta = 1 passes alone, with one run
-    assert passes == [(4 * 7, [0.2, 0.4, 0.6, 0.8], 2, 3), (7, [1.0], 2, 1)]
-    # and each pass counts infections only at the sweep's one horizon
-    assert steps_read == [[2], [2]]
-    assert [beta for _, beta, _ in rows] == betas
-    taus = {beta: comparison for _, beta, comparison in rows}
-    assert taus[1.0] == taus[1.6]
-
-
-def test_sweep_compares_each_measure_once_per_distinct_clamped_beta(
-    seven_node_graph, monkeypatch
-):
-    from effgravity.cli import DEFAULT_BETA_GRID
-
-    betas = [float(token) for token in DEFAULT_BETA_GRID.split(",")]
+    edge_file = tmp_path / "seven.edges"
+    edge_file.write_text(SEVEN_NODE_EDGE_LIST)
     calls = []
     batched = effgravity.evaluation._kendall_taus
-    compare = effgravity.evaluation.kendall_tau
 
     def counted(pairs, convention="standard"):
         pairs = list(pairs)
@@ -321,42 +279,33 @@ def test_sweep_compares_each_measure_once_per_distinct_clamped_beta(
         return batched(pairs, convention)
 
     monkeypatch.setattr(effgravity.evaluation, "_kendall_taus", counted)
-    measures = [degree_centrality(seven_node_graph), closeness_centrality(seven_node_graph)]
-    cfg = SIConfig(beta=0.2, t_max=2, runs=3, seed=1)
-    with pytest.warns(UserWarning, match="clamped"):
-        rows = tau_vs_beta_sweep(seven_node_graph, measures, betas, cfg, "ordered-pairs")
-    # 8 betas, of which 1.2, 1.4 and 1.6 clamp to 1.0: 5 distinct, 2
-    # measures, all scored in one batched call
+    argv = ["evaluate", "--input", str(edge_file), "--out", "unused", "--measures", "dc,cc"]
+    args = build_parser().parse_args(argv + ["--tau-convention", "ordered-pairs", "--k", "3"])
+    _, rows = cmd_evaluate(args)["tau_sweep.csv"]
+    # the default grid's 8 betas, of which 1.2, 1.4 and 1.6 clamp to 1.0:
+    # 5 distinct, 2 measures, all scored in one batched call
     assert calls == [(10, "ordered-pairs")]
     assert [(measure, beta) for measure, beta, _ in rows] == [
-        (sv.measure, beta) for beta in betas for sv in measures
+        (measure, beta) for beta in args.beta_grid for measure in ("dc", "cc")
     ]
-    clamped = [replace(cfg, beta=min(beta, 1.0)) for beta in betas]
-    powers = [spreading_power(seven_node_graph, config) for config in clamped]
-    want = [
-        compare(sv.scores, power, convention="ordered-pairs")
-        for power in powers
-        for sv in measures
-    ]
-    assert [comparison for _, _, comparison in rows] == want
 
 
 def test_sweep_rejects_negative_beta(seven_node_graph):
-    cfg = SIConfig(beta=0.2, t_max=2, runs=2, seed=1)
-    with pytest.raises(ValueError):
-        tau_vs_beta_sweep(
-            seven_node_graph, [degree_centrality(seven_node_graph)], [-0.1], cfg
-        )
+    power = np.ones(seven_node_graph.n)
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        _sweep_rows([degree_centrality(seven_node_graph)], [-0.1], [power])
 
 
 def test_sweep_row_count_and_determinism(seven_node_graph):
-    cfg = SIConfig(beta=0.2, t_max=3, runs=4, seed=10)
-    measures = [degree_centrality(seven_node_graph)]
-    betas = [0.1, 0.3, 0.5]
-    rows_a = tau_vs_beta_sweep(seven_node_graph, measures, betas, cfg)
-    rows_b = tau_vs_beta_sweep(seven_node_graph, measures, betas, cfg)
-    assert len(rows_a) == len(betas)
+    measures = [degree_centrality(seven_node_graph), closeness_centrality(seven_node_graph)]
+    betas = [0.1, 1.5, 0.3, 1.0]
+    configs = [SIConfig(beta, t_max=3, runs=4, seed=10) for beta in (0.1, 1.0, 0.3)]
+    rows_a = _sweep_rows(measures, betas, spreading_powers(seven_node_graph, configs))
+    rows_b = _sweep_rows(measures, betas, spreading_powers(seven_node_graph, configs))
+    assert len(rows_a) == len(betas) * len(measures)
     assert rows_a == rows_b
+    # a beta that clamps onto another shares its comparisons
+    assert rows_a[2:4] == [(measure, 1.5, comparison) for measure, _, comparison in rows_a[6:8]]
 
 
 def test_measure_against_itself_scores_one():

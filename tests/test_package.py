@@ -45,7 +45,6 @@ EXPORTS = {
     "simulate_si": "epidemics",
     "spreading_power": "epidemics",
     "spreading_powers": "epidemics",
-    "tau_vs_beta_sweep": "evaluation",
     "top_k_infection_curves": "epidemics",
     "top_k_overlap": "evaluation",
     "topology_stats": "graph",
