@@ -41,17 +41,15 @@ _EXPORTS = {
         "pagerank",
         "rank",
     ),
-    "effective_distance": ("effective_distance_matrix", "effective_distances"),
+    "effective_distance": ("effective_distance_matrix",),
     "epidemics": (
         "SIConfig",
-        "SIOutcome",
         "simulate_si",
         "spreading_power",
         "spreading_powers",
         "top_k_infection_curves",
     ),
     "evaluation": (
-        "OverlapReport",
         "RankComparison",
         "clamp_betas",
         "kendall_tau",

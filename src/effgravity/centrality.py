@@ -37,14 +37,13 @@ class ScoreVector:
 
 @dataclass(frozen=True)
 class Ranking:
-    """Descending-score node order with 1-based rank per node.
+    """Descending-score node order; ``order[i]`` has rank i + 1.
 
     Ties are broken by ascending node index, so two runs over the same
     graph produce identical rankings.
     """
 
     order: np.ndarray
-    ranks: np.ndarray
 
     def top(self, k: int) -> np.ndarray:
         if not 0 <= k <= self.order.size:
@@ -54,13 +53,9 @@ class Ranking:
 
 def rank(score_vector: ScoreVector) -> Ranking:
     """Order nodes by descending score; equal scores keep ascending index order."""
-    scores = score_vector.scores
-    order = np.argsort(-scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.int64)
-    ranks[order] = np.arange(1, scores.size + 1)
+    order = np.argsort(-score_vector.scores, kind="stable")
     order.setflags(write=False)
-    ranks.setflags(write=False)
-    return Ranking(order=order, ranks=ranks)
+    return Ranking(order=order)
 
 
 def _neighbor_sums(graph: Graph, values: np.ndarray) -> np.ndarray:

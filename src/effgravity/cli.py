@@ -125,14 +125,15 @@ def _scores(
 
 def _score_rows(graph: Graph, sv: ScoreVector, ranking: Ranking):
     # lazy, so main holds one measure's rows at a time, not all of them;
-    # tolist makes the Python floats and ints in one call per column and
-    # chunk, so a large table never holds all its rows as Python objects
+    # tolist makes the Python floats in one call per chunk, so a large table
+    # never holds all its rows as Python objects. A rank is the row's
+    # position, 1 .. n.
     for start in range(0, ranking.order.size, _ROWS_PER_CHUNK):
         order = ranking.order[start : start + _ROWS_PER_CHUNK]
         yield from zip(
             map(graph.labels.__getitem__, order.tolist()),
             sv.scores.take(order).tolist(),
-            ranking.ranks.take(order).tolist(),
+            range(start + 1, start + order.size + 1),
         )
 
 
@@ -217,8 +218,8 @@ def cmd_evaluate(args: argparse.Namespace) -> Outputs:
     overlap_rows = []
     for i, name_a in enumerate(args.measures):
         for name_b in args.measures[i + 1 :]:
-            report = top_k_overlap(rankings[name_a], rankings[name_b], args.k)
-            overlap_rows.append((name_a, name_b, report.k, report.shared))
+            shared = top_k_overlap(rankings[name_a], rankings[name_b], args.k)
+            overlap_rows.append((name_a, name_b, args.k, shared))
 
     # one (header, rows) table per output; the JSON is made from the same rows
     tables = {

@@ -49,20 +49,13 @@ from .graph import Graph, _adjacency_slots, _source_blocks
 _RELAX_ALL_FACTOR = 3
 
 
-def effective_distances(graph: Graph, source: int) -> np.ndarray:
-    """Effective distances from ``source`` to every node.
-
-    Returns a float row with ``inf`` for the source itself and for
-    unreachable targets. Finite entries are always >= 1, and a node whose
-    best walk is its direct edge sits at exactly ``1 + log2(degree(source))``.
-    """
-    graph.check_node(source)
-    ((_, rows),) = _effective_rows(graph, np.array([source]))
-    return rows[0]
-
-
 def effective_distance_matrix(graph: Graph) -> np.ndarray:
-    """All-pairs effective distances, one row per source."""
+    """All-pairs effective distances, one float row per source.
+
+    Row s holds ``inf`` for s itself and for targets it cannot reach.
+    Finite entries are always >= 1, and a node whose best walk from s is
+    its direct edge sits at exactly ``1 + log2(degree(s))``.
+    """
     if graph.n == 0:
         raise ValueError("effective distances are undefined for an empty graph")
     matrix = np.empty((graph.n, graph.n), dtype=np.float64)
@@ -75,8 +68,8 @@ def _effective_rows(graph: Graph, sources: np.ndarray) -> Iterator[tuple[np.ndar
     """Effective-distance rows from ``sources``, one block at a time.
 
     Yields ``(block, rows)`` in order, ``block`` a slice of ``sources`` and
-    ``rows[r]`` the row of ``block[r]``, laid out as
-    :func:`effective_distances` returns it. Each block's label correction
+    ``rows[r]`` the row of ``block[r]``, laid out as a row of
+    :func:`effective_distance_matrix`. Each block's label correction
     runs on a disjoint union of the graph, one copy per source (see
     :func:`graph._source_blocks`); the copies never meet, so every row is
     the fixpoint its source reaches alone.

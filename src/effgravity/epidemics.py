@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .centrality import Ranking
 from .graph import Graph, _adjacency_slots, _bits
+
+if TYPE_CHECKING:
+    from .centrality import Ranking
 
 
 @dataclass(frozen=True)
@@ -37,24 +39,18 @@ class SIConfig:
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
+        for name in ("t_max", "runs", "seed"):
+            value = getattr(self, name)
+            # a float would otherwise fail only in the first simulation, and
+            # a bool would count as 0 or 1
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.t_max < 0:
             raise ValueError(f"t_max must be >= 0, got {self.t_max}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class SIOutcome:
-    """Infected-count trajectories for one seeded ensemble."""
-
-    run_curves: np.ndarray  # (runs, t_max + 1) per-run infected counts
-
-    @property
-    def f_curve(self) -> np.ndarray:
-        """Ensemble mean infected count at t = 0 .. t_max."""
-        return self.run_curves.mean(axis=0)
 
 
 # Budget, in bytes, for one block of spreading_powers' single-node seed
@@ -363,17 +359,19 @@ def _seed_mask(graph: Graph, seeds: Iterable[int]) -> np.ndarray:
     return mask
 
 
-def simulate_si(graph: Graph, seeds: Iterable[int], config: SIConfig) -> SIOutcome:
+def simulate_si(graph: Graph, seeds: Iterable[int], config: SIConfig) -> np.ndarray:
     """Run an ensemble of spreading trajectories from one seed set.
 
-    The outcome is bit-identical for identical (graph, seeds, config).
+    Returns the read-only (runs, t_max + 1) int64 array of each run's
+    infected count at t = 0 .. t_max; ``.mean(axis=0)`` is the mean
+    infection curve. It is bit-identical for identical (graph, seeds, config).
     """
     runs = _infected_counts(
         graph, _seed_mask(graph, seeds)[None], [config.beta], config.t_max, config.runs, config.seed
     )
     curves = np.stack([counts[0] for counts in runs])
     curves.setflags(write=False)
-    return SIOutcome(run_curves=curves)
+    return curves
 
 
 def spreading_powers(graph: Graph, configs: Sequence[SIConfig]) -> list[np.ndarray]:

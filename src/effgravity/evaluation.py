@@ -10,13 +10,15 @@ pairs N(N-1)/2 (so |tau| <= 1), "ordered-pairs" divides by N(N-1) (so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import TAU_CONVENTIONS
-from .centrality import Ranking, ScoreVector
 from .graph import _SLOT_BUDGET
+
+if TYPE_CHECKING:
+    from .centrality import Ranking, ScoreVector
 
 
 @dataclass(frozen=True)
@@ -27,20 +29,11 @@ class RankComparison:
     concordant: int
     discordant: int
     pairs_total: int
-    convention: str
 
     @property
     def degenerate(self) -> bool:
         """True when every pair was tied, leaving tau uninformative."""
         return self.concordant == 0 and self.discordant == 0
-
-
-@dataclass(frozen=True)
-class OverlapReport:
-    """Size of the intersection of two rankings' top-k node sets."""
-
-    k: int
-    shared: int
 
 
 def _tied_pairs(same: np.ndarray) -> np.ndarray:
@@ -151,7 +144,6 @@ def _kendall_taus(
             concordant=concordant,
             discordant=discordant,
             pairs_total=pairs_total,
-            convention=convention,
         )
         for concordant, discordant in counts
     ]
@@ -168,14 +160,13 @@ def kendall_tau(
     return _kendall_taus([(x, y)], convention)[0]
 
 
-def top_k_overlap(a: Ranking, b: Ranking, k: int) -> OverlapReport:
+def top_k_overlap(a: Ranking, b: Ranking, k: int) -> int:
     """How many nodes the two rankings' top-k sets have in common."""
     if a.order.size != b.order.size:
         raise ValueError(
             f"rankings cover different node sets ({a.order.size} vs {b.order.size} nodes)"
         )
-    shared = len(set(map(int, a.top(k))) & set(map(int, b.top(k))))
-    return OverlapReport(k=k, shared=shared)
+    return len(set(map(int, a.top(k))) & set(map(int, b.top(k))))
 
 
 def clamp_betas(betas: Sequence[float]) -> tuple[list[float], list[float]]:

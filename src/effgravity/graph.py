@@ -332,16 +332,12 @@ def _source_blocks(
     copies = max(1, min(count, _SLOT_BUDGET // max(2 * graph.m, n, 1)))
     _raise_heap_thresholds()
     copy = np.arange(copies, dtype=np.int64)[:, None]
-    if copies == 1:
-        # one copy is the graph itself, so it lends its own arrays
-        union = _Union(graph.indptr, graph.indices, graph.degrees)
-    else:
-        slots = graph.indices.size
-        union = _Union(
-            indptr=np.append((graph.indptr[:-1] + copy * slots).ravel(), copies * slots),
-            indices=(graph.indices + copy * n).ravel(),
-            degrees=np.tile(graph.degrees, copies),
-        )
+    slots = graph.indices.size
+    union = _Union(
+        indptr=np.append((graph.indptr[:-1] + copy * slots).ravel(), copies * slots),
+        indices=(graph.indices + copy * n).ravel(),
+        degrees=np.tile(graph.degrees, copies),
+    )
     starts = copy[:, 0] * n
     blocks = [sources[first : first + copies] for first in range(0, count, copies)]
     return union, [(block, starts[: block.size] + block) for block in blocks]

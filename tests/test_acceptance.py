@@ -161,7 +161,7 @@ def test_criterion_5_si_properties(seven_node_graph):
     frozen = simulate_si(
         seven_node_graph, [0, 2], SIConfig(beta=0.0, t_max=8, runs=10, seed=5)
     )
-    if not np.all(frozen.run_curves == 2):
+    if not np.all(frozen == 2):
         failures.append("beta=0 does not keep F(t) at the seed-set size")
 
     seeds = [1]
@@ -170,24 +170,24 @@ def test_criterion_5_si_properties(seven_node_graph):
     sweep = simulate_si(
         seven_node_graph, seeds, SIConfig(beta=1.0, t_max=eccentricity + 1, runs=5, seed=5)
     )
-    if not np.all(sweep.run_curves[:, eccentricity:] == seven_node_graph.n):
+    if not np.all(sweep[:, eccentricity:] == seven_node_graph.n):
         failures.append("beta=1 does not reach n by the seed-set eccentricity")
 
     rng = np.random.default_rng(1005)
     graph = random_connected_graph(rng, 20, 0.15)
     ensemble = simulate_si(graph, [0], SIConfig(beta=0.3, t_max=10, runs=50, seed=11))
-    if not np.all(np.diff(ensemble.run_curves, axis=1) >= 0):
+    if not np.all(np.diff(ensemble, axis=1) >= 0):
         failures.append("a run curve decreased")
 
     again = simulate_si(graph, [0], SIConfig(beta=0.3, t_max=10, runs=50, seed=11))
-    if ensemble.run_curves.tobytes() != again.run_curves.tobytes():
+    if ensemble.tobytes() != again.tobytes():
         failures.append("identical configs were not bit-identical")
 
     star = Graph.from_edges(11, [(0, i) for i in range(1, 11)])
-    outcome = simulate_si(star, [0], SIConfig(beta=0.5, t_max=1, runs=10_000, seed=7))
+    curves = simulate_si(star, [0], SIConfig(beta=0.5, t_max=1, runs=10_000, seed=7))
     expected = 1 + 10 * 0.5
     stderr = math.sqrt(10 * 0.25 / 10_000)
-    deviation = abs(outcome.f_curve[1] - expected)
+    deviation = abs(curves.mean(axis=0)[1] - expected)
     if deviation > 3 * stderr:
         failures.append(
             f"star one-step mean off by {deviation:.4f} (> 3 x stderr {stderr:.4f})"
@@ -270,7 +270,7 @@ def test_criterion_7_jazz_dataset_checks():
     rankings["si"] = rank(ScoreVector("si", si_power))
 
     for name, reference in JAZZ_OVERLAP_REFERENCE.items():
-        shared = top_k_overlap(rankings["effg"], rankings[name], 20).shared
+        shared = top_k_overlap(rankings["effg"], rankings[name], 20)
         if abs(shared - reference) > 2:
             failures.append(f"top-20 overlap effg vs {name}: {shared} not in {reference}+/-2")
 

@@ -144,8 +144,8 @@ def test_rank_table_spanning_several_row_chunks_matches_rows_one_at_a_time(tmp_p
     with open(expected, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["node_label", "score", "rank"])
-        for node in ranking.order:
-            writer.writerow([graph.labels[node], float(sv.scores[node]), int(ranking.ranks[node])])
+        for position, node in enumerate(ranking.order, start=1):
+            writer.writerow([graph.labels[node], float(sv.scores[node]), position])
     assert (out / "scores_dc.csv").read_bytes() == expected.read_bytes()
 
 
@@ -750,12 +750,32 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "effgravity")
 
 
 def test_evaluation_compares_rankings_without_the_si_layer():
-    # the evaluation layer scores given vectors; the SI runs are the caller's
+    # the evaluation layer scores given vectors; the SI runs and the
+    # measures are the caller's, and Ranking and ScoreVector only annotate
     check = """
 import sys
 import effgravity.evaluation
 assert effgravity.evaluation.kendall_tau([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]).tau == 1 / 3
-assert "effgravity.epidemics" not in sys.modules, sorted(sys.modules)
+for layer in ("epidemics", "centrality", "effective_distance"):
+    assert f"effgravity.{layer}" not in sys.modules, sorted(sys.modules)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", check], env=interpreter_env(), capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_epidemics_simulates_without_the_measures():
+    # the SI layer takes seed sets; Ranking only annotates its signatures
+    check = """
+import sys
+import effgravity.epidemics as si
+from effgravity.graph import Graph
+graph = Graph.from_edges(3, [(0, 1), (1, 2)])
+curves = si.simulate_si(graph, [1], si.SIConfig(beta=1.0, t_max=2, runs=2, seed=0))
+assert curves.tolist() == [[1, 3, 3], [1, 3, 3]], curves
+for layer in ("centrality", "effective_distance", "evaluation"):
+    assert f"effgravity.{layer}" not in sys.modules, sorted(sys.modules)
 """
     result = subprocess.run(
         [sys.executable, "-c", check], env=interpreter_env(), capture_output=True, text=True

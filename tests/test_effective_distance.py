@@ -6,14 +6,13 @@ import pytest
 from effgravity import (
     Graph,
     effective_distance_matrix,
-    effective_distances,
     parse_edge_list,
 )
 from helpers import effective_distance_bruteforce, random_connected_graph, random_graph
 
 
 def test_seven_node_row_from_node_2(seven_node_graph):
-    row = effective_distances(seven_node_graph, 1)
+    row = effective_distance_matrix(seven_node_graph)[1]
     expected = [2.0000, math.inf, 4.0000, 4.0000, 2.0000, 4.5850, 4.5850]
     for got, want in zip(row, expected):
         if math.isinf(want):
@@ -31,13 +30,14 @@ def test_seven_node_asymmetry(seven_node_graph):
 def test_degree_one_source_direct_edge_is_distance_one():
     graph, _ = parse_edge_list("a b\nb c\nc d\nb d")
     # "a" has degree 1: certain first step
-    assert effective_distances(graph, 0)[1] == pytest.approx(1.0)
+    assert effective_distance_matrix(graph)[0, 1] == pytest.approx(1.0)
 
 
 def test_two_node_path_both_directions_one():
     graph, _ = parse_edge_list("u v")
-    assert effective_distances(graph, 0)[1] == pytest.approx(1.0)
-    assert effective_distances(graph, 1)[0] == pytest.approx(1.0)
+    matrix = effective_distance_matrix(graph)
+    assert matrix[0, 1] == pytest.approx(1.0)
+    assert matrix[1, 0] == pytest.approx(1.0)
 
 
 def test_self_distance_is_infinite(seven_node_graph):
@@ -47,19 +47,13 @@ def test_self_distance_is_infinite(seven_node_graph):
 
 def test_isolated_source_row_all_infinite():
     graph, _ = parse_edge_list("1 1\n2 3\n")
-    assert np.all(np.isinf(effective_distances(graph, 0)))
+    assert np.all(np.isinf(effective_distance_matrix(graph)[0]))
 
 
 def test_unreachable_targets_get_sentinel():
     graph, _ = parse_edge_list("a b\nc d\n")
-    row = effective_distances(graph, 0)
+    row = effective_distance_matrix(graph)[0]
     assert np.isinf(row[2]) and np.isinf(row[3])
-
-
-def test_matrix_rows_match_single_source(seven_node_graph):
-    matrix = effective_distance_matrix(seven_node_graph)
-    for s in range(seven_node_graph.n):
-        assert np.array_equal(matrix[s], effective_distances(seven_node_graph, s), equal_nan=True)
 
 
 def test_matrix_of_an_empty_graph_is_rejected():

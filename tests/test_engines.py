@@ -28,7 +28,6 @@ from effgravity import (
     betweenness_centrality,
     closeness_centrality,
     effective_distance_matrix,
-    effective_distances,
     effg_centrality,
     eigenvector_centrality,
     gravity_centrality,
@@ -37,6 +36,7 @@ from effgravity import (
     topology_stats,
 )
 from effgravity.centrality import _NOT_SEEN, _first_occurrences
+from effgravity.effective_distance import _effective_rows
 from effgravity.graph import (
     _BLOCK,
     _adjacency_slots,
@@ -63,13 +63,14 @@ GRAPH_IDS = [f"graph{i}-n{g.n}-m{g.m}" for i, g in enumerate(GRAPHS)]
 
 
 def assert_sweeps_match_oracles(graph: Graph) -> None:
+    heap_rows = [effective_distances_by_heap(graph, s) for s in range(graph.n)]
     for s in range(graph.n):
         assert hop_distances(graph, s).tobytes() == hop_distances_by_queue(graph, s).tobytes()
-        heap_row = effective_distances_by_heap(graph, s)
-        assert effective_distances(graph, s).tobytes() == heap_row.tobytes()
+        # a block of one source, where the matrix runs blocks of many
+        ((_, rows),) = _effective_rows(graph, np.array([s]))
+        assert rows.tobytes() == heap_rows[s].tobytes()
     if graph.n:
-        heap_matrix = np.stack([effective_distances_by_heap(graph, s) for s in range(graph.n)])
-        assert effective_distance_matrix(graph).tobytes() == heap_matrix.tobytes()
+        assert effective_distance_matrix(graph).tobytes() == np.stack(heap_rows).tobytes()
     assert betweenness_centrality(graph).scores.tobytes() == betweenness_by_stack(graph).tobytes()
 
 
@@ -138,8 +139,6 @@ def test_source_blocks_of_any_size_match_oracles(index, copies, monkeypatch):
     assert betweenness_centrality(graph).scores.tobytes() == bc.tobytes()
     assert effg_centrality(graph).scores.tobytes() == effg.tobytes()
     assert effective_distance_matrix(graph).tobytes() == rows.tobytes()
-    for s in range(graph.n):
-        assert effective_distances(graph, s).tobytes() == rows[s].tobytes()
 
 
 def record_label_correction(monkeypatch) -> list[tuple[np.ndarray, list]]:
@@ -533,12 +532,13 @@ def test_effective_rows_match_networkx_dijkstra(graph):
     for u, v in graph.edges():
         directed.add_edge(u, v, weight=math.log2(degrees[u]))
         directed.add_edge(v, u, weight=math.log2(degrees[v]))
+    matrix = effective_distance_matrix(graph)
     for s in range(graph.n):
         want = np.full(graph.n, np.inf)
         for target, cost in nx.single_source_dijkstra_path_length(directed, s).items():
             if target != s:
                 want[target] = cost + 1.0
-        np.testing.assert_allclose(effective_distances(graph, s), want, rtol=1e-12)
+        np.testing.assert_allclose(matrix[s], want, rtol=1e-12)
 
 
 @pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
@@ -661,7 +661,8 @@ def test_star_step_weight_is_the_correctly_rounded_log2_of_its_degree():
     # one bit away from the correctly rounded value that math.log2 gives
     leaves = 1621
     star = Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-    assert effective_distances(star, 0)[1] == 1.0 + math.log2(leaves)
+    ((_, centre_row),) = _effective_rows(star, np.array([0]))
+    assert centre_row[0, 1] == 1.0 + math.log2(leaves)
     # every leaf's heap row is leaf 1's with the entries of the two leaves
     # swapped, as swapping them is an automorphism
     centre = effective_distances_by_heap(star, 0)

@@ -48,13 +48,21 @@ def test_config_validation():
         SIConfig(beta=0.2, t_max=5, runs=0, seed=0)
     with pytest.raises(ValueError):
         SIConfig(beta=0.2, t_max=5, runs=10, seed=-1)
+    # integers only: a float would fail in the first simulation, and a bool
+    # would count as 0 or 1; numpy integers are accepted
+    SIConfig(beta=0.2, t_max=np.int64(5), runs=np.int32(10), seed=np.uint8(0))
+    for field in ("t_max", "runs", "seed"):
+        for value in (2.0, 0.5, True, np.float64(3.0), np.bool_(True)):
+            kwargs = {"beta": 0.2, "t_max": 5, "runs": 10, "seed": 0, field: value}
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                SIConfig(**kwargs)
 
 
 def test_beta_zero_curve_stays_at_seed_count(seven_node_graph):
     cfg = SIConfig(beta=0.0, t_max=10, runs=20, seed=1)
-    outcome = simulate_si(seven_node_graph, [0, 3], cfg)
-    assert np.all(outcome.run_curves == 2)
-    assert np.all(outcome.f_curve == 2.0)
+    curves = simulate_si(seven_node_graph, [0, 3], cfg)
+    assert np.all(curves == 2)
+    assert np.all(curves.mean(axis=0) == 2.0)
 
 
 def test_beta_one_full_sweep_by_eccentricity():
@@ -63,39 +71,39 @@ def test_beta_one_full_sweep_by_eccentricity():
     seeds = [2]
     ecc = seed_set_eccentricity(graph, seeds)
     cfg = SIConfig(beta=1.0, t_max=ecc + 2, runs=5, seed=3)
-    outcome = simulate_si(graph, seeds, cfg)
-    assert np.all(outcome.run_curves[:, ecc:] == graph.n)
+    curves = simulate_si(graph, seeds, cfg)
+    assert np.all(curves[:, ecc:] == graph.n)
 
 
 def test_f0_is_seed_count_after_dedup(seven_node_graph):
     cfg = SIConfig(beta=0.3, t_max=3, runs=4, seed=9)
-    outcome = simulate_si(seven_node_graph, [1, 1, 2], cfg)
-    assert np.all(outcome.run_curves[:, 0] == 2)
+    curves = simulate_si(seven_node_graph, [1, 1, 2], cfg)
+    assert np.all(curves[:, 0] == 2)
 
 
 def test_every_run_curve_is_non_decreasing():
     rng = np.random.default_rng(29)
     graph = random_connected_graph(rng, 20, 0.15)
     cfg = SIConfig(beta=0.25, t_max=12, runs=40, seed=5)
-    outcome = simulate_si(graph, [0], cfg)
-    assert np.all(np.diff(outcome.run_curves, axis=1) >= 0)
-    assert np.all(outcome.run_curves <= graph.n)
+    curves = simulate_si(graph, [0], cfg)
+    assert np.all(np.diff(curves, axis=1) >= 0)
+    assert np.all(curves <= graph.n)
 
 
 def test_bit_identical_for_identical_configs(seven_node_graph):
     cfg = SIConfig(beta=0.4, t_max=8, runs=25, seed=123)
     a = simulate_si(seven_node_graph, [0], cfg)
     b = simulate_si(seven_node_graph, [0], cfg)
-    assert a.run_curves.tobytes() == b.run_curves.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_star_one_step_mean_matches_binomial():
     graph = star_graph(10)
     cfg = SIConfig(beta=0.5, t_max=1, runs=10_000, seed=2024)
-    outcome = simulate_si(graph, [0], cfg)
+    curves = simulate_si(graph, [0], cfg)
     expected = 1 + 10 * 0.5
     stderr = np.sqrt(10 * 0.25 / cfg.runs)
-    assert abs(outcome.f_curve[1] - expected) <= 3 * stderr
+    assert abs(curves.mean(axis=0)[1] - expected) <= 3 * stderr
 
 
 def test_empty_seed_set_rejected(seven_node_graph):
@@ -117,7 +125,7 @@ def test_raising_beta_never_loses_infections_with_shared_draws():
     graph = random_connected_graph(rng, 18, 0.2)
     low = simulate_si(graph, [1], SIConfig(beta=0.3, t_max=10, runs=30, seed=77))
     high = simulate_si(graph, [1], SIConfig(beta=0.6, t_max=10, runs=30, seed=77))
-    assert np.all(high.run_curves >= low.run_curves)
+    assert np.all(high >= low)
 
 
 def test_superset_seeds_dominate_with_shared_draws():
@@ -126,7 +134,7 @@ def test_superset_seeds_dominate_with_shared_draws():
     cfg = SIConfig(beta=0.35, t_max=10, runs=30, seed=88)
     small = simulate_si(graph, [4], cfg)
     large = simulate_si(graph, [4, 9], cfg)
-    assert np.all(large.run_curves >= small.run_curves)
+    assert np.all(large >= small)
 
 
 def exact_expected_curve(graph, seeds, beta, t_max):
@@ -169,11 +177,11 @@ def test_ensemble_mean_matches_exact_markov_chain():
     graph = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     beta, t_max, runs = 0.35, 3, 40_000
     exact = exact_expected_curve(graph, [1], beta, t_max)
-    outcome = simulate_si(graph, [1], SIConfig(beta=beta, t_max=t_max, runs=runs, seed=99))
+    curves = simulate_si(graph, [1], SIConfig(beta=beta, t_max=t_max, runs=runs, seed=99))
     # worst-case std of an infected count in [1, 4] is 1.5, so 3 standard
     # errors stay under 0.023 at this ensemble size
     for t in range(t_max + 1):
-        assert outcome.f_curve[t] == pytest.approx(exact[t], abs=0.03)
+        assert curves.mean(axis=0)[t] == pytest.approx(exact[t], abs=0.03)
 
 
 def test_spreading_power_beta_zero_all_ones(seven_node_graph):
@@ -219,8 +227,11 @@ def test_top_k_out_of_range_rejected(seven_node_graph):
 
 def test_outcome_summary_fields(seven_node_graph):
     cfg = SIConfig(beta=0.5, t_max=6, runs=12, seed=4)
-    outcome = simulate_si(seven_node_graph, [0], cfg)
-    assert outcome.f_curve[0] == 1.0
+    curves = simulate_si(seven_node_graph, [0], cfg)
+    # one read-only row of counts per run, t = 0 .. t_max
+    assert curves.shape == (12, 7) and curves.dtype == np.int64
+    assert not curves.flags.writeable
+    assert curves.mean(axis=0)[0] == 1.0
 
 
 @pytest.mark.parametrize("seeds", [[1.7], [True], [0, 2.0], np.array([1.0]), ["1"]])
@@ -235,9 +246,9 @@ def test_non_integer_seeds_rejected(seeds):
 def test_numpy_integer_seeds_accepted():
     graph = Graph.from_edges(3, [(0, 1), (1, 2)])
     cfg = SIConfig(beta=0.5, t_max=2, runs=3, seed=0)
-    expected = simulate_si(graph, [1], cfg).run_curves.tobytes()
+    expected = simulate_si(graph, [1], cfg).tobytes()
     for seeds in ([np.int32(1)], np.array([1], dtype=np.uint8), range(1, 2)):
-        assert simulate_si(graph, seeds, cfg).run_curves.tobytes() == expected
+        assert simulate_si(graph, seeds, cfg).tobytes() == expected
 
 
 @pytest.mark.parametrize("t_max", [0, 1, 6])
@@ -252,8 +263,8 @@ def test_public_simulations_match_per_seed_set_oracle(beta, t_max):
         seed_sets = [[0], list(range(0, graph.n, 2)), list(range(graph.n))]
         oracle = si_curves_per_seed_set(graph, seed_sets, config)
         for column, seeds in enumerate(seed_sets):
-            outcome = simulate_si(graph, seeds, config)
-            assert outcome.run_curves.tobytes() == oracle[:, column].tobytes()
+            curves = simulate_si(graph, seeds, config)
+            assert curves.tobytes() == oracle[:, column].tobytes()
 
         rankings = [
             ("dc", rank(degree_centrality(graph))),

@@ -209,19 +209,19 @@ def test_batched_tau_input_validation():
 def test_overlap_identical_rankings(seven_node_graph):
     ranking = rank(degree_centrality(seven_node_graph))
     for k in (1, 3, 7):
-        assert top_k_overlap(ranking, ranking, k).shared == k
+        assert top_k_overlap(ranking, ranking, k) == k
 
 
 def test_overlap_symmetry_and_disjoint():
-    a = Ranking(order=np.array([0, 1, 2, 3]), ranks=np.array([1, 2, 3, 4]))
-    b = Ranking(order=np.array([3, 2, 1, 0]), ranks=np.array([4, 3, 2, 1]))
-    assert top_k_overlap(a, b, 2).shared == 0
-    assert top_k_overlap(a, b, 3).shared == top_k_overlap(b, a, 3).shared == 2
+    a = Ranking(order=np.array([0, 1, 2, 3]))
+    b = Ranking(order=np.array([3, 2, 1, 0]))
+    assert top_k_overlap(a, b, 2) == 0
+    assert top_k_overlap(a, b, 3) == top_k_overlap(b, a, 3) == 2
 
 
 def test_overlap_mismatched_universes_rejected():
-    a = Ranking(order=np.array([0, 1, 2]), ranks=np.array([1, 2, 3]))
-    b = Ranking(order=np.array([0, 1]), ranks=np.array([1, 2]))
+    a = Ranking(order=np.array([0, 1, 2]))
+    b = Ranking(order=np.array([0, 1]))
     with pytest.raises(ValueError):
         top_k_overlap(a, b, 2)
 
@@ -229,7 +229,7 @@ def test_overlap_mismatched_universes_rejected():
 @pytest.mark.parametrize("k", [-1, 4])
 def test_overlap_k_out_of_range_rejected(k):
     # Ranking.top refuses the k, for both rankings alike
-    a = Ranking(order=np.array([0, 1, 2]), ranks=np.array([1, 2, 3]))
+    a = Ranking(order=np.array([0, 1, 2]))
     with pytest.raises(ValueError, match=f"k={k} out of range for 3 nodes"):
         top_k_overlap(a, a, k)
 
@@ -341,7 +341,7 @@ def test_rank_vs_spread_star_center_dominates():
 
 
 def test_rank_vs_spread_requires_full_ranking(seven_node_graph):
-    partial = Ranking(order=np.array([0, 1]), ranks=np.array([1, 2]))
+    partial = Ranking(order=np.array([0, 1]))
     cfg = SIConfig(beta=0.2, t_max=2, runs=2, seed=0)
     with pytest.raises(ValueError):
         rank_vs_spread(partial, spreading_power(seven_node_graph, cfg))

@@ -16,13 +16,11 @@ EXPORTS = {
     "UNREACHABLE": "graph",
     "ConvergenceError": "centrality",
     "Graph": "graph",
-    "OverlapReport": "evaluation",
     "ParseError": "graph",
     "ParseReport": "graph",
     "RankComparison": "evaluation",
     "Ranking": "centrality",
     "SIConfig": "epidemics",
-    "SIOutcome": "epidemics",
     "ScoreVector": "centrality",
     "TopologyStats": "graph",
     "betweenness_centrality": "centrality",
@@ -31,7 +29,6 @@ EXPORTS = {
     "compute_scores": "centrality",
     "degree_centrality": "centrality",
     "effective_distance_matrix": "effective_distance",
-    "effective_distances": "effective_distance",
     "effg_centrality": "centrality",
     "eigenvector_centrality": "centrality",
     "gravity_centrality": "centrality",
@@ -97,14 +94,7 @@ print(effgravity.evaluation.TAU_CONVENTIONS is effgravity.TAU_CONVENTIONS)
     assert result.stdout.splitlines() == [
         "['effgravity']",
         "['effgravity', 'effgravity.graph']",
-        str(
-            [
-                "effgravity",
-                "effgravity.centrality",
-                "effgravity.effective_distance",
-                "effgravity.epidemics",
-                "effgravity.graph",
-            ]
-        ),
+        # the SI layer needs only the graph layer
+        str(["effgravity", "effgravity.epidemics", "effgravity.graph"]),
         "True",
     ]
