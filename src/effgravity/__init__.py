@@ -29,7 +29,6 @@ class ConvergenceError(RuntimeError):
 # the public names each submodule defines, imported on first access
 _EXPORTS = {
     "centrality": (
-        "Ranking",
         "ScoreVector",
         "betweenness_centrality",
         "closeness_centrality",

@@ -1,10 +1,10 @@
 """Node-influence measures and deterministic rankings.
 
-Seven measures share the ScoreVector/Ranking interface: degree (dc),
-betweenness (bc), closeness (cc), eigenvector (ec), pagerank, the
-degree-gravity score over hop distances (gm), and the same gravity score
-over effective distances (effg). All are pure functions of the immutable
-graph, so they can run concurrently.
+Seven measures each return a ScoreVector, which :func:`rank` turns into a
+node order: degree (dc), betweenness (bc), closeness (cc), eigenvector (ec),
+pagerank, the degree-gravity score over hop distances (gm), and the same
+gravity score over effective distances (effg). All are pure functions of
+the immutable graph, so they can run concurrently.
 """
 
 from __future__ import annotations
@@ -35,27 +35,15 @@ class ScoreVector:
             raise ValueError(f"{self.measure}: scores must all be finite")
 
 
-@dataclass(frozen=True)
-class Ranking:
-    """Descending-score node order; ``order[i]`` has rank i + 1.
+def rank(score_vector: ScoreVector) -> np.ndarray:
+    """Order nodes by descending score; equal scores keep ascending index order.
 
-    Ties are broken by ascending node index, so two runs over the same
-    graph produce identical rankings.
+    Returns the read-only int64 node order: ``order[i]`` has rank i + 1, and
+    two runs over the same graph produce identical orders.
     """
-
-    order: np.ndarray
-
-    def top(self, k: int) -> np.ndarray:
-        if not 0 <= k <= self.order.size:
-            raise ValueError(f"k={k} out of range for {self.order.size} nodes")
-        return self.order[:k]
-
-
-def rank(score_vector: ScoreVector) -> Ranking:
-    """Order nodes by descending score; equal scores keep ascending index order."""
     order = np.argsort(-score_vector.scores, kind="stable")
     order.setflags(write=False)
-    return Ranking(order=order)
+    return order
 
 
 def _neighbor_sums(graph: Graph, values: np.ndarray) -> np.ndarray:

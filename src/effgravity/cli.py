@@ -22,11 +22,13 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
+import numpy as np
+
 from . import MEASURES, TAU_CONVENTIONS, ConvergenceError, __version__
 from .graph import Graph, ParseError, load_edge_list, topology_stats
 
 if TYPE_CHECKING:
-    from .centrality import Ranking, ScoreVector
+    from .centrality import ScoreVector
 
 DEFAULT_BETA = 0.2
 DEFAULT_BETA_GRID = "0.2,0.4,0.6,0.8,1.0,1.2,1.4,1.6"
@@ -115,25 +117,25 @@ def _check_k(args: argparse.Namespace) -> None:
 
 def _scores(
     graph: Graph, args: argparse.Namespace
-) -> tuple[Mapping[str, ScoreVector], dict[str, Ranking]]:
-    """The requested measures' scores and rankings, in the order requested."""
+) -> tuple[Mapping[str, ScoreVector], dict[str, np.ndarray]]:
+    """The requested measures' scores and node orders, in the order requested."""
     from .centrality import compute_scores, rank
 
     scores = compute_scores(graph, args.measures, damping=args.damping)
     return scores, {name: rank(sv) for name, sv in scores.items()}
 
 
-def _score_rows(graph: Graph, sv: ScoreVector, ranking: Ranking):
+def _score_rows(graph: Graph, sv: ScoreVector, order: np.ndarray):
     # lazy, so main holds one measure's rows at a time, not all of them;
     # tolist makes the Python floats in one call per chunk, so a large table
     # never holds all its rows as Python objects. A rank is the row's
     # position, 1 .. n.
-    for start in range(0, ranking.order.size, _ROWS_PER_CHUNK):
-        order = ranking.order[start : start + _ROWS_PER_CHUNK]
+    for start in range(0, order.size, _ROWS_PER_CHUNK):
+        chunk = order[start : start + _ROWS_PER_CHUNK]
         yield from zip(
-            map(graph.labels.__getitem__, order.tolist()),
-            sv.scores.take(order).tolist(),
-            range(start + 1, start + order.size + 1),
+            map(graph.labels.__getitem__, chunk.tolist()),
+            sv.scores.take(chunk).tolist(),
+            range(start + 1, start + chunk.size + 1),
         )
 
 
@@ -153,7 +155,7 @@ def cmd_rank(args: argparse.Namespace) -> Outputs:
         payload = {
             name: {
                 "scores": sv.scores.tolist(),
-                "ranking": list(map(graph.labels.__getitem__, rankings[name].order.tolist())),
+                "ranking": list(map(graph.labels.__getitem__, rankings[name].tolist())),
                 "metadata": sv.metadata,
             }
             for name, sv in scores.items()
@@ -188,16 +190,15 @@ def cmd_spread(args: argparse.Namespace) -> Outputs:
 
 def cmd_evaluate(args: argparse.Namespace) -> Outputs:
     from .epidemics import SIConfig, spreading_powers
-    from .evaluation import _sweep_rows, clamp_betas, rank_vs_spread, top_k_overlap
+    from .evaluation import _kendall_taus, clamp_betas, rank_vs_spread, top_k_overlap
 
     _check_damping(args)
     _check_k(args)
     spread_config = SIConfig(beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed)
     clamped, over = clamp_betas(args.beta_grid)
-    # _sweep_rows takes one power vector per distinct clamped beta, first seen first
-    sweep_configs = [
-        SIConfig(beta, args.t_max_sweep, args.runs, args.seed) for beta in dict.fromkeys(clamped)
-    ]
+    # one SI config per distinct clamped beta: betas that clamp together share it
+    distinct = list(dict.fromkeys(clamped))
+    sweep_configs = [SIConfig(beta, args.t_max_sweep, args.runs, args.seed) for beta in distinct]
     graph = _load_graph(args)
     if graph.n < 2:
         raise ValueError(f"need at least two elements to compare rankings, got {graph.n} node(s)")
@@ -209,11 +210,20 @@ def cmd_evaluate(args: argparse.Namespace) -> Outputs:
         print(f"note: beta values {over} exceed 1 and were clamped to 1", file=sys.stderr)
     # one spreading_powers call serves the sweep and the rank-vs-spread tables
     *powers, power = spreading_powers(graph, sweep_configs + [spread_config])
-    sweep = _sweep_rows(
-        [scores[name] for name in args.measures], args.beta_grid, powers, args.tau_convention
-    )
+    # every measure against each distinct beta's powers, in one batched call
+    pairs = {
+        (beta, name): (scores[name].scores, beta_power)
+        for beta, beta_power in zip(distinct, powers)
+        for name in args.measures
+    }
+    comparisons = _kendall_taus(list(pairs.values()), args.tau_convention)
+    taus = {key: comparison.tau for key, comparison in zip(pairs, comparisons)}
     # the table keeps the requested betas; rows run (beta, measure)
-    sweep_rows = [(name, beta, comparison.tau) for name, beta, comparison in sweep]
+    sweep_rows = [
+        (name, requested, taus[beta, name])
+        for requested, beta in zip(args.beta_grid, clamped)
+        for name in args.measures
+    ]
 
     overlap_rows = []
     for i, name_a in enumerate(args.measures):

@@ -17,14 +17,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .graph import Graph, _adjacency_slots, _bits
-
-if TYPE_CHECKING:
-    from .centrality import Ranking
 
 
 @dataclass(frozen=True)
@@ -37,6 +34,12 @@ class SIConfig:
     seed: int
 
     def __post_init__(self):
+        # a bool would simulate as beta 0 or 1, and a string or None would
+        # raise TypeError in the range check
+        if isinstance(self.beta, bool) or not isinstance(
+            self.beta, (int, float, np.integer, np.floating)
+        ):
+            raise ValueError(f"beta must be a real number, got {self.beta!r}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         for name in ("t_max", "runs", "seed"):
@@ -415,7 +418,8 @@ def spreading_powers(graph: Graph, configs: Sequence[SIConfig]) -> list[np.ndarr
             last[beta] = max(last.get(beta, 0), t_max)
         levels = sorted(last, key=lambda beta: (-last[beta], beta))
         horizons = sorted({t_max for _, t_max in group})
-        block = max(1, 8 * _BLOCK_BYTES // (len(levels) * max(graph.indices.size, n)))
+        # the 1 keeps a graph with no nodes (and no slots) from dividing by 0
+        block = max(1, 8 * _BLOCK_BYTES // (len(levels) * max(graph.indices.size, n, 1)))
         for start in range(0, n, block):
             size = min(block, n - start)
             seeds = np.tile(np.eye(size, n, k=start, dtype=bool), (len(levels), 1))
@@ -443,11 +447,14 @@ def spreading_power(graph: Graph, config: SIConfig) -> np.ndarray:
 
 def top_k_infection_curves(
     graph: Graph,
-    rankings: Sequence[tuple[str, Ranking]],
+    rankings: Sequence[tuple[str, np.ndarray]],
     k: int,
     config: SIConfig,
 ) -> dict[str, np.ndarray]:
     """Mean infection curve per measure when its top-k nodes seed together.
+
+    ``rankings`` pairs each measure's name with its node order (see
+    :func:`centrality.rank`).
 
     Every measure's ensemble runs under the same config and the same derived
     streams, so curves differ only through the seed sets; identical rankings
@@ -456,8 +463,8 @@ def top_k_infection_curves(
     if not 0 < k <= graph.n:
         raise ValueError(f"k must be in [1, {graph.n}], got {k}")
     seeds = np.zeros((len(rankings), graph.n), dtype=bool)
-    for row, (_, ranking) in zip(seeds, rankings):
-        row[ranking.top(k)] = True
+    for row, (_, order) in zip(seeds, rankings):
+        row[order[:k]] = True
     betas = [config.beta] * len(seeds)
     total = sum(_infected_counts(graph, seeds, betas, config.t_max, config.runs, config.seed))
     means = total / config.runs

@@ -10,15 +10,12 @@ pairs N(N-1)/2 (so |tau| <= 1), "ordered-pairs" divides by N(N-1) (so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import TAU_CONVENTIONS
 from .graph import _SLOT_BUDGET
-
-if TYPE_CHECKING:
-    from .centrality import Ranking, ScoreVector
 
 
 @dataclass(frozen=True)
@@ -160,13 +157,13 @@ def kendall_tau(
     return _kendall_taus([(x, y)], convention)[0]
 
 
-def top_k_overlap(a: Ranking, b: Ranking, k: int) -> int:
-    """How many nodes the two rankings' top-k sets have in common."""
-    if a.order.size != b.order.size:
-        raise ValueError(
-            f"rankings cover different node sets ({a.order.size} vs {b.order.size} nodes)"
-        )
-    return len(set(map(int, a.top(k))) & set(map(int, b.top(k))))
+def top_k_overlap(a: np.ndarray, b: np.ndarray, k: int) -> int:
+    """How many nodes the top-k sets of two node orders have in common."""
+    if a.size != b.size:
+        raise ValueError(f"rankings cover different node sets ({a.size} vs {b.size} nodes)")
+    if not 0 <= k <= a.size:
+        raise ValueError(f"k={k} out of range for {a.size} nodes")
+    return len(set(a[:k].tolist()) & set(b[:k].tolist()))
 
 
 def clamp_betas(betas: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -186,38 +183,8 @@ def clamp_betas(betas: Sequence[float]) -> tuple[list[float], list[float]]:
     return clamped, over
 
 
-def _sweep_rows(
-    score_vectors: Sequence[ScoreVector],
-    betas: Sequence[float],
-    powers: Sequence[np.ndarray],
-    convention: str = "standard",
-) -> list[tuple[str, float, RankComparison]]:
-    """The tau-vs-beta table of each measure against ready spreading powers.
-
-    ``powers`` holds one spreading-power vector per distinct clamped beta of
-    ``betas``, in first-seen order. Each measure's score vector is
-    correlated against each of them once, all in one :func:`_kendall_taus`
-    call; rows keep the requested betas, in (beta, measure) order.
-    """
-    requested = list(betas)
-    clamped, _ = clamp_betas(requested)
-    width = len(score_vectors)
-    scored = _kendall_taus(
-        [(sv.scores, power) for power in powers for sv in score_vectors], convention
-    )
-    comparisons = {
-        beta: scored[index * width : (index + 1) * width]
-        for index, beta in enumerate(dict.fromkeys(clamped))
-    }
-    return [
-        (sv.measure, float(beta_requested), comparison)
-        for beta_requested, beta in zip(requested, clamped)
-        for sv, comparison in zip(score_vectors, comparisons[beta])
-    ]
-
-
-def rank_vs_spread(ranking: Ranking, power: np.ndarray) -> list[tuple[int, int, float]]:
-    """Each node's spreading power, emitted in rank order.
+def rank_vs_spread(order: np.ndarray, power: np.ndarray) -> list[tuple[int, int, float]]:
+    """Each node's spreading power, emitted in the rank order ``order``.
 
     Rows are (rank, node index, power[node]). With ``power`` from
     :func:`spreading_power` or :func:`spreading_powers`, the mean final
@@ -227,11 +194,11 @@ def rank_vs_spread(ranking: Ranking, power: np.ndarray) -> list[tuple[int, int, 
     where the rank-vs-spread seed sets stay in the pass after the sweep's
     sets have left it.
     """
-    if power.shape != ranking.order.shape:
+    if power.shape != order.shape:
         raise ValueError(
-            f"ranking covers {ranking.order.size} nodes, power vector has shape {power.shape}"
+            f"ranking covers {order.size} nodes, power vector has shape {power.shape}"
         )
     return [
         (position + 1, int(node), float(power[node]))
-        for position, node in enumerate(ranking.order)
+        for position, node in enumerate(order)
     ]

@@ -317,28 +317,32 @@ def test_rank_on_reference_score_list():
     scores = ScoreVector(
         "effg", np.array([6.5358, 5.9104, 5.9104, 6.0704, 6.2865, 5.5981, 1.0115])
     )
-    ranking = rank(scores)
-    assert list(ranking.order) == [0, 4, 3, 1, 2, 5, 6]
+    order = rank(scores)
+    assert list(order) == [0, 4, 3, 1, 2, 5, 6]
     # node i has rank (its position in the order) + 1
-    assert [list(ranking.order).index(i) + 1 for i in range(7)] == [1, 4, 5, 3, 2, 6, 7]
+    assert [list(order).index(i) + 1 for i in range(7)] == [1, 4, 5, 3, 2, 6, 7]
 
 
 def test_rank_all_equal_scores_identity_order():
-    ranking = rank(ScoreVector("dc", np.full(5, 2.0)))
-    assert list(ranking.order) == [0, 1, 2, 3, 4]
+    order = rank(ScoreVector("dc", np.full(5, 2.0)))
+    assert list(order) == [0, 1, 2, 3, 4]
 
 
 def test_rank_deterministic_across_runs(seven_node_graph):
     a = rank(gravity_centrality(seven_node_graph))
     b = rank(gravity_centrality(seven_node_graph))
-    assert a.order.tobytes() == b.order.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_rank_top_k(seven_node_graph):
-    ranking = rank(degree_centrality(seven_node_graph))
-    assert list(ranking.top(2)) == [0, 4]
-    with pytest.raises(ValueError):
-        ranking.top(8)
+    order = rank(degree_centrality(seven_node_graph))
+    assert list(order[:2]) == [0, 4]
+    # the order is every node once, as read-only int64
+    assert sorted(order) == list(range(7))
+    assert order.dtype == np.int64
+    assert not order.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        order[0] = 1
 
 
 def test_scorevector_rejects_non_finite():

@@ -139,12 +139,12 @@ def test_rank_table_spanning_several_row_chunks_matches_rows_one_at_a_time(tmp_p
     assert main(["rank", "--input", str(edge_file), "--out", str(out), "--measures", "dc"]) == 0
     graph, _ = load_edge_list(edge_file)
     sv = compute_scores(graph, ["dc"])["dc"]
-    ranking = rank(sv)
+    order = rank(sv)
     expected = tmp_path / "expected.csv"
     with open(expected, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["node_label", "score", "rank"])
-        for position, node in enumerate(ranking.order, start=1):
+        for position, node in enumerate(order, start=1):
             writer.writerow([graph.labels[node], float(sv.scores[node]), position])
     assert (out / "scores_dc.csv").read_bytes() == expected.read_bytes()
 
@@ -409,7 +409,7 @@ def test_evaluate_makes_one_si_pass_per_group(seven_node_file, monkeypatch, opti
     power = spreading_power(graph, SIConfig(args.beta, args.t_max, args.runs, args.seed))
     for name, sv in scores.items():
         _, rows = outputs[f"rank_vs_spread_{name}.csv"]
-        order = rank(sv).order
+        order = rank(sv)
         assert [label for _, label, _ in rows] == [graph.labels[node] for node in order]
         assert np.array([mean for _, _, mean in rows]).tobytes() == power[order].tobytes()
 
@@ -751,7 +751,7 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "effgravity")
 
 def test_evaluation_compares_rankings_without_the_si_layer():
     # the evaluation layer scores given vectors; the SI runs and the
-    # measures are the caller's, and Ranking and ScoreVector only annotate
+    # measures are the caller's, and node orders are plain arrays
     check = """
 import sys
 import effgravity.evaluation
@@ -766,7 +766,7 @@ for layer in ("epidemics", "centrality", "effective_distance"):
 
 
 def test_epidemics_simulates_without_the_measures():
-    # the SI layer takes seed sets; Ranking only annotates its signatures
+    # the SI layer takes seed sets and node orders, which are plain arrays
     check = """
 import sys
 import effgravity.epidemics as si

@@ -56,6 +56,25 @@ def test_config_validation():
             kwargs = {"beta": 0.2, "t_max": 5, "runs": 10, "seed": 0, field: value}
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 SIConfig(**kwargs)
+    # beta is a real number: a bool would simulate as 0 or 1, and a string
+    # or None is a ValueError too; ints 0 and 1 and numpy floats are accepted
+    for beta in (0, 1, 0.5, np.float64(0.5), np.float32(1.0)):
+        assert SIConfig(beta=beta, t_max=3, runs=2, seed=0).beta == beta
+    for beta in (True, False, np.True_, np.bool_(False), "0.2", None):
+        with pytest.raises(ValueError, match="beta must be a real number"):
+            SIConfig(beta=beta, t_max=3, runs=2, seed=0)
+    for beta in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"beta must be in \[0, 1\]"):
+            SIConfig(beta=beta, t_max=3, runs=2, seed=0)
+
+
+def test_spreading_powers_of_a_graph_with_no_nodes():
+    # every measure scores such a graph with an empty vector, and so does SI
+    graph = Graph.from_edges(0, [])
+    configs = [SIConfig(0.3, 4, 2, 0), SIConfig(1.0, 2, 2, 0), SIConfig(0.3, 1, 2, 0)]
+    powers = spreading_powers(graph, configs)
+    assert [power.shape for power in powers] == [(0,)] * 3
+    assert spreading_power(graph, configs[0]).shape == (0,)
 
 
 def test_beta_zero_curve_stays_at_seed_count(seven_node_graph):
@@ -271,7 +290,7 @@ def test_public_simulations_match_per_seed_set_oracle(beta, t_max):
             ("cc", rank(closeness_centrality(graph))),
         ]
         k = max(1, graph.n // 3)
-        oracle = si_curves_per_seed_set(graph, [r.top(k) for _, r in rankings], config)
+        oracle = si_curves_per_seed_set(graph, [order[:k] for _, order in rankings], config)
         curves = top_k_infection_curves(graph, rankings, k, config)
         for column, (name, _) in enumerate(rankings):
             assert curves[name].tobytes() == oracle[:, column].mean(axis=0).tobytes()

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 import effgravity.evaluation
 from effgravity import (
     Graph,
-    Ranking,
     SIConfig,
     clamp_betas,
-    closeness_centrality,
     degree_centrality,
     kendall_tau,
     rank,
@@ -18,13 +16,22 @@ from effgravity import (
     spreading_powers,
     top_k_overlap,
 )
-from effgravity.evaluation import _sweep_rows
 from conftest import SEVEN_NODE_EDGE_LIST
 from helpers import kendall_counts_bruteforce, kendall_counts_by_rows
 
 
 def star_graph(leaves):
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def evaluate_tables(tmp_path, *options):
+    """The tables of ``evaluate`` on the seven-node graph, with ``--k 3``."""
+    from effgravity.cli import build_parser, cmd_evaluate
+
+    edge_file = tmp_path / "seven.edges"
+    edge_file.write_text(SEVEN_NODE_EDGE_LIST)
+    argv = ["evaluate", "--input", str(edge_file), "--out", "unused", "--k", "3", *options]
+    return cmd_evaluate(build_parser().parse_args(argv))
 
 
 # --- kendall tau ------------------------------------------------------------
@@ -213,47 +220,52 @@ def test_overlap_identical_rankings(seven_node_graph):
 
 
 def test_overlap_symmetry_and_disjoint():
-    a = Ranking(order=np.array([0, 1, 2, 3]))
-    b = Ranking(order=np.array([3, 2, 1, 0]))
+    a = np.array([0, 1, 2, 3])
+    b = np.array([3, 2, 1, 0])
     assert top_k_overlap(a, b, 2) == 0
     assert top_k_overlap(a, b, 3) == top_k_overlap(b, a, 3) == 2
 
 
 def test_overlap_mismatched_universes_rejected():
-    a = Ranking(order=np.array([0, 1, 2]))
-    b = Ranking(order=np.array([0, 1]))
+    a = np.array([0, 1, 2])
+    b = np.array([0, 1])
     with pytest.raises(ValueError):
         top_k_overlap(a, b, 2)
 
 
 @pytest.mark.parametrize("k", [-1, 4])
 def test_overlap_k_out_of_range_rejected(k):
-    # Ranking.top refuses the k, for both rankings alike
-    a = Ranking(order=np.array([0, 1, 2]))
+    # one check of the k, for both rankings alike
+    a = np.array([0, 1, 2])
     with pytest.raises(ValueError, match=f"k={k} out of range for 3 nodes"):
         top_k_overlap(a, a, k)
 
 
 # --- tau-vs-beta sweep --------------------------------------------------------
 # evaluate simulates one config per distinct clamped beta in one
-# spreading_powers call, and _sweep_rows builds the table from its vectors
+# spreading_powers call and correlates each measure against its vectors
 
-def test_sweep_beta_zero_is_degenerate(seven_node_graph):
+def test_sweep_beta_zero_is_degenerate(seven_node_graph, tmp_path):
     powers = spreading_powers(seven_node_graph, [SIConfig(beta=0.0, t_max=4, runs=5, seed=1)])
-    rows = _sweep_rows([degree_centrality(seven_node_graph)], [0.0], powers)
-    (measure, beta, comparison), = rows
+    comparison = kendall_tau(degree_centrality(seven_node_graph).scores, powers[0])
+    assert comparison.tau == 0.0
+    assert comparison.degenerate
+    options = ["--measures", "dc", "--beta-grid", "0", "--t-max-sweep", "4", "--runs", "5"]
+    _, rows = evaluate_tables(tmp_path, *options, "--seed", "1")["tau_sweep.csv"]
+    (measure, beta, tau), = rows
     assert measure == "dc"
     assert beta == 0.0
-    assert comparison.tau == 0.0
-    assert comparison.degenerate
+    assert tau == 0.0
 
 
-def test_sweep_saturated_ground_truth_is_degenerate(seven_node_graph):
+def test_sweep_saturated_ground_truth_is_degenerate(seven_node_graph, tmp_path):
     powers = spreading_powers(seven_node_graph, [SIConfig(beta=1.0, t_max=6, runs=3, seed=1)])
-    rows = _sweep_rows([degree_centrality(seven_node_graph)], [1.0], powers)
-    comparison = rows[0][2]
+    comparison = kendall_tau(degree_centrality(seven_node_graph).scores, powers[0])
     assert comparison.tau == 0.0
     assert comparison.degenerate
+    options = ["--measures", "dc", "--beta-grid", "1", "--t-max-sweep", "6", "--runs", "3"]
+    _, rows = evaluate_tables(tmp_path, *options, "--seed", "1")["tau_sweep.csv"]
+    assert rows == [("dc", 1.0, 0.0)]
 
 
 def test_clamp_betas_returns_the_values_over_one_without_a_warning():
@@ -290,22 +302,20 @@ def test_sweep_compares_each_measure_once_per_distinct_clamped_beta(tmp_path, mo
     ]
 
 
-def test_sweep_rejects_negative_beta(seven_node_graph):
-    power = np.ones(seven_node_graph.n)
+def test_sweep_rejects_negative_beta(tmp_path):
     with pytest.raises(ValueError, match="beta must be >= 0"):
-        _sweep_rows([degree_centrality(seven_node_graph)], [-0.1], [power])
+        evaluate_tables(tmp_path, "--measures", "dc", "--beta-grid=-0.1")
 
 
-def test_sweep_row_count_and_determinism(seven_node_graph):
-    measures = [degree_centrality(seven_node_graph), closeness_centrality(seven_node_graph)]
-    betas = [0.1, 1.5, 0.3, 1.0]
-    configs = [SIConfig(beta, t_max=3, runs=4, seed=10) for beta in (0.1, 1.0, 0.3)]
-    rows_a = _sweep_rows(measures, betas, spreading_powers(seven_node_graph, configs))
-    rows_b = _sweep_rows(measures, betas, spreading_powers(seven_node_graph, configs))
-    assert len(rows_a) == len(betas) * len(measures)
+def test_sweep_row_count_and_determinism(tmp_path):
+    options = ["--measures", "dc,cc", "--beta-grid", "0.1,1.5,0.3,1.0", "--t-max-sweep", "3"]
+    options += ["--runs", "4", "--seed", "10"]
+    _, rows_a = evaluate_tables(tmp_path, *options)["tau_sweep.csv"]
+    _, rows_b = evaluate_tables(tmp_path, *options)["tau_sweep.csv"]
+    assert len(rows_a) == 4 * 2
     assert rows_a == rows_b
-    # a beta that clamps onto another shares its comparisons
-    assert rows_a[2:4] == [(measure, 1.5, comparison) for measure, _, comparison in rows_a[6:8]]
+    # a beta that clamps onto another shares its taus
+    assert rows_a[2:4] == [(measure, 1.5, tau) for measure, _, tau in rows_a[6:8]]
 
 
 def test_measure_against_itself_scores_one():
@@ -341,7 +351,7 @@ def test_rank_vs_spread_star_center_dominates():
 
 
 def test_rank_vs_spread_requires_full_ranking(seven_node_graph):
-    partial = Ranking(order=np.array([0, 1]))
+    partial = np.array([0, 1])
     cfg = SIConfig(beta=0.2, t_max=2, runs=2, seed=0)
     with pytest.raises(ValueError):
         rank_vs_spread(partial, spreading_power(seven_node_graph, cfg))

@@ -19,7 +19,6 @@ EXPORTS = {
     "ParseError": "graph",
     "ParseReport": "graph",
     "RankComparison": "evaluation",
-    "Ranking": "centrality",
     "SIConfig": "epidemics",
     "ScoreVector": "centrality",
     "TopologyStats": "graph",
