@@ -18,12 +18,8 @@ TAU_CONVENTIONS = ("standard", "ordered-pairs")
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative measure failed to reach its tolerance."""
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
+    """An iterative measure failed to reach its tolerance; the message gives
+    the iteration cap and the last residual."""
 
 
 # the public names each submodule defines, imported on first access
@@ -50,7 +46,6 @@ _EXPORTS = {
     ),
     "evaluation": (
         "RankComparison",
-        "clamp_betas",
         "kendall_tau",
         "rank_vs_spread",
         "top_k_overlap",

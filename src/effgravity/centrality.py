@@ -18,6 +18,7 @@ from . import MEASURES, ConvergenceError
 from . import effective_distance as ed
 from .graph import Graph, _adjacency_slots, _source_blocks, gravity_sums
 
+# the convergence tolerance and iteration cap of ec and pagerank
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1000
 
@@ -128,7 +129,7 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
             depth = len(levels)
             level = levels[-1]
             count = degrees.take(level)
-            targets = indices.take(_adjacency_slots(union, level, count))
+            targets = indices.take(_adjacency_slots(union.indptr, level, count))
             counts.append(count)
             neighbours.append(targets)
             seen = dist.take(targets)
@@ -168,16 +169,15 @@ def closeness_centrality(graph: Graph) -> ScoreVector:
     return ScoreVector("cc", scores)
 
 
-def eigenvector_centrality(
-    graph: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> ScoreVector:
+def eigenvector_centrality(graph: Graph) -> ScoreVector:
     """Principal eigenvector of the adjacency matrix, unit Euclidean length.
 
     Power iteration starts from the uniform positive vector; iterating with
     the shift A + I keeps bipartite graphs (where -lambda is also an
     eigenvalue) from oscillating without changing the eigenvector. The
     eigenvalue estimate is the Rayleigh quotient of A, and convergence is
-    declared when ||Ax - lambda*x|| <= tol. On disconnected graphs the
+    declared when ||Ax - lambda*x|| <= DEFAULT_TOL, within DEFAULT_MAX_ITER
+    iterations; ConvergenceError otherwise. On disconnected graphs the
     vector concentrates on the component with the largest eigenvalue.
     """
     if graph.m == 0:
@@ -186,14 +186,14 @@ def eigenvector_centrality(
     x = np.full(n, 1.0 / np.sqrt(n))
     residual = np.inf
     eigenvalue = 0.0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, DEFAULT_MAX_ITER + 1):
         ax = _neighbor_sums(graph, x)
         # elementwise products and numpy's own sums, not BLAS ddot, whose
         # kernel (and so the last bits) depends on the CPU
         eigenvalue = float((x * ax).sum())
         error = ax - eigenvalue * x
         residual = float(np.sqrt((error * error).sum()))
-        if residual <= tol:
+        if residual <= DEFAULT_TOL:
             return ScoreVector(
                 "ec",
                 x,
@@ -206,32 +206,26 @@ def eigenvector_centrality(
         shifted = ax + x
         x = shifted / np.sqrt((shifted * shifted).sum())
     raise ConvergenceError(
-        f"eigenvector centrality did not reach tol={tol} after {max_iter} "
+        f"eigenvector centrality did not reach tol={DEFAULT_TOL} after {DEFAULT_MAX_ITER} "
         f"iterations (last residual {residual:.3e}); power iteration converges "
         f"slowly on long-diameter graphs such as paths and grids, so leave ec "
-        f"out of --measures there",
-        residual=residual,
-        iterations=max_iter,
+        f"out of --measures there"
     )
 
 
-def pagerank(
-    graph: Graph,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    damping: float = 1.0,
-) -> ScoreVector:
+def pagerank(graph: Graph, damping: float = 1.0) -> ScoreVector:
     """Random-walk influence scores by fixed-point iteration.
 
     Updates x(i) <- (1-d)/n_active + d * sum over neighbors j of
     x(j)/degree(j), with d the damping, starting from the uniform
-    distribution, until the L1 change drops to tol. The default d = 1.0 is
-    the undamped update. It never converges when a component is bipartite
-    with colour classes of different sizes: the uniform start then has a
-    part that flips sign every step. A slowly mixing component, such as a
-    long path or a large grid, can also run out of iterations. Pass d < 1
-    to damp it. Isolated nodes are pinned to score 0 and excluded from the
-    uniform start and the damping redistribution.
+    distribution, until the L1 change drops to DEFAULT_TOL, within
+    DEFAULT_MAX_ITER iterations; ConvergenceError otherwise. The default
+    d = 1.0 is the undamped update. It never converges when a component is
+    bipartite with colour classes of different sizes: the uniform start
+    then has a part that flips sign every step. A slowly mixing component,
+    such as a long path or a large grid, can also run out of iterations.
+    Pass d < 1 to damp it. Isolated nodes are pinned to score 0 and
+    excluded from the uniform start and the damping redistribution.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping}")
@@ -246,21 +240,19 @@ def pagerank(
     x = np.where(active, 1.0 / n_active, 0.0)
     safe_degrees = np.maximum(degrees, 1).astype(np.float64)
     delta = np.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, DEFAULT_MAX_ITER + 1):
         spread = _neighbor_sums(graph, x / safe_degrees)
         x_next = np.where(active, (1.0 - damping) / n_active + damping * spread, 0.0)
         delta = float(np.abs(x_next - x).sum())
         x = x_next
-        if delta <= tol:
+        if delta <= DEFAULT_TOL:
             return ScoreVector(
                 "pagerank", x, metadata={"iterations": iteration, "delta": delta}
             )
     raise ConvergenceError(
-        f"pagerank did not reach tol={tol} after {max_iter} iterations "
+        f"pagerank did not reach tol={DEFAULT_TOL} after {DEFAULT_MAX_ITER} iterations "
         f"(last L1 change {delta:.3e}); bipartite graphs oscillate at "
-        f"damping=1.0, retry with damping < 1",
-        residual=delta,
-        iterations=max_iter,
+        f"damping=1.0, retry with damping < 1"
     )
 
 

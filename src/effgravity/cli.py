@@ -71,9 +71,12 @@ def _parse_beta_grid(value: str) -> list[float]:
     if not betas:
         raise argparse.ArgumentTypeError("beta grid must contain at least one value")
     # clamping would make an infinite beta 1, but config.json would record it
-    # as Infinity, which strict JSON cannot read; clamp_betas refuses NaN
+    # as Infinity, which strict JSON cannot read
     if any(math.isinf(beta) for beta in betas):
         raise argparse.ArgumentTypeError(f"beta grid values must be finite, got {value!r}")
+    for beta in betas:
+        if not beta >= 0.0:  # NaN included
+            raise argparse.ArgumentTypeError(f"beta must be >= 0, got {beta}")
     return betas
 
 
@@ -190,12 +193,14 @@ def cmd_spread(args: argparse.Namespace) -> Outputs:
 
 def cmd_evaluate(args: argparse.Namespace) -> Outputs:
     from .epidemics import SIConfig, spreading_powers
-    from .evaluation import _kendall_taus, clamp_betas, rank_vs_spread, top_k_overlap
+    from .evaluation import _kendall_taus, rank_vs_spread, top_k_overlap
 
     _check_damping(args)
     _check_k(args)
     spread_config = SIConfig(beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed)
-    clamped, over = clamp_betas(args.beta_grid)
+    # the grid parser let through only finite betas >= 0
+    clamped = [min(beta, 1.0) for beta in args.beta_grid]
+    over = [beta for beta in args.beta_grid if beta > 1.0]
     # one SI config per distinct clamped beta: betas that clamp together share it
     distinct = list(dict.fromkeys(clamped))
     sweep_configs = [SIConfig(beta, args.t_max_sweep, args.runs, args.seed) for beta in distinct]

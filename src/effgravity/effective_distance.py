@@ -104,7 +104,7 @@ def _effective_rows(graph: Graph, sources: np.ndarray) -> Iterator[tuple[np.ndar
                 candidates = (dist + leave_cost).repeat(union.degrees)
             else:
                 counts = union.degrees.take(dropped)
-                targets = union.indices.take(_adjacency_slots(union, dropped, counts))
+                targets = union.indices.take(_adjacency_slots(union.indptr, dropped, counts))
                 candidates = (dist.take(dropped) + leave_cost.take(dropped)).repeat(counts)
             # Only strictly lower labels enter the next round, so the rounds
             # end. Adding a non-negative cost is monotone in floating point,

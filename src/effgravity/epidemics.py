@@ -325,7 +325,7 @@ def _infected_counts(
                 reached = live.take(graph.indptr.take(nodes))
                 if not reached.all():
                     new = nodes[~reached]
-                    live[_adjacency_slots(graph, new, graph.degrees.take(new))] = True
+                    live[_adjacency_slots(graph.indptr, new, graph.degrees.take(new))] = True
                 saturated[nodes] = (after == open_sets[0]).all(axis=1)
             if steps is None:
                 # every step is read: add the bits this step infected
@@ -396,6 +396,9 @@ def spreading_powers(graph: Graph, configs: Sequence[SIConfig]) -> list[np.ndarr
     one run of their own, which gives each node the size of its hop ball of
     radius ``t_max``; they stay out of the beta < 1 pass, where their level
     would open every slot for the other seed sets too.
+
+    The vectors are read-only: configs with the same beta and ``t_max``
+    get the same vector.
     """
     configs = list(configs)
     if not configs:
@@ -434,6 +437,8 @@ def spreading_powers(graph: Graph, configs: Sequence[SIConfig]) -> list[np.ndarr
                 offset = levels.index(beta) * size
                 column = total[offset : offset + size, horizons.index(t_max)]
                 powers[beta, t_max][start : start + size] = column / runs
+    for power in powers.values():
+        power.setflags(write=False)
     return [powers[config.beta, config.t_max] for config in configs]
 
 

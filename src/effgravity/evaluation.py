@@ -166,23 +166,6 @@ def top_k_overlap(a: np.ndarray, b: np.ndarray, k: int) -> int:
     return len(set(a[:k].tolist()) & set(b[:k].tolist()))
 
 
-def clamp_betas(betas: Sequence[float]) -> tuple[list[float], list[float]]:
-    """Clamp transmission probabilities above 1 down to 1.
-
-    Returns the clamped values and the requested values that exceeded 1, in
-    order. NaN and negative values raise ValueError.
-    """
-    clamped = []
-    over = []
-    for beta in betas:
-        if not beta >= 0.0:  # NaN included
-            raise ValueError(f"beta must be >= 0, got {beta}")
-        if beta > 1.0:
-            over.append(beta)
-        clamped.append(min(float(beta), 1.0))
-    return clamped, over
-
-
 def rank_vs_spread(order: np.ndarray, power: np.ndarray) -> list[tuple[int, int, float]]:
     """Each node's spreading power, emitted in the rank order ``order``.
 

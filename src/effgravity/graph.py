@@ -173,6 +173,9 @@ class Graph:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def check_node(self, i: int) -> None:
+        # a bool would pass as node 0 or 1; a float or string fails in numpy
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"node index must be an integer, got {i!r}")
         if not 0 <= i < self.n:
             raise ValueError(f"node index {i} out of range for {self.n} nodes")
 
@@ -283,17 +286,17 @@ def _csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return indptr, indices, repeated
 
 
-def _adjacency_slots(graph: Graph | _Union, nodes: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices into ``graph.indices`` of every neighbor of the non-empty
-    ``nodes``.
+def _adjacency_slots(offsets: np.ndarray, nodes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Slots of every neighbor of the non-empty ``nodes`` in an adjacency
+    array whose node i starts at ``offsets[i]``, such as ``graph.indptr``.
 
-    ``counts`` is ``graph.degrees.take(nodes)``, which the sweeps keep for
-    their own repeats. The slots come node by node in the order of
-    ``nodes``, each node's in ascending neighbor order, as a loop over
-    ``nodes`` would visit them.
+    ``counts`` holds each node's number of slots, ``graph.degrees.take(nodes)``
+    for ``graph.indptr``, which the sweeps keep for their own repeats. The
+    slots come node by node in the order of ``nodes``, each node's in
+    ascending order, as a loop over ``nodes`` would visit them.
     """
     ends = counts.cumsum()
-    return (graph.indptr.take(nodes) - (ends - counts)).repeat(counts) + np.arange(ends[-1])
+    return (offsets.take(nodes) - (ends - counts)).repeat(counts) + np.arange(ends[-1])
 
 
 # Adjacency slots that one block of the per-source sweeps spans: a block of
@@ -304,7 +307,7 @@ _SLOT_BUDGET = 1 << 15
 
 class _Union(NamedTuple):
     """Disjoint copies of a graph, copy r on the nodes r*n ... r*n + n - 1,
-    with the adjacency arrays that :func:`_adjacency_slots` reads."""
+    with the adjacency arrays and degrees that the sweeps read."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -527,11 +530,11 @@ def _average_clustering(graph: Graph) -> float:
     cuts = wedges.cumsum().searchsorted(budgets).tolist()
     closed = np.zeros(n, dtype=np.int64)
     for a, b in zip([0, *cuts], [*cuts, tails.size]):
+        if a == b:  # a graph with no edges has one empty chunk
+            continue
         count, middle = wedges[a:b], tails[a:b]
         # each wedge's out-slot v -> w, wedge by wedge in edge order
-        ends = count.cumsum()
-        slots = (first.take(middle) - (ends - count)).repeat(count) + np.arange(count.sum())
-        near, far = heads[a:b].repeat(count), tails.take(slots)
+        near, far = heads[a:b].repeat(count), tails.take(_adjacency_slots(first, middle, count))
         query = near * n + far
         found = keys.take(keys.searchsorted(query), mode="clip") == query
         corners = (near[found], middle.repeat(count)[found], far[found])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import effgravity.centrality
 from effgravity import (
     ConvergenceError,
     Graph,
@@ -120,18 +121,17 @@ def test_eigenvector_star_center_leaf_ratio():
 
 
 def test_eigenvector_residual_contract(seven_node_graph):
-    tol = 1e-10
-    sv = eigenvector_centrality(seven_node_graph, tol=tol)
-    assert sv.metadata["residual"] <= tol
+    sv = eigenvector_centrality(seven_node_graph)
+    assert sv.metadata["residual"] <= effgravity.centrality.DEFAULT_TOL
     assert np.linalg.norm(sv.scores) == pytest.approx(1.0)
     assert np.all(sv.scores >= 0.0)
 
 
-def test_eigenvector_non_convergence_error(seven_node_graph):
-    with pytest.raises(ConvergenceError) as info:
-        eigenvector_centrality(seven_node_graph, tol=1e-14, max_iter=2)
-    assert info.value.residual > 0
-    assert info.value.iterations == 2
+def test_eigenvector_non_convergence_error():
+    # a 299-node path is still far from the tolerance at the iteration cap
+    path = Graph.from_edges(299, [(i, i + 1) for i in range(298)])
+    with pytest.raises(ConvergenceError, match=r"after 1000 iterations \(last residual "):
+        eigenvector_centrality(path)
 
 
 def test_eigenvector_non_convergence_names_the_workaround():
@@ -146,12 +146,6 @@ def test_eigenvector_requires_an_edge():
     graph, _ = parse_edge_list("1 1\n")
     with pytest.raises(ValueError):
         eigenvector_centrality(graph)
-
-
-def test_eigenvector_stable_once_converged(seven_node_graph):
-    a = eigenvector_centrality(seven_node_graph, tol=1e-10, max_iter=500)
-    b = eigenvector_centrality(seven_node_graph, tol=1e-10, max_iter=1000)
-    assert np.allclose(a.scores, b.scores, atol=1e-10)
 
 
 # --- pagerank ---------------------------------------------------------------
@@ -173,7 +167,7 @@ def test_pagerank_bipartite_oscillation_raises():
     # a three-node path started from the uniform vector flips between two
     # states forever at damping 1.0
     with pytest.raises(ConvergenceError, match="damping"):
-        pagerank(path_graph(3), max_iter=200)
+        pagerank(path_graph(3))
 
 
 def test_pagerank_damping_restores_convergence():
@@ -209,11 +203,8 @@ def test_pagerank_isolated_nodes_excluded():
 
 
 def test_pagerank_termination_contract(seven_node_graph):
-    tol = 1e-10
-    a = pagerank(seven_node_graph, tol=tol, max_iter=500)
-    b = pagerank(seven_node_graph, tol=tol, max_iter=1000)
-    assert a.metadata["delta"] <= tol
-    assert np.abs(a.scores - b.scores).sum() <= tol
+    sv = pagerank(seven_node_graph)
+    assert sv.metadata["delta"] <= effgravity.centrality.DEFAULT_TOL
 
 
 # --- gravity ----------------------------------------------------------------

@@ -369,7 +369,6 @@ def test_evaluate_writes_three_tables(tmp_path, seven_node_file):
 def test_evaluate_makes_one_si_pass_per_group(seven_node_file, monkeypatch, options, passes):
     import effgravity.epidemics
     from effgravity import SIConfig, compute_scores, kendall_tau, rank, spreading_power
-    from effgravity.evaluation import clamp_betas
 
     argv = ["evaluate", "--input", str(seven_node_file), "--out", "unused", "--k", "3", *options]
     args = build_parser().parse_args(argv)
@@ -390,7 +389,7 @@ def test_evaluate_makes_one_si_pass_per_group(seven_node_file, monkeypatch, opti
     # config and one kendall_tau call per (measure, beta)
     graph, _ = effgravity.parse_edge_list(seven_node_file.read_text())
     scores = compute_scores(graph, args.measures, damping=args.damping)
-    clamped, _ = clamp_betas(args.beta_grid)
+    clamped = [min(beta, 1.0) for beta in args.beta_grid]
     powers = {
         beta: spreading_power(graph, SIConfig(beta, args.t_max_sweep, args.runs, args.seed))
         for beta in set(clamped)
@@ -531,13 +530,14 @@ def test_effg_builds_no_distance_matrix(tmp_path, seven_node_file, monkeypatch, 
     assert main(argv + SMALL_RUNS[command]) == 0
 
 
-# --k fits the graph where it is given, so only the named argument is wrong
+# --k fits the graph where it is given, so only the named argument is wrong;
+# a bad --beta-grid is refused earlier, by the parser
 @pytest.mark.parametrize(
     "argv",
     [
         ["evaluate", "--beta", "1.5", "--k", "2"],
         ["evaluate", "--t-max", "-1", "--k", "2"],
-        ["evaluate", "--beta-grid", "0.2,-1", "--k", "2"],
+        ["spread", "--beta", "-0.2", "--k", "2"],
         ["spread", "--runs", "0", "--k", "2"],
         ["rank", "--measures", "dc", "--damping", "nan"],
         ["rank", "--damping", "2"],
@@ -546,7 +546,7 @@ def test_effg_builds_no_distance_matrix(tmp_path, seven_node_file, monkeypatch, 
         ["spread", "--k", "0"],
         ["evaluate", "--k", "-1"],
         ["evaluate", "--k", "0"],
-        ["evaluate", "--beta-grid", "0.2,nan", "--k", "2"],
+        ["spread", "--beta", "nan", "--k", "2"],
         ["evaluate", "--t-max-sweep", "-1", "--k", "2"],
     ],
 )
@@ -562,9 +562,22 @@ def test_bad_si_arguments_fail_before_any_work(tmp_path, seven_node_file, monkey
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid", ["0.2,inf", "1e400", "-inf,0.5"])
-def test_infinite_beta_grid_is_usage_error(tmp_path, seven_node_file, monkeypatch, capsys, grid):
-    # clamped to 1 it would run, and config.json would hold Infinity
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("0.2,inf", "beta grid values must be finite"),
+        ("1e400", "beta grid values must be finite"),
+        ("-inf,0.5", "beta grid values must be finite"),
+        ("0.2,-1", "beta must be >= 0, got -1.0"),
+        ("0.2,nan", "beta must be >= 0, got nan"),
+    ],
+    ids=["0.2,inf", "1e400", "-inf,0.5", "0.2,-1", "0.2,nan"],
+)
+def test_non_finite_or_negative_beta_grid_is_usage_error(
+    tmp_path, seven_node_file, monkeypatch, capsys, grid, message
+):
+    # an infinite beta clamped to 1 would run, and config.json would hold
+    # Infinity; NaN and negative betas are no probability
     def refuse(*args, **kwargs):
         raise AssertionError("the input was read before the beta grid was checked")
 
@@ -574,7 +587,7 @@ def test_infinite_beta_grid_is_usage_error(tmp_path, seven_node_file, monkeypatc
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    assert "beta grid values must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -665,6 +678,26 @@ def test_evaluate_reports_clamped_betas_as_one_note(tmp_path, seven_node_file):
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == "note: beta values [1.2, 1.4, 1.6] exceed 1 and were clamped to 1\n"
+
+
+def test_beta_grid_over_one_is_clamped_with_a_note(seven_node_file, capsys):
+    # the parser keeps betas over 1; evaluate clamps them, names them in one
+    # note line and no warning (the suite turns warnings into errors), and
+    # its table keeps the requested values
+    assert effgravity.cli._parse_beta_grid("0.2,1.0,1.6,3") == [0.2, 1.0, 1.6, 3.0]
+    argv = [
+        "evaluate", "--input", str(seven_node_file), "--out", "unused", "--measures", "dc",
+        "--runs", "2", "--t-max", "2", "--t-max-sweep", "2", "--k", "2",
+    ]
+    notes = {
+        "0.2,1.0,1.6,3": "note: beta values [1.6, 3.0] exceed 1 and were clamped to 1\n",
+        "0.2,1": "",
+    }
+    for grid, note in notes.items():
+        args = build_parser().parse_args(argv + ["--beta-grid", grid])
+        _, rows = effgravity.cli.cmd_evaluate(args)["tau_sweep.csv"]
+        assert capsys.readouterr().err == note
+        assert [beta for _, beta, _ in rows] == args.beta_grid
 
 
 def test_module_runs_the_command_like_the_console_script(tmp_path, seven_node_file):

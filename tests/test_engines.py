@@ -83,7 +83,7 @@ def test_adjacency_slots_follow_the_given_node_order():
     graph = Graph.from_edges(5, [(0, 1), (0, 3), (1, 2), (3, 4), (2, 4)])
     nodes = np.array([3, 0, 4, 3])
     want = np.concatenate([np.arange(graph.indptr[u], graph.indptr[u + 1]) for u in nodes])
-    assert np.array_equal(_adjacency_slots(graph, nodes, graph.degrees.take(nodes)), want)
+    assert np.array_equal(_adjacency_slots(graph.indptr, nodes, graph.degrees.take(nodes)), want)
 
 
 def test_first_occurrences_keep_appearance_order_and_restore_scratch():

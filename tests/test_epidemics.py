@@ -362,6 +362,18 @@ def test_spreading_powers_match_single_configs_and_oracle():
             assert power.tobytes() == oracle.tobytes(), (index, config)
 
 
+def test_spreading_powers_are_read_only(seven_node_graph):
+    # a repeated config gets the same vector, so writing into one result
+    # would change the other
+    config = SIConfig(0.3, 3, 2, 0)
+    powers = spreading_powers(seven_node_graph, [config, config, SIConfig(1.0, 2, 2, 0)])
+    for power in powers:
+        assert not power.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            power[0] = -1.0
+    assert not spreading_power(seven_node_graph, config).flags.writeable
+
+
 def test_spreading_powers_read_several_horizons_past_saturation(monkeypatch):
     # each group (beta 0.9, and beta 1 on its own) is read at three
     # horizons in one pass; runs stop once every seeding is saturated, long

@@ -7,7 +7,6 @@ import effgravity.evaluation
 from effgravity import (
     Graph,
     SIConfig,
-    clamp_betas,
     degree_centrality,
     kendall_tau,
     rank,
@@ -268,15 +267,6 @@ def test_sweep_saturated_ground_truth_is_degenerate(seven_node_graph, tmp_path):
     assert rows == [("dc", 1.0, 0.0)]
 
 
-def test_clamp_betas_returns_the_values_over_one_without_a_warning():
-    # the suite turns warnings into errors, so a warning here would fail
-    assert clamp_betas([0.2, 1.0, 1.6, 3]) == ([0.2, 1.0, 1.0, 1.0], [1.6, 3])
-    assert clamp_betas([]) == ([], [])
-    for bad in ([-0.1], [0.2, float("nan")]):
-        with pytest.raises(ValueError, match="beta must be >= 0"):
-            clamp_betas(bad)
-
-
 def test_sweep_compares_each_measure_once_per_distinct_clamped_beta(tmp_path, monkeypatch):
     from effgravity.cli import build_parser, cmd_evaluate
 
@@ -302,9 +292,12 @@ def test_sweep_compares_each_measure_once_per_distinct_clamped_beta(tmp_path, mo
     ]
 
 
-def test_sweep_rejects_negative_beta(tmp_path):
-    with pytest.raises(ValueError, match="beta must be >= 0"):
+def test_sweep_rejects_negative_beta(tmp_path, capsys):
+    # the grid parser refuses it, so argparse exits with its usage error
+    with pytest.raises(SystemExit) as info:
         evaluate_tables(tmp_path, "--measures", "dc", "--beta-grid=-0.1")
+    assert info.value.code == 2
+    assert "beta must be >= 0, got -0.1" in capsys.readouterr().err
 
 
 def test_sweep_row_count_and_determinism(tmp_path):

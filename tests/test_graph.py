@@ -127,6 +127,17 @@ def test_degree_accessors(seven_node_graph):
     assert seven_node_graph.degrees[6] == 1
     with pytest.raises(ValueError):
         seven_node_graph.neighbors(7)
+    # a bool would pass as node 0 or 1; a float or string is not an index
+    for node in (True, np.True_, 1.0, "1"):
+        with pytest.raises(ValueError, match="node index must be an integer"):
+            seven_node_graph.neighbors(node)
+    for node in (True, 2.0):
+        with pytest.raises(ValueError, match="node index must be an integer"):
+            hop_distances(seven_node_graph, node)
+    assert hop_distances(seven_node_graph, np.int8(2)).tolist() == hop_distances(
+        seven_node_graph, 2
+    ).tolist()
+    assert seven_node_graph.neighbors(np.int64(6)).tolist() == [0]
 
 
 def test_loop_only_node_is_isolated_with_degree_zero():

@@ -23,7 +23,6 @@ EXPORTS = {
     "ScoreVector": "centrality",
     "TopologyStats": "graph",
     "betweenness_centrality": "centrality",
-    "clamp_betas": "evaluation",
     "closeness_centrality": "centrality",
     "compute_scores": "centrality",
     "degree_centrality": "centrality",
