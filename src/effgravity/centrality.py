@@ -96,15 +96,13 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
     graph (see :func:`graph._source_blocks`), so a level of the sweep is
     the same level of every source in the block, source by source. Each
     source's part of a level is kept in the order a FIFO queue would visit
-    it, and the backward pass walks each level in reverse, so every path
-    count and dependency receives its additions in the same order as the
-    node-by-node algorithm, and each source's dependencies are added to the
-    scores in source order: the scores match it bit for bit. The backward
-    pass reuses each level's forward neighbour array and the positions in
-    it of the predecessors, which the forward gather of distances found,
-    reversed: that also reverses each node's own neighbours, but a
-    successor w adds to each predecessor v only once, so the additions to
-    ``delta[v]`` still arrive in reverse FIFO order of w.
+    it. The forward pass records each level's DAG edges into the level
+    before as (predecessor, successor) pairs in the reverse of that order,
+    and the backward pass walks the levels from the last to the first. So
+    every path count and dependency receives its additions in the same
+    order as the node-by-node algorithm, and each source's dependencies are
+    added to the scores in source order: the scores match it bit for bit.
+    A source keeps at most one pair per edge.
     """
     n = graph.n
     bc = np.zeros(n, dtype=np.float64)
@@ -117,45 +115,32 @@ def betweenness_centrality(graph: Graph) -> ScoreVector:
         sigma[starts] = 1.0
         dist = np.full(size, -1, dtype=np.int64)
         dist[starts] = 0
-        levels = [starts]
-        # counts[d]: the degree of each node of levels[d], neighbours[d]:
-        # every neighbour of levels[d], slot by slot, and back[d]: the
-        # positions in it of the neighbours on level d - 1 (back[0] is
-        # never read)
-        counts = []
-        neighbours = []
-        back = []
+        level, depth = starts, 0
+        # (predecessors, successors): each level's DAG edges into the level
+        # before, in reverse FIFO order
+        dag = []
         while True:
-            depth = len(levels)
-            level = levels[-1]
             count = degrees.take(level)
             targets = indices.take(_adjacency_slots(union.indptr, level, count))
-            counts.append(count)
-            neighbours.append(targets)
+            # each slot's source is its level node, repeated over its slots
+            sources = level.repeat(count)
             seen = dist.take(targets)
-            back.append((seen == depth - 2).nonzero()[0])
-            # unvisited before this level is exactly at ``depth`` after it,
+            if depth:
+                back = (seen == depth - 1).nonzero()[0][::-1]
+                dag.append((targets.take(back), sources.take(back)))
+            # unvisited before this level is exactly at ``depth + 1`` after it,
             # so these are also the level's DAG edges
             on_dag = (seen < 0).nonzero()[0]
             reached = targets.take(on_dag)
             fresh = _first_occurrences(reached, first_seen)
             if not fresh.size:
                 break
-            dist[fresh] = depth
-            # each slot's source is its level node, repeated over its slots
-            np.add.at(sigma, reached, sigma.take(level).repeat(count).take(on_dag))
-            levels.append(fresh)
+            dist[fresh] = depth + 1
+            np.add.at(sigma, reached, sigma.take(sources.take(on_dag)))
+            level, depth = fresh, depth + 1
         delta = np.zeros(size, dtype=np.float64)
-        for depth in range(len(levels) - 1, 0, -1):
-            level = levels[depth]
-            coeff = (1.0 + delta.take(level)) / sigma.take(level)
-            on_dag = back[depth][::-1]
-            preds = neighbours[depth].take(on_dag)
-            np.add.at(
-                delta,
-                preds,
-                sigma.take(preds) * coeff.repeat(counts[depth]).take(on_dag),
-            )
+        for preds, succs in reversed(dag):
+            np.add.at(delta, preds, sigma[preds] * ((1.0 + delta[succs]) / sigma[succs]))
         delta[starts] = 0.0
         for row in delta.reshape(-1, n)[: block.size]:
             bc += row

@@ -426,8 +426,8 @@ def gravity_sums(degrees: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> np.
     Rows that select the same number of targets are reduced together as
     one C-ordered 2-D array: numpy sums each of its rows as it sums one
     row alone (pairwise), so a block of rows costs a few calls per target
-    count, not per row. ``np.add.reduceat`` would add each segment
-    sequentially, which rounds differently. Integer distances are squared
+    count, not per row. ``np.add.reduceat`` rounds differently from
+    ``np.sum``, so it cannot serve. Integer distances are squared
     in float64, which rounds d^2 once, as converting an exact int64 square
     to float64 does.
     """

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -114,6 +115,21 @@ def test_bit_identical_for_identical_configs(seven_node_graph):
     a = simulate_si(seven_node_graph, [0], cfg)
     b = simulate_si(seven_node_graph, [0], cfg)
     assert a.tobytes() == b.tobytes()
+
+
+def test_si_draws_are_pcg64_53_bit_doubles():
+    # the stream the README's determinism contract names: run r of seed s
+    # draws PCG64 words seeded by SeedSequence((s, r)), and each uniform is
+    # a word's top 53 bits times 2^-53. A numpy release that changes it
+    # fails here, not only in the golden manifest's SI entries.
+    draws = 4096
+    for seed, run in [(0, 0), (1, 5), (3964924996, 7)]:
+        raw = np.random.PCG64(np.random.SeedSequence((seed, run))).random_raw(draws)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
+        assert ((raw >> 11) * 2**-53).tobytes() == rng.random(draws).tobytes()
+    # the first eight words of the last pair, (3964924996, 7)
+    digest = hashlib.sha256(raw[:8].astype("<u8").tobytes()).hexdigest()
+    assert digest == "8e5db94f97adfb1a006583f0ef792f446998af2d6536bc5483d6d0b4fb75668a"
 
 
 def test_star_one_step_mean_matches_binomial():
