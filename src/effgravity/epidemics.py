@@ -463,13 +463,17 @@ def top_k_infection_curves(
 
     Every measure's ensemble runs under the same config and the same derived
     streams, so curves differ only through the seed sets; identical rankings
-    produce identical curves.
+    produce identical curves. An order whose first k entries are not k
+    distinct nodes is a ValueError.
     """
     if not 0 < k <= graph.n:
         raise ValueError(f"k must be in [1, {graph.n}], got {k}")
     seeds = np.zeros((len(rankings), graph.n), dtype=bool)
-    for row, (_, order) in zip(seeds, rankings):
-        row[order[:k]] = True
+    for row, (name, order) in zip(seeds, rankings):
+        row[:] = _seed_mask(graph, order[:k])
+        distinct = np.count_nonzero(row)
+        if distinct < k:
+            raise ValueError(f"the top {k} of {name}'s order hold only {distinct} distinct nodes")
     betas = [config.beta] * len(seeds)
     total = sum(_infected_counts(graph, seeds, betas, config.t_max, config.runs, config.seed))
     means = total / config.runs

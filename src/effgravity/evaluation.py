@@ -157,10 +157,35 @@ def kendall_tau(
     return _kendall_taus([(x, y)], convention)[0]
 
 
+def _check_order(order: np.ndarray) -> None:
+    """Refuse ``order`` unless it is a permutation of 0 .. n - 1, n its length.
+
+    Counts by ``np.bincount``: ``np.unique`` imports ``numpy.ma`` on first use.
+    """
+    if order.ndim != 1 or order.dtype.kind not in "iu":
+        raise ValueError(
+            f"a node order must be a 1-d integer array, got {order.dtype} of shape {order.shape}"
+        )
+    n = order.size
+    if n and (order.min() < 0 or order.max() >= n):
+        raise ValueError(
+            f"a node order of {n} nodes must hold nodes in [0, {n}), got range "
+            f"[{order.min()}, {order.max()}]"
+        )
+    repeated = np.flatnonzero(np.bincount(order.astype(np.intp, copy=False)) > 1)
+    if repeated.size:
+        raise ValueError(f"a node order names node {repeated[0]} more than once")
+
+
 def top_k_overlap(a: np.ndarray, b: np.ndarray, k: int) -> int:
-    """How many nodes the top-k sets of two node orders have in common."""
+    """How many nodes the top-k sets of two node orders have in common.
+
+    Each order must be a permutation of the same n nodes.
+    """
     if a.size != b.size:
         raise ValueError(f"rankings cover different node sets ({a.size} vs {b.size} nodes)")
+    _check_order(a)
+    _check_order(b)
     if not 0 <= k <= a.size:
         raise ValueError(f"k={k} out of range for {a.size} nodes")
     return len(set(a[:k].tolist()) & set(b[:k].tolist()))
@@ -175,12 +200,13 @@ def rank_vs_spread(order: np.ndarray, power: np.ndarray) -> list[tuple[int, int,
     influence produces a mostly decreasing third column. ``evaluate`` takes
     its vector from the same :func:`spreading_powers` call as its sweep,
     where the rank-vs-spread seed sets stay in the pass after the sweep's
-    sets have left it.
+    sets have left it. ``order`` must be a permutation of the n nodes.
     """
     if power.shape != order.shape:
         raise ValueError(
             f"ranking covers {order.size} nodes, power vector has shape {power.shape}"
         )
+    _check_order(order)
     return [
         (position + 1, int(node), float(power[node]))
         for position, node in enumerate(order)

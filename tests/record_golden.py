@@ -5,7 +5,8 @@ under ``tests/golden``, from that directory, so ``config.json`` records the
 same relative ``--input`` on every machine. Its record holds the command,
 the exit code, and the SHA-256 of stdout, of stderr and of every file the
 command wrote. ``tests/golden/manifest.json`` holds the records of all the
-cases, and ``test_golden.py`` checks each run against it.
+cases, and ``test_golden.py`` checks each run against it. Every JSON file a
+case writes must also be strict JSON, without ``NaN`` or ``Infinity``.
 
 Every ``--measures`` list names ``ec`` except on the grid and the path:
 on the path its power iteration does not converge within the iteration
@@ -84,6 +85,10 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _refuse(constant: str):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
 def run_case(name: str) -> dict:
     """Run case ``name`` from the golden directory and return its record."""
     from effgravity.cli import main
@@ -101,6 +106,11 @@ def run_case(name: str) -> dict:
             os.chdir(here)
         files = sorted(out.iterdir()) if out.exists() else []
         digests = {path.name: _sha256(path.read_bytes()) for path in files}
+        # Python's json writes NaN and Infinity for non-finite floats, and
+        # strict readers refuse them
+        for path in files:
+            if path.suffix == ".json":
+                json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse)
     return {
         "argv": argv,
         "exit": code,

@@ -782,6 +782,35 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "effgravity")
     assert result.stdout == f"{sorted(loaded)}\n"
 
 
+@pytest.mark.parametrize(
+    "command, named",
+    [
+        ("rank", "from: dc, bc, cc, ec, pagerank, gm, effg"),
+        ("evaluate", "--tau-convention {standard,ordered-pairs}"),
+    ],
+    ids=["rank", "evaluate"],
+)
+def test_help_names_every_choice_without_loading_its_layer(command, named):
+    # the names come from the package itself; argparse wraps the text to
+    # the terminal's width, so the check joins its lines
+    check = f"""
+import contextlib, io, sys
+from effgravity.cli import main
+text = io.StringIO()
+with contextlib.redirect_stdout(text), contextlib.suppress(SystemExit):
+    main([{command!r}, "--help"])
+print(" ".join(text.getvalue().split()))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "effgravity"))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", check], env=interpreter_env(), capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    text, loaded = result.stdout.splitlines()
+    assert named in text
+    assert loaded == str(sorted(LAYERS))
+
+
 def test_evaluation_compares_rankings_without_the_si_layer():
     # the evaluation layer scores given vectors; the SI runs and the
     # measures are the caller's, and node orders are plain arrays

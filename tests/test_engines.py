@@ -276,6 +276,15 @@ def test_betweenness_of_a_cycle_has_a_closed_form(n):
     assert np.all(betweenness_centrality(cycle_graph(n)).scores == want)
 
 
+@pytest.mark.parametrize("n", [2, 3, 60, 300])
+def test_betweenness_of_a_path_has_a_closed_form(n):
+    # node i lies inside the one shortest path of each of its i * (n - 1 - i)
+    # pairs of a node before it and a node after it; Brandes walks back up
+    # to n - 1 levels from each source
+    i = np.arange(n)
+    assert np.array_equal(betweenness_centrality(path_graph(n)).scores, i * (n - 1 - i))
+
+
 # --- the bit-parallel hop search across blocks of 64 sources -----------------
 
 def assert_hop_blocks_match_queue(graph: Graph) -> None:
@@ -377,12 +386,17 @@ def test_hop_sums_of_a_path_have_closed_forms(n):
     assert int(sums.distance.sum()) == n * (n * n - 1) // 3
 
 
-@pytest.mark.parametrize("n", [3, 4, 64, 129, 300, 301])
+@pytest.mark.parametrize("n", [3, 4, 64, 129, 300, 301, 1000])
 def test_hop_sums_of_a_cycle_have_closed_forms(n):
     # each node sees two peers at every distance below n/2, and one more at
-    # n/2 when n is even: floor(n^2 / 4) in all
-    sums = cycle_graph(n).hop_sums
-    assert np.all(sums.distance == n * n // 4)
+    # n/2 when n is even: floor(n^2 / 4) in all, over n - 1 reachable peers.
+    # topology_stats counts the same pairs in its own hop pass, 16 blocks of
+    # a BFS with 500 levels at n = 1000, where the mean is 250.25025025025025
+    cycle = cycle_graph(n)
+    assert np.all(cycle.hop_sums.distance == n * n // 4)
+    stats = topology_stats(cycle)
+    assert stats.avg_distance == n * n // 4 / (n - 1)
+    assert stats.unreachable_pair_fraction == 0.0
 
 
 @pytest.mark.parametrize(
@@ -673,6 +687,18 @@ def test_star_step_weight_is_the_correctly_rounded_log2_of_its_degree():
     rows[swapped, swapped], rows[swapped, 1] = leaf[1], leaf[2]
     assert rows[leaves].tobytes() == effective_distances_by_heap(star, leaves).tobytes()
     assert effg_centrality(star).scores.tobytes() == gravity_over_rows(star, rows).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, want", [("star-8", [4.0] + [8.4375] * 8), ("complete-9", [32.0] * 9)]
+)
+def test_effg_of_a_star_and_a_complete_graph_have_closed_forms(name, want):
+    # one step out of a node of degree 8 costs 1 + log2 8 = 4. A leaf of the
+    # star is 1 from the centre and 4 from each other leaf: 8 / 1 + 7 / 4^2;
+    # the centre is 4 from every leaf: 8 * 8 / 4^2. In K9 every peer is 4
+    # away: 8 * 8 * 8 / 4^2, from one block of all 9 sources whose second
+    # round relaxes every adjacency slot
+    assert effg_centrality(RELAX_ALL_GRAPHS[name]()).scores.tolist() == want
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)

@@ -260,6 +260,25 @@ def test_top_k_out_of_range_rejected(seven_node_graph):
         top_k_infection_curves(seven_node_graph, [("dc", ranking)], 8, cfg)
 
 
+@pytest.mark.parametrize(
+    "order, k, match",
+    [
+        # -1 would wrap to the last node
+        ([-1, 0, 1, 2], 1, r"in \[0, 4\)"),
+        # one node where the top 2 should be two
+        ([0], 2, "only 1 distinct"),
+        ([0, 0, 1, 2], 2, "only 1 distinct"),
+    ],
+    ids=["negative", "short", "repeated"],
+)
+def test_top_k_refuses_orders_without_k_distinct_nodes(order, k, match):
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    cfg = SIConfig(beta=0.3, t_max=4, runs=5, seed=12)
+    rankings = [("dc", np.arange(4)), ("bad", np.array(order))]
+    with pytest.raises(ValueError, match=match):
+        top_k_infection_curves(path, rankings, k, cfg)
+
+
 def test_outcome_summary_fields(seven_node_graph):
     cfg = SIConfig(beta=0.5, t_max=6, runs=12, seed=4)
     curves = simulate_si(seven_node_graph, [0], cfg)

@@ -240,6 +240,34 @@ def test_overlap_k_out_of_range_rejected(k):
         top_k_overlap(a, a, k)
 
 
+# orders that are not a permutation of 0 .. n - 1: a negative node, which
+# numpy indexing would wrap, a repeated node, and non-integer dtypes
+NOT_PERMUTATIONS = {
+    "negative": (np.array([-1, 0, 1, 2]), r"in \[0, 4\)"),
+    "past-n": (np.array([0, 1, 2, 4]), r"in \[0, 4\)"),
+    "repeated": (np.array([0, 1, 1, 3]), "node 1 more than once"),
+    "float": (np.array([0.0, 1.0, 2.0, 3.0]), "integer array"),
+    "bool": (np.array([True, False, True, False]), "integer array"),
+    "2-d": (np.array([[0, 1], [2, 3]]), "1-d integer array"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_PERMUTATIONS)
+def test_overlap_refuses_orders_that_are_not_permutations(name):
+    order, match = NOT_PERMUTATIONS[name]
+    good = np.array([3, 0, 1, 2])
+    for a, b in ((order, good), (good, order)):
+        with pytest.raises(ValueError, match=match):
+            top_k_overlap(a, b, 1)
+
+
+def test_overlap_takes_any_integer_dtype():
+    a = np.array([3, 0, 1, 2], dtype=np.uint64)
+    b = np.array([0, 3, 2, 1], dtype=np.int32)
+    assert top_k_overlap(a, b, 2) == 2
+    assert top_k_overlap(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 0) == 0
+
+
 # --- tau-vs-beta sweep --------------------------------------------------------
 # evaluate simulates one config per distinct clamped beta in one
 # spreading_powers call and correlates each measure against its vectors
@@ -348,3 +376,10 @@ def test_rank_vs_spread_requires_full_ranking(seven_node_graph):
     cfg = SIConfig(beta=0.2, t_max=2, runs=2, seed=0)
     with pytest.raises(ValueError):
         rank_vs_spread(partial, spreading_power(seven_node_graph, cfg))
+
+
+@pytest.mark.parametrize("name", NOT_PERMUTATIONS)
+def test_rank_vs_spread_refuses_orders_that_are_not_permutations(name):
+    order, match = NOT_PERMUTATIONS[name]
+    with pytest.raises(ValueError, match=match):
+        rank_vs_spread(order, np.ones(order.shape))
