@@ -273,13 +273,16 @@ def compute_scores(
     """Compute several measures at once, in the order requested.
 
     ``effg`` streams blocks of effective-distance rows, so no n x n matrix is built.
-    Unknown measure names raise ValueError.
+    Unknown or repeated measure names raise ValueError.
     """
     unknown = [name for name in measures if name not in MEASURES]
     if unknown:
         raise ValueError(
             f"unknown measures {unknown}; valid names are {', '.join(MEASURES)}"
         )
+    repeated = [name for name in dict.fromkeys(measures) if measures.count(name) > 1]
+    if repeated:
+        raise ValueError(f"measures named more than once: {', '.join(repeated)}")
     scorers = {
         "dc": lambda: degree_centrality(graph),
         "bc": lambda: betweenness_centrality(graph),

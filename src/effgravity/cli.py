@@ -25,10 +25,11 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 import numpy as np
 
 from . import MEASURES, TAU_CONVENTIONS, ConvergenceError, __version__
-from .graph import Graph, ParseError, load_edge_list, topology_stats
+from .graph import Graph, load_edge_list, topology_stats
 
 if TYPE_CHECKING:
     from .centrality import ScoreVector
+    from .epidemics import SIConfig
 
 DEFAULT_BETA = 0.2
 DEFAULT_BETA_GRID = "0.2,0.4,0.6,0.8,1.0,1.2,1.4,1.6"
@@ -113,9 +114,15 @@ def _check_damping(args: argparse.Namespace) -> None:
         raise ValueError(f"damping must be in (0, 1], got {args.damping}")
 
 
-def _check_k(args: argparse.Namespace) -> None:
+def _si_config(args: argparse.Namespace) -> SIConfig:
+    """The SI config of ``spread`` or ``evaluate``, once ``--damping`` and
+    ``--k`` are checked, before the input is read."""
+    from .epidemics import SIConfig
+
+    _check_damping(args)
     if args.k < 1:
         raise ValueError(f"k must be >= 1, got {args.k}")
+    return SIConfig(beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed)
 
 
 def _scores(
@@ -171,11 +178,9 @@ def cmd_rank(args: argparse.Namespace) -> Outputs:
 
 
 def cmd_spread(args: argparse.Namespace) -> Outputs:
-    from .epidemics import SIConfig, top_k_infection_curves
+    from .epidemics import top_k_infection_curves
 
-    _check_damping(args)
-    _check_k(args)
-    config = SIConfig(beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed)
+    config = _si_config(args)
     graph = _load_graph(args)
     if args.k > graph.n:
         raise ValueError(f"k={args.k} exceeds the graph's {graph.n} nodes")
@@ -195,9 +200,7 @@ def cmd_evaluate(args: argparse.Namespace) -> Outputs:
     from .epidemics import SIConfig, spreading_powers
     from .evaluation import _kendall_taus, rank_vs_spread, top_k_overlap
 
-    _check_damping(args)
-    _check_k(args)
-    spread_config = SIConfig(beta=args.beta, t_max=args.t_max, runs=args.runs, seed=args.seed)
+    spread_config = _si_config(args)
     # the grid parser let through only finite betas >= 0
     clamped = [min(beta, 1.0) for beta in args.beta_grid]
     over = [beta for beta in args.beta_grid if beta > 1.0]
@@ -271,6 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("csv", "json"), default="csv", help="output format"
         )
 
+    def add_si(sub: argparse.ArgumentParser, k: int) -> None:
+        sub.add_argument("--beta", type=float, default=DEFAULT_BETA, help="infection probability")
+        sub.add_argument("--t-max", type=int, default=DEFAULT_SPREAD_T_MAX, help="horizon")
+        sub.add_argument("--runs", type=int, default=DEFAULT_RUNS)
+        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--k", type=int, default=k)
+
     def add_measures(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--measures",
@@ -299,11 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(sub)
     add_measures(sub)
-    sub.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    sub.add_argument("--t-max", type=int, default=DEFAULT_SPREAD_T_MAX)
-    sub.add_argument("--runs", type=int, default=DEFAULT_RUNS)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--k", type=int, default=DEFAULT_SPREAD_K)
+    add_si(sub, DEFAULT_SPREAD_K)
     sub.set_defaults(func=cmd_spread)
 
     sub = subparsers.add_parser(
@@ -312,9 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(sub)
     add_measures(sub)
-    sub.add_argument(
-        "--beta", type=float, default=DEFAULT_BETA, help="beta for rank-vs-spread"
-    )
+    add_si(sub, DEFAULT_OVERLAP_K)
     sub.add_argument(
         "--beta-grid",
         type=_parse_beta_grid,
@@ -322,14 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated betas for the tau sweep (values > 1 are clamped)",
     )
     sub.add_argument(
-        "--t-max", type=int, default=DEFAULT_SPREAD_T_MAX, help="horizon for rank-vs-spread"
-    )
-    sub.add_argument(
         "--t-max-sweep", type=int, default=DEFAULT_SWEEP_T_MAX, help="horizon for the tau sweep"
     )
-    sub.add_argument("--runs", type=int, default=DEFAULT_RUNS)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--k", type=int, default=DEFAULT_OVERLAP_K)
     sub.add_argument(
         "--tau-convention", choices=TAU_CONVENTIONS, default="standard"
     )
@@ -354,7 +352,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ParseError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

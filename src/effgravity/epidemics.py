@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, _adjacency_slots, _bits
+from .graph import Graph, _adjacency_slots, _bits, _node_indices, _node_order
 
 
 @dataclass(frozen=True)
@@ -345,23 +345,6 @@ def _infected_counts(
         yield counts
 
 
-def _seed_mask(graph: Graph, seeds: Iterable[int]) -> np.ndarray:
-    seed_nodes = np.asarray(list(seeds))
-    if seed_nodes.size == 0:
-        raise ValueError("seed set must not be empty")
-    # a float or bool seed would otherwise be cast to some node silently
-    if seed_nodes.dtype.kind not in "iu":
-        raise ValueError(f"seed nodes must be integers, got dtype {seed_nodes.dtype}")
-    if seed_nodes.min() < 0 or seed_nodes.max() >= graph.n:
-        raise ValueError(
-            f"seed nodes must be in [0, {graph.n}), got range "
-            f"[{seed_nodes.min()}, {seed_nodes.max()}]"
-        )
-    mask = np.zeros(graph.n, dtype=bool)
-    mask[seed_nodes] = True
-    return mask
-
-
 def simulate_si(graph: Graph, seeds: Iterable[int], config: SIConfig) -> np.ndarray:
     """Run an ensemble of spreading trajectories from one seed set.
 
@@ -369,9 +352,12 @@ def simulate_si(graph: Graph, seeds: Iterable[int], config: SIConfig) -> np.ndar
     infected count at t = 0 .. t_max; ``.mean(axis=0)`` is the mean
     infection curve. It is bit-identical for identical (graph, seeds, config).
     """
-    runs = _infected_counts(
-        graph, _seed_mask(graph, seeds)[None], [config.beta], config.t_max, config.runs, config.seed
-    )
+    seed_nodes = _node_indices(list(seeds), graph.n)
+    if seed_nodes.size == 0:
+        raise ValueError("seed set must not be empty")
+    mask = np.zeros((1, graph.n), dtype=bool)
+    mask[0, seed_nodes] = True
+    runs = _infected_counts(graph, mask, [config.beta], config.t_max, config.runs, config.seed)
     curves = np.stack([counts[0] for counts in runs])
     curves.setflags(write=False)
     return curves
@@ -463,18 +449,22 @@ def top_k_infection_curves(
 
     Every measure's ensemble runs under the same config and the same derived
     streams, so curves differ only through the seed sets; identical rankings
-    produce identical curves. An order whose first k entries are not k
-    distinct nodes is a ValueError.
+    produce identical curves. Each order must hold at least k distinct
+    nodes, and each name must be given once.
     """
     if not 0 < k <= graph.n:
         raise ValueError(f"k must be in [1, {graph.n}], got {k}")
+    names = [name for name, _ in rankings]
+    repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
+    if repeated:
+        raise ValueError(f"rankings named more than once: {', '.join(repeated)}")
     seeds = np.zeros((len(rankings), graph.n), dtype=bool)
     for row, (name, order) in zip(seeds, rankings):
-        row[:] = _seed_mask(graph, order[:k])
-        distinct = np.count_nonzero(row)
-        if distinct < k:
-            raise ValueError(f"the top {k} of {name}'s order hold only {distinct} distinct nodes")
+        nodes = _node_order(order, graph.n)
+        if nodes.size < k:
+            raise ValueError(f"k={k} exceeds the length {nodes.size} of {name}'s order")
+        row[nodes[:k]] = True
     betas = [config.beta] * len(seeds)
     total = sum(_infected_counts(graph, seeds, betas, config.t_max, config.runs, config.seed))
     means = total / config.runs
-    return {name: mean for (name, _), mean in zip(rankings, means)}
+    return dict(zip(names, means))

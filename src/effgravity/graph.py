@@ -173,16 +173,44 @@ class Graph:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def check_node(self, i: int) -> None:
-        # a bool would pass as node 0 or 1; a float or string fails in numpy
+        # one integer: a bool, float, string or sequence is not a node
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
             raise ValueError(f"node index must be an integer, got {i!r}")
-        if not 0 <= i < self.n:
-            raise ValueError(f"node index {i} out of range for {self.n} nodes")
+        _node_indices([i], self.n)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected edge once as (u, v) with u < v, ordered by (u, v)."""
         upper = self.edge_sources < self.indices
         return zip(self.edge_sources[upper].tolist(), self.indices[upper].tolist())
+
+
+def _node_indices(values: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
+    """``values`` as an integer array of nodes of an n-node graph.
+
+    Refuses a bool, float or string entry, which numpy would cast to some
+    node or fail on, and an entry outside [0, n), which indexing would wrap
+    or fail on. An empty sequence is a valid empty array.
+    """
+    nodes = np.asarray(values)
+    if nodes.size and nodes.dtype.kind not in "iu":
+        raise ValueError(f"node indices must be integers, got dtype {nodes.dtype}")
+    if nodes.size and not 0 <= nodes.min() <= nodes.max() < n:
+        raise ValueError(f"nodes must be in [0, {n}), got range [{nodes.min()}, {nodes.max()}]")
+    return nodes.astype(np.intp, copy=False)
+
+
+def _node_order(order: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
+    """``order`` as a 1-d integer array of distinct nodes of an n-node graph.
+
+    Counts by ``np.bincount``: ``np.unique`` imports ``numpy.ma`` on first use.
+    """
+    if np.ndim(order) != 1:
+        raise ValueError(f"a node order must be 1-d, got shape {np.shape(order)}")
+    nodes = _node_indices(order, n)
+    repeated = np.flatnonzero(np.bincount(nodes) > 1)
+    if repeated.size:
+        raise ValueError(f"a node order names node {repeated[0]} more than once")
+    return nodes
 
 
 def parse_edge_list(source: str | bytes | Iterable[str]) -> tuple[Graph, ParseReport]:

@@ -11,6 +11,7 @@ from effgravity import (
     Graph,
     SIConfig,
     closeness_centrality,
+    compute_scores,
     degree_centrality,
     hop_distances,
     parse_edge_list,
@@ -266,8 +267,9 @@ def test_top_k_out_of_range_rejected(seven_node_graph):
         # -1 would wrap to the last node
         ([-1, 0, 1, 2], 1, r"in \[0, 4\)"),
         # one node where the top 2 should be two
-        ([0], 2, "only 1 distinct"),
-        ([0, 0, 1, 2], 2, "only 1 distinct"),
+        ([0], 2, "k=2 exceeds the length 1 of bad's order"),
+        # refused as a whole order, before its top k are read
+        ([0, 0, 1, 2], 2, "node 0 more than once"),
     ],
     ids=["negative", "short", "repeated"],
 )
@@ -277,6 +279,17 @@ def test_top_k_refuses_orders_without_k_distinct_nodes(order, k, match):
     rankings = [("dc", np.arange(4)), ("bad", np.array(order))]
     with pytest.raises(ValueError, match=match):
         top_k_infection_curves(path, rankings, k, cfg)
+
+
+def test_measures_named_twice_are_refused(seven_node_graph):
+    # each name keys one entry of the result, so a repeat would be
+    # computed or simulated twice and returned once
+    with pytest.raises(ValueError, match="named more than once: dc"):
+        compute_scores(seven_node_graph, ["dc", "cc", "dc"])
+    order = rank(degree_centrality(seven_node_graph))
+    cfg = SIConfig(beta=0.3, t_max=2, runs=2, seed=0)
+    with pytest.raises(ValueError, match="named more than once: x"):
+        top_k_infection_curves(seven_node_graph, [("x", order), ("y", order), ("x", order)], 2, cfg)
 
 
 def test_outcome_summary_fields(seven_node_graph):

@@ -13,6 +13,7 @@ from effgravity import (
     rank_vs_spread,
     spreading_power,
     spreading_powers,
+    top_k_infection_curves,
     top_k_overlap,
 )
 from conftest import SEVEN_NODE_EDGE_LIST
@@ -246,9 +247,9 @@ NOT_PERMUTATIONS = {
     "negative": (np.array([-1, 0, 1, 2]), r"in \[0, 4\)"),
     "past-n": (np.array([0, 1, 2, 4]), r"in \[0, 4\)"),
     "repeated": (np.array([0, 1, 1, 3]), "node 1 more than once"),
-    "float": (np.array([0.0, 1.0, 2.0, 3.0]), "integer array"),
-    "bool": (np.array([True, False, True, False]), "integer array"),
-    "2-d": (np.array([[0, 1], [2, 3]]), "1-d integer array"),
+    "float": (np.array([0.0, 1.0, 2.0, 3.0]), "must be integers"),
+    "bool": (np.array([True, False, True, False]), "must be integers"),
+    "2-d": (np.array([[0, 1], [2, 3]]), "must be 1-d"),
 }
 
 
@@ -259,6 +260,28 @@ def test_overlap_refuses_orders_that_are_not_permutations(name):
     for a, b in ((order, good), (good, order)):
         with pytest.raises(ValueError, match=match):
             top_k_overlap(a, b, 1)
+
+
+@pytest.mark.parametrize("name", NOT_PERMUTATIONS)
+def test_top_k_curves_refuse_orders_that_are_not_permutations(name):
+    # the SI layer checks each order whole, not only the k nodes it seeds
+    order, match = NOT_PERMUTATIONS[name]
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    cfg = SIConfig(beta=0.3, t_max=2, runs=2, seed=0)
+    good = np.array([3, 0, 1, 2])
+    for rankings in ([("bad", order), ("good", good)], [("good", good), ("bad", order)]):
+        with pytest.raises(ValueError, match=match):
+            top_k_infection_curves(path, rankings, 1, cfg)
+
+
+def test_node_orders_may_be_python_lists():
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert top_k_overlap([3, 0, 1, 2], [0, 3, 2, 1], 2) == 2
+    assert rank_vs_spread([1, 0], [0.5, 2.0]) == [(1, 1, 2.0), (2, 0, 0.5)]
+    cfg = SIConfig(beta=0.3, t_max=3, runs=4, seed=2)
+    listed = top_k_infection_curves(path, [("a", [1, 2, 0, 3])], 2, cfg)["a"]
+    array = top_k_infection_curves(path, [("a", np.array([1, 2, 0, 3]))], 2, cfg)["a"]
+    assert listed.tobytes() == array.tobytes()
 
 
 def test_overlap_takes_any_integer_dtype():

@@ -125,7 +125,7 @@ def test_first_appearance_indexing():
 def test_degree_accessors(seven_node_graph):
     assert seven_node_graph.degrees[0] == 6
     assert seven_node_graph.degrees[6] == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"nodes must be in \[0, 7\), got range \[7, 7\]"):
         seven_node_graph.neighbors(7)
     # a bool would pass as node 0 or 1; a float or string is not an index
     for node in (True, np.True_, 1.0, "1"):
