@@ -32,7 +32,13 @@ _STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize
 def code_lines(path: Path) -> int:
     """Number of code lines in the Python file ``path``."""
     with open(path, "rb") as handle:
-        tokens = [token for token in tokenize.tokenize(handle.readline) if token.type != tokenize.NL]
+        # comments never count, and a string after a comment-only line still
+        # starts a statement
+        tokens = [
+            token
+            for token in tokenize.tokenize(handle.readline)
+            if token.type not in (tokenize.NL, tokenize.COMMENT)
+        ]
     lines: set[int] = set()
     for i, token in enumerate(tokens):
         if token.type in _LAYOUT:
@@ -40,7 +46,7 @@ def code_lines(path: Path) -> int:
         if (
             token.type == tokenize.STRING
             and tokens[i - 1].type in _STATEMENT_START
-            and tokens[i + 1].type in (tokenize.NEWLINE, tokenize.COMMENT)
+            and tokens[i + 1].type == tokenize.NEWLINE
         ):
             continue  # a docstring or another bare string statement
         lines.update(range(token.start[0], token.end[0] + 1))

@@ -342,26 +342,39 @@ def test_evaluate_writes_three_tables(tmp_path, seven_node_file):
     assert (out / "rank_vs_spread_gm.csv").exists()
 
 
+def sweep_passes(t_max, runs=50):
+    """The passes of the default grid's betas 0.4, 0.6 and 0.8 at ``t_max``."""
+    return [(7, beta, t_max, runs, [t_max]) for beta in (0.4, 0.6, 0.8)]
+
+
 @pytest.mark.parametrize(
     "options, passes",
     [
-        # the sweep's four betas below 1 at t 5, with beta 0.2 read again at
-        # t 20; beta 1 passes alone, with one run
-        ([], [(4 * 7, [0.2, 0.4, 0.6, 0.8], 20, 50, [5, 20]), (7, [1.0], 5, 1, [5])]),
-        # a rank-vs-spread beta outside the grid is one more level
+        # the sweep's betas at t 5, one pass each, with beta 0.2 read again
+        # at t 20; beta 1 takes one run
+        (
+            [],
+            [(7, 0.2, 20, 50, [5, 20]), *sweep_passes(5), (7, 1.0, 5, 1, [5])],
+        ),
+        # a rank-vs-spread beta outside the grid is one more pass
         (
             ["--beta", "0.3"],
-            [(5 * 7, [0.2, 0.3, 0.4, 0.6, 0.8], 20, 50, [5, 20]), (7, [1.0], 5, 1, [5])],
+            [
+                (7, 0.2, 5, 50, [5]),
+                (7, 0.3, 20, 50, [20]),
+                *sweep_passes(5),
+                (7, 1.0, 5, 1, [5]),
+            ],
         ),
-        # rank-vs-spread at beta 1 is read from the beta = 1 group at t 20
+        # rank-vs-spread at beta 1 is read from the beta = 1 pass at t 20
         (
             ["--beta", "1.0"],
-            [(4 * 7, [0.2, 0.4, 0.6, 0.8], 5, 50, [5]), (7, [1.0], 20, 1, [5, 20])],
+            [(7, 0.2, 5, 50, [5]), *sweep_passes(5), (7, 1.0, 20, 1, [5, 20])],
         ),
         # beta 0.2 is read at t 3 and at the sweep's longer t 9
         (
             ["--t-max", "3", "--t-max-sweep", "9"],
-            [(4 * 7, [0.2, 0.4, 0.6, 0.8], 9, 50, [3, 9]), (7, [1.0], 9, 1, [9])],
+            [(7, 0.2, 9, 50, [3, 9]), *sweep_passes(9), (7, 1.0, 9, 1, [9])],
         ),
     ],
     ids=["defaults", "beta-off-grid", "beta-one", "short-spread"],
@@ -375,14 +388,14 @@ def test_evaluate_makes_one_si_pass_per_group(seven_node_file, monkeypatch, opti
     seen = []
     engine = effgravity.epidemics._infected_counts
 
-    def counted(graph, seed_masks, betas, t_max, runs, seed, *, steps=None, **options):
-        seen.append((len(seed_masks), sorted(set(betas)), t_max, runs, steps))
-        return engine(graph, seed_masks, betas, t_max, runs, seed, steps=steps, **options)
+    def counted(graph, seed_masks, config, *, steps=None):
+        seen.append((len(seed_masks), config.beta, config.t_max, config.runs, steps))
+        return engine(graph, seed_masks, config, steps=steps)
 
     monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counted)
     outputs = effgravity.cli.cmd_evaluate(args)
-    # the seven nodes fit in one block: one pass below beta 1, one at beta 1,
-    # and each pass counts infections only at the horizons read from it
+    # the seven nodes fit in one block: one pass per beta, and each pass
+    # counts infections only at the horizons read from it
     assert seen == passes
 
     # the tables are those of one spreading_power call per distinct clamped

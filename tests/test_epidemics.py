@@ -342,6 +342,13 @@ def test_public_simulations_match_per_seed_set_oracle(beta, t_max):
         curves = top_k_infection_curves(graph, rankings, k, config)
         for column, (name, _) in enumerate(rankings):
             assert curves[name].tobytes() == oracle[:, column].mean(axis=0).tobytes()
+        # no ranking at all simulates no seed set
+        assert top_k_infection_curves(graph, [], k, config) == {}
+        if t_max == 0:
+            # every node alone at step 0, at every beta
+            configs = [SIConfig(other, 0, 3, index) for other in (0.0, 0.3, 1.0)]
+            for power in spreading_powers(graph, configs):
+                assert power.tolist() == [1.0] * graph.n
 
 
 def oracle_powers(graph, configs):
@@ -354,13 +361,13 @@ def oracle_powers(graph, configs):
 
 
 def counting_engine(monkeypatch):
-    """Record (seed sets, distinct betas, horizon, runs) of every engine pass."""
+    """Record (seed sets, beta, horizon, runs) of every engine pass."""
     passes = []
     engine = effgravity.epidemics._infected_counts
 
-    def counted(graph, seed_masks, betas, t_max, runs, seed, **options):
-        passes.append((len(seed_masks), sorted(set(betas)), t_max, runs))
-        return engine(graph, seed_masks, betas, t_max, runs, seed, **options)
+    def counted(graph, seed_masks, config, **options):
+        passes.append((len(seed_masks), config.beta, config.t_max, config.runs))
+        return engine(graph, seed_masks, config, **options)
 
     monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counted)
     return passes
@@ -384,17 +391,18 @@ def test_spreading_powers_blocks_of_several_betas_match_oracle(monkeypatch):
         SIConfig(beta=beta, t_max=t_max, runs=4, seed=3)
         for beta, t_max in ((0.2, 3), (0.5, 3), (1.0, 3), (0.2, 7), (1.0, 1), (0.5, 3))
     ]
-    # two betas below 1 stack each block twice: 4 nodes, 8 seed sets a block
+    # a seed set is one bit per slot: blocks of 8, 8 and 2 nodes at every beta
     monkeypatch.setattr(effgravity.epidemics, "_BLOCK_BYTES", graph.indices.size)
     passes = counting_engine(monkeypatch)
     powers = spreading_powers(graph, configs)
     for power, oracle in zip(powers, oracle_powers(graph, configs)):
         assert power.tobytes() == oracle.tobytes()
-    # one pass per block, to the longest horizon; beta = 1 passes alone, with
-    # one run, and blocks of 8 nodes as it stacks each block once
+    # one pass per beta and block, to that beta's last horizon; beta = 1
+    # takes one run
     assert passes == (
-        [(8, [0.2, 0.5], 7, 4)] * 4 + [(4, [0.2, 0.5], 7, 4)]
-        + [(8, [1.0], 3, 1)] * 2 + [(2, [1.0], 3, 1)]
+        [(8, 0.2, 7, 4)] * 2 + [(2, 0.2, 7, 4)]
+        + [(8, 0.5, 3, 4)] * 2 + [(2, 0.5, 3, 4)]
+        + [(8, 1.0, 3, 1)] * 2 + [(2, 1.0, 3, 1)]
     )
 
 
@@ -423,8 +431,8 @@ def test_spreading_powers_are_read_only(seven_node_graph):
 
 
 def test_spreading_powers_read_several_horizons_past_saturation(monkeypatch):
-    # each group (beta 0.9, and beta 1 on its own) is read at three
-    # horizons in one pass; runs stop once every seeding is saturated, long
+    # each beta (0.9, and 1 with one run) is read at three horizons in one
+    # pass; runs stop once every seeding is saturated, long
     # before step 40, and must still report n at that horizon
     complete = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
     path = Graph.from_edges(15, [(i, i + 1) for i in range(14)])
@@ -439,9 +447,7 @@ def test_spreading_powers_read_several_horizons_past_saturation(monkeypatch):
         for power, oracle in zip(powers, oracle_powers(graph, configs)):
             assert power.tobytes() == oracle.tobytes()
         assert powers[-1].tolist() == [graph.n] * graph.n
-    assert passes == [
-        (6, [0.9], 40, 5), (6, [1.0], 40, 1), (15, [0.9], 40, 5), (15, [1.0], 40, 1)
-    ]
+    assert passes == [(6, 0.9, 40, 5), (6, 1.0, 40, 1), (15, 0.9, 40, 5), (15, 1.0, 40, 1)]
 
 
 def test_spreading_powers_balls_count_only_reachable_nodes():
@@ -462,7 +468,7 @@ def test_spreading_powers_beta_one_is_one_run_of_hop_balls(monkeypatch):
     monkeypatch.setattr(effgravity.epidemics, "_BLOCK_BYTES", graph.indices.size)
     passes = counting_engine(monkeypatch)
     (power,) = spreading_powers(graph, [SIConfig(beta=1.0, t_max=t_max, runs=6, seed=2)])
-    assert passes == [(8, [1.0], t_max, 1), (7, [1.0], t_max, 1)]
+    assert passes == [(8, 1.0, t_max, 1), (7, 1.0, t_max, 1)]
     balls = [
         np.count_nonzero((row >= 0) & (row <= t_max))
         for row in (hop_distances_by_queue(graph, s) for s in range(n))
@@ -478,40 +484,25 @@ def test_spreading_powers_need_one_seed_and_run_count(seven_node_graph):
             spreading_powers(seven_node_graph, [base, other])
 
 
-def engine_counts(graph, seed_sets, betas, config, **options):
+def engine_counts(graph, seed_sets, config, **options):
     masks = np.zeros((len(seed_sets), graph.n), dtype=bool)
     for row, seeds in zip(masks, seed_sets):
         row[seeds] = True
-    runs = effgravity.epidemics._infected_counts(
-        graph, masks, betas, config.t_max, config.runs, config.seed, **options
-    )
-    return np.stack(list(runs))
+    return np.stack(list(effgravity.epidemics._infected_counts(graph, masks, config, **options)))
 
 
-def assert_engine_matches_oracle(graph, seed_sets, config, betas=None, ends=None):
-    """Compare the engine, each seed set at its own beta (config.beta if none
-    are given), with one oracle ensemble per distinct beta.
-
-    With ``ends``, each set's counts after its last step must read 0, and
-    the engine must give the same columns when it reads only some steps.
-    """
-    betas = [config.beta] * len(seed_sets) if betas is None else betas
-    counts = engine_counts(graph, seed_sets, betas, config, ends=ends)
-    oracle = np.empty_like(counts)
-    for beta in set(betas):
-        columns = [column for column, own in enumerate(betas) if own == beta]
-        oracle[:, columns] = si_curves_per_seed_set(
-            graph, [seed_sets[column] for column in columns], replace(config, beta=beta)
-        )
-    if ends is not None:
-        for column, end in enumerate(ends):
-            oracle[:, column, end + 1 :] = 0
-    assert counts.tobytes() == oracle.tobytes()
-    if ends is not None:
-        # every horizon a set ends at, and the first and last steps
-        steps = sorted({0, config.t_max, *ends})
-        read = engine_counts(graph, seed_sets, betas, config, ends=ends, steps=steps)
-        assert read.tobytes() == counts[:, :, steps].tobytes()
+def assert_engine_matches_oracle(graph, seed_sets, config):
+    """Compare one engine call with an oracle ensemble per seed set, and the
+    engine's counts read at a few steps with its full curves."""
+    counts = engine_counts(graph, seed_sets, config)
+    # the oracle simulates each distinct seed set once
+    distinct = sorted({tuple(sorted(seeds)) for seeds in seed_sets})
+    oracle = si_curves_per_seed_set(graph, distinct, config)
+    columns = [distinct.index(tuple(sorted(seeds))) for seeds in seed_sets]
+    assert counts.tobytes() == oracle[:, columns].tobytes()
+    steps = sorted({0, config.t_max // 2, config.t_max})
+    read = engine_counts(graph, seed_sets, config, steps=steps)
+    assert read.tobytes() == counts[:, :, steps].tobytes()
     return counts
 
 
@@ -545,20 +536,18 @@ def test_engine_word_boundaries_match_oracle(sets):
 
 
 def test_engine_full_word_leaves_its_node_open_to_other_words():
-    # path 0-1-2-3: the first word's 64 sets (seed 1, beta 1) fill node 2's
-    # first word at step 1, while the second word's sets (seed 0) reach
-    # node 2 only later, through node 1
+    # path 0-1-2-3: the first word's 64 sets (seed 1) fill node 2's first
+    # word on the step that opens slot 1 -> 2, while the second word's sets
+    # (seed 0) reach node 2 only later, through node 1
     graph = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     seed_sets = [[1]] * 64 + [[0]] * 6
-    betas = [1.0] * 64 + [0.6] * 6
     config = SIConfig(beta=0.6, t_max=5, runs=6, seed=13)
-    counts = assert_engine_matches_oracle(graph, seed_sets, config, betas)
+    counts = assert_engine_matches_oracle(graph, seed_sets, config)
     assert counts[:, 64:, -1].max() == 4
 
 
 def test_engine_seed_sets_at_mixed_betas_match_oracle():
-    # 130 sets over three words at five betas, each set of every beta
-    # appearing in several words: equal betas share a level, beta = 0 never
+    # 130 sets over three words, one engine call per beta: beta = 0 never
     # spreads and beta = 1 opens every slot
     rng = np.random.default_rng(89)
     graph = random_connected_graph(rng, 30, 0.08)
@@ -566,11 +555,11 @@ def test_engine_seed_sets_at_mixed_betas_match_oracle():
         sorted(rng.choice(30, size=int(rng.integers(1, 3)), replace=False).tolist())
         for _ in range(130)
     ]
-    betas = rng.choice([0.0, 0.15, 0.5, 0.85, 1.0], size=130).tolist()
-    config = SIConfig(beta=0.5, t_max=7, runs=3, seed=21)
-    counts = assert_engine_matches_oracle(graph, seed_sets, config, betas)
-    still = [column for column, beta in enumerate(betas) if beta == 0.0]
-    assert np.all(counts[:, still] == counts[:, still, :1])
+    for beta in (0.0, 0.15, 0.5, 0.85, 1.0):
+        config = SIConfig(beta=beta, t_max=7, runs=3, seed=21)
+        counts = assert_engine_matches_oracle(graph, seed_sets, config)
+        if beta == 0.0:
+            assert np.all(counts == counts[:, :, :1])
 
 
 def test_engine_leaves_untouched_component_alone():
@@ -609,29 +598,9 @@ def test_engine_beta_one_grows_by_closed_form(edges, grown):
     # the live mask; a slot left out of it would stop the spread there
     graph = Graph.from_edges(300, edges)
     config = SIConfig(beta=1.0, t_max=305, runs=3, seed=2)
-    counts = engine_counts(graph, [[0]], [1.0], config)
+    counts = engine_counts(graph, [[0]], config)
     expected = [min(grown(t), graph.n) for t in range(config.t_max + 1)]
     assert np.all(counts[:, 0] == expected)
-
-
-def test_engine_node_first_reached_with_no_open_set_spreads_later():
-    # path 0..7; set 0 seeds node 0 at beta 0, set 1 seeds node 7 at 0.95.
-    # Step 1 opens slot 0 -> 1 below 0.95, but the level table zeroes the
-    # bits it carries, so node 1 is reached with no set infected. Set 1
-    # infects it later and must still spread through it to node 0.
-    graph = Graph.from_edges(8, [(i, i + 1) for i in range(7)])
-    seed_sets, betas = [[0], [7]], [0.0, 0.95]
-    config = SIConfig(beta=0.95, t_max=12, runs=4, seed=31)
-    counts = assert_engine_matches_oracle(graph, seed_sets, config, betas)
-    slot = graph.indptr[0]
-    first_draws = [
-        np.random.default_rng(np.random.SeedSequence((config.seed, run))).random(2 * graph.m)[slot]
-        for run in range(config.runs)
-    ]
-    assert any(
-        draw < 0.95 and final == graph.n for draw, final in zip(first_draws, counts[:, 1, -1])
-    )
-    assert np.all(counts[:, 0] == 1)
 
 
 def test_engine_stops_a_run_once_every_set_is_saturated(monkeypatch):
@@ -652,7 +621,7 @@ def test_engine_stops_a_run_once_every_set_is_saturated(monkeypatch):
 
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed)))
-    counts = engine_counts(graph, [[0], [2, 4]], [1.0, 1.0], config)
+    counts = engine_counts(graph, [[0], [2, 4]], config)
     assert draws == [2 * graph.m] * config.runs
     assert counts.tobytes() == oracle.tobytes()
     assert np.all(counts[:, :, 1:] == graph.n)
@@ -672,259 +641,11 @@ def test_engine_every_set_saturated_from_the_start():
         assert curves[name].tobytes() == oracle.tobytes()
 
 
-@pytest.mark.parametrize(
-    "retirements, isolated",
-    [(1, False), (2, False), (3, False), (3, True)],
-    ids=["1", "2", "3", "3-isolated-nodes"],
-)
-def test_engine_sets_leaving_at_several_steps_match_oracle(retirements, isolated):
-    # 100 sets over two words at four betas, in blocks that end at one,
-    # two or three steps before the last; a cut inside a word leaves a
-    # partial word behind. The isolated-nodes case runs on the engine graph
-    # whose nodes 0, 3, 5 and 9 have no edge: the last node has no out-slot
-    # (its indptr entry is 2m), and sets carried past every cut seed it
-    # with connected nodes
-    rng = np.random.default_rng(103 + retirements)
-    if isolated:
-        (graph,) = [
-            graph
-            for graph in engine_graphs()
-            if np.flatnonzero(graph.degrees == 0).tolist() == [0, 3, 5, 9]
-        ]
-    else:
-        graph = random_connected_graph(rng, 30, 0.08)
-    seed_sets = many_word_seed_sets(rng, 100)
-    betas = rng.choice([0.15, 0.4, 0.7, 0.95], size=100).tolist()
-    # (sets, last step) from the first set on
-    blocks = {
-        1: [(70, 9), (30, 4)],
-        2: [(50, 9), (30, 6), (20, 2)],
-        3: [(40, 9), (27, 6), (21, 3), (12, 1)],
-    }[retirements]
-    ends = [end for size, end in blocks for _ in range(size)]
-    if isolated:
-        assert graph.indptr[9] == graph.indices.size
-        assert any(9 in seeds and graph.degrees[seeds].any() for seeds in seed_sets[:40])
-    config = SIConfig(beta=0.4, t_max=9, runs=4, seed=retirements)
-    counts = assert_engine_matches_oracle(graph, seed_sets, config, betas, ends)
-    assert counts[:, :, -1].max() > counts[:, :, 0].max()
-
-
-def test_engine_retirement_lowers_the_top_beta():
-    # the beta 0.9 sets leave after step 2; from step 3 the compare keeps
-    # only draws below 0.3, and a draw between 0.3 and 0.9 must not open a
-    # slot for the sets left
-    rng = np.random.default_rng(107)
-    graph = random_connected_graph(rng, 25, 0.1)
-    seed_sets = [[node] for node in range(0, 25, 3)] * 2
-    betas = [0.3] * 9 + [0.9] * 9
-    ends = [8] * 9 + [2] * 9
-    config = SIConfig(beta=0.3, t_max=8, runs=5, seed=9)
-    counts = assert_engine_matches_oracle(graph, seed_sets, config, betas, ends)
-    assert np.all(counts[:, 9:, 3:] == 0)
-    assert np.any(counts[:, :9, -1] > counts[:, :9, 2])
-
-
-def test_engine_node_touched_only_by_retired_sets_opens_when_reached_again():
-    # path 0..9 at beta 1: set 1 seeds node 0 and reaches nodes 1 and 2,
-    # then leaves after step 2. Set 0 seeds node 9 and reaches node 2 at
-    # step 7; only then may node 2's out-slots join the live mask again, and
-    # set 0 must go on to nodes 1 and 0
-    graph = Graph.from_edges(10, [(i, i + 1) for i in range(9)])
-    config = SIConfig(beta=1.0, t_max=12, runs=2, seed=3)
-    counts = assert_engine_matches_oracle(graph, [[9], [0]], config, ends=[12, 2])
-    assert counts[0, 0].tolist() == [min(t + 1, 10) for t in range(13)]
-    assert counts[0, 1].tolist() == [1, 2, 3] + [0] * 10
-
-
-def test_engine_run_saturating_before_a_retire_step(monkeypatch):
-    # on a complete graph at beta = 1 every set is saturated after step 1,
-    # long before the sets ending at 3 leave: each run draws once, reads n
-    # up to each set's own last step and 0 after it
-    complete = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
-    draws = []
-
-    class CountingGenerator:
-        def __init__(self, rng):
-            self.rng = rng
-
-        def random(self, size):
-            draws.append(size)
-            return self.rng.random(size)
-
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed)))
-    config = SIConfig(beta=1.0, t_max=5, runs=3, seed=8)
-    counts = assert_engine_matches_oracle(complete, [[0], [2, 4], [1]], config, ends=[5, 3, 3])
-    assert counts[0].tolist() == [[1, 6, 6, 6, 6, 6], [2, 6, 6, 6, 0, 0], [1, 6, 6, 6, 0, 0]]
-    draws.clear()
-    # a set that never spreads (beta 0, on an isolated node) holds the run
-    # open until it leaves after step 2; the others are saturated by then,
-    # so the run stops drawing there
-    graph = Graph.from_edges(7, [(u, v) for u in range(6) for v in range(u + 1, 6)])
-    counts = engine_counts(graph, [[0, 6], [6]], [1.0, 0.0], config, ends=[5, 2])
-    assert draws == [2 * graph.m] * 2 * config.runs
-    assert counts[0].tolist() == [[2, 7, 7, 7, 7, 7], [1, 1, 1, 0, 0, 0]]
-
-
-def test_engine_rejects_ends_out_of_order_or_range():
-    graph = Graph.from_edges(3, [(0, 1), (1, 2)])
-    config = SIConfig(beta=0.5, t_max=4, runs=1, seed=0)
-    for ends in ([2, 3], [5, 1], [1, -1], [4]):
-        with pytest.raises(ValueError, match="non-increasing steps"):
-            engine_counts(graph, [[0], [2]], [0.5, 0.5], config, ends=ends)
-
-
-@pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 16, 31, 32])
-def test_level_lookup_matches_searchsorted(count):
-    rng = np.random.default_rng(count)
-    levels = np.array(sorted(set(rng.random(count).tolist())))
-    # draws anywhere below the top level, at every lower level exactly, and
-    # just below each level
-    draws = np.concatenate(
-        [
-            rng.random(500) * levels[-1],
-            levels[:-1],
-            np.nextafter(levels, 0.0),
-            [0.0],
-        ]
-    )
-    assert draws.max() < levels[-1]
-    lookup = effgravity.epidemics._levels_at_or_below(levels, draws)
-    assert lookup.dtype == np.intp
-    assert lookup.tobytes() == levels.searchsorted(draws, side="right").tobytes()
-
-
-@pytest.mark.parametrize("sets", [0, 1, 63, 64, 65, 129])
-def test_level_table_row_zero_is_every_set(sets):
-    # tied betas, beta = 0 among them: row 0 holds the sets open at a draw
-    # below every beta, which is all of them, and no bit past the last set
-    rng = np.random.default_rng(sets)
-    betas = rng.choice([0.0, 0.25, 0.25, 0.5, 1.0], size=sets)
-    levels, open_sets = effgravity.epidemics._level_table(betas)
-    words = -(-sets // 64)
-    assert levels.tolist() == (sorted(set(betas.tolist())) or [0.0])
-    assert open_sets.shape == (levels.size, words) and open_sets.dtype == np.uint64
-    every_set = effgravity.epidemics._pack(np.ones(sets, dtype=bool), words)
-    assert open_sets[0].tobytes() == every_set.tobytes()
-    bits = effgravity.graph._bits(open_sets[:1], 64 * words)[0]
-    assert bits[:sets].all() and not bits[sets:].any()
-
-
-@pytest.mark.parametrize("kept", [1, 63, 64, 65, 129])
-def test_phase_cut_clears_exactly_the_bits_past_the_kept_sets(kept):
-    # four words of sets cut to the first kept sets: the words past the
-    # kept sets' last go, and ANDing in the last word of row 0 of the kept
-    # sets' level table clears the bits past kept in it
-    rng = np.random.default_rng(kept)
-    infected = rng.integers(0, 2**64, size=(7, 4), dtype=np.uint64)
-    _, open_sets = effgravity.epidemics._level_table(rng.choice([0.0, 0.3, 0.6], size=kept))
-    cut = np.ascontiguousarray(infected[:, : open_sets.shape[1]])
-    cut[:, -1] &= open_sets[0, -1]
-    before = effgravity.graph._bits(infected, 256)
-    after = effgravity.graph._bits(cut, 64 * cut.shape[1])
-    assert (after[:, :kept] == before[:, :kept]).all()
-    assert not after[:, kept:].any()
-
-
-@pytest.fixture
-def gathers(monkeypatch):
-    """Record each step of several levels as (view rows, levels, kept
-    slots): the rows of the per-level view it built, and the level count
-    and slot count of the level lookup that indexes that view."""
-    records = []
-    views = []
-    epidemics = effgravity.epidemics
-    lookup = epidemics._levels_at_or_below
-
-    class RecordingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def bitwise_and(self, words, open_sets):
-            view = np.bitwise_and(words, open_sets)
-            views.append(view.shape[0] * view.shape[1])
-            return view
-
-    def recording_lookup(levels, draws):
-        # each lookup reads the one view its step built just before
-        assert len(views) == 1
-        records.append((views.pop(), levels.size, draws.size))
-        return lookup(levels, draws)
-
-    monkeypatch.setattr(epidemics, "np", RecordingNumpy())
-    monkeypatch.setattr(epidemics, "_levels_at_or_below", recording_lookup)
-    yield records
-    assert not views
-
-
-def dense_graph_seed_sets(rng, n, p, sets, pool):
-    # seed sets of one or two of the nodes 0 .. pool - 1
-    graph = random_connected_graph(rng, n, p)
-    seed_sets = [
-        sorted(rng.choice(pool, size=int(rng.integers(1, 3)), replace=False).tolist())
-        for _ in range(sets)
-    ]
-    return graph, seed_sets
-
-
-@pytest.mark.parametrize("sets", [65, 127, 129])
-@pytest.mark.parametrize("count", [2, 3, 5, 9])
-def test_engine_level_view_matches_oracle_across_word_boundaries(gathers, count, sets):
-    # a dense 40-node graph seeded from nodes 0 and 1: step 1 keeps fewer
-    # slots than the view has rows, and once most nodes are reached a step
-    # keeps at least three per row; every step builds the view and takes
-    # each slot's row of it, and every word mixes the levels
-    rng = np.random.default_rng(1000 * count + sets)
-    graph, seed_sets = dense_graph_seed_sets(rng, 40, 0.9, sets, 2)
-    levels = np.linspace(0.35, 0.95, count).tolist()
-    betas = (levels * sets)[:sets]
-    config = SIConfig(beta=levels[0], t_max=6, runs=3, seed=count)
-    counts = assert_engine_matches_oracle(graph, seed_sets, config, betas)
-    assert counts[:, :, -1].max() > counts[:, :, 0].max()
-    assert gathers
-    assert all(size == count and rows == count * graph.n for rows, size, _ in gathers)
-    assert any(kept < rows for rows, _, kept in gathers)
-    assert any(kept >= 3 * rows for rows, _, kept in gathers)
-
-
-def test_engine_many_levels_at_small_beta_match_oracle(gathers):
-    # eight levels from 0.005 to 0.04: a step opens a few slots, far fewer
-    # than the view's 8n rows, and still builds the view
-    rng = np.random.default_rng(109)
-    graph, seed_sets = dense_graph_seed_sets(rng, 24, 0.7, 100, 24)
-    levels = np.linspace(0.005, 0.04, 8).tolist()
-    betas = rng.choice(levels, size=100).tolist()
-    config = SIConfig(beta=0.04, t_max=12, runs=4, seed=17)
-    counts = assert_engine_matches_oracle(graph, seed_sets, config, betas)
-    assert counts[:, :, -1].max() > counts[:, :, 0].max()
-    assert gathers
-    assert all(size == 8 and rows == 8 * graph.n for rows, size, _ in gathers)
-    assert all(kept < rows for rows, _, kept in gathers)
-
-
-def test_engine_phase_change_lowers_the_level_count(gathers):
-    # four levels until step 2, when the 0.9 and 0.7 sets leave, then two
-    # until step 4, when the 0.5 sets leave too; the view is built at four
-    # levels and again at two, each from its phase's level table
-    rng = np.random.default_rng(113)
-    graph, seed_sets = dense_graph_seed_sets(rng, 24, 0.95, 130, 24)
-    betas = rng.choice([0.3, 0.5, 0.7, 0.9], size=130).tolist()
-    order = sorted(range(130), key=lambda index: betas[index])
-    seed_sets = [seed_sets[index] for index in order]
-    betas = [betas[index] for index in order]
-    ends = [8 if beta == 0.3 else 4 if beta == 0.5 else 2 for beta in betas]
-    config = SIConfig(beta=0.3, t_max=8, runs=4, seed=23)
-    assert_engine_matches_oracle(graph, seed_sets, config, betas, ends)
-    assert all(rows == size * graph.n for rows, size, _ in gathers)
-    assert {size for _, size, _ in gathers} == {4, 2}
-
-
 @st.composite
 def si_cases(draw):
     # two blocks with no edge between them, so at least two components; in
     # half the cases each block is a path, whose long distances let a set
-    # reach a node steps after another set's slot first touched it
+    # reach a node steps after another set first reached it
     n = draw(st.integers(2, 10))
     split = draw(st.integers(1, n - 1))
     if draw(st.booleans()):
@@ -938,49 +659,35 @@ def si_cases(draw):
             if i < j
         ]
         edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    # two or three seed sets from a pool of two or three nodes, each at a
-    # beta of its own, cycled in runs of equal sets, up to 135 sets in all
-    # and each distinct set at least once: nodes are reached by some sets
-    # steps before others, runs of one or five mix betas within a 64-bit
-    # word, and with runs of 64 one word can be saturated at a node while
-    # another is not
+    # two or three seed sets from a pool of two or three nodes, cycled in
+    # runs of equal sets, up to 135 sets in all and each distinct set at
+    # least once: nodes are reached by some sets steps before others, runs
+    # of one or five mix sets within a 64-bit word, and with runs of 64 one
+    # word can be saturated at a node while another is not
     pool = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=3, unique=True))
     distinct = draw(
         st.lists(st.lists(st.sampled_from(pool), min_size=1, unique=True), min_size=2, max_size=3)
     )
-    beta = st.sampled_from([1.0, 0.9, 0.0]) | st.floats(0.0, 1.0)
-    levels = draw(st.lists(beta, min_size=len(distinct), max_size=len(distinct), unique=True))
     run = draw(st.sampled_from([64, 1, 5]))
     least = run * (len(distinct) - 1) + 1
     picks = [index // run % len(distinct) for index in range(draw(st.integers(least, 135)))]
     seed_sets = [distinct[pick] for pick in picks]
-    betas = [levels[pick] for pick in picks]
-    # at least three steps: a slot whose bits the level table zeroes first
-    # touches a node, another set infects it, and that set spreads on
+    # one to three betas, each simulated over every seed set
+    beta = st.sampled_from([1.0, 0.9, 0.0]) | st.floats(0.0, 1.0)
+    betas = draw(st.lists(beta, min_size=1, max_size=3, unique=True))
     config = SIConfig(
-        beta=levels[0],
+        beta=betas[0],
         t_max=draw(st.integers(3, 10)),
         runs=draw(st.integers(1, 4)),
         seed=draw(st.integers(0, 2**32)),
     )
-    # in half the cases the sets leave the pass in up to three tails, each
-    # after a step of its own, and sets of one beta may end apart
-    ends = None
-    if draw(st.booleans()):
-        cuts = sorted(draw(st.lists(st.integers(1, len(seed_sets)), min_size=1, max_size=3)))
-        last = draw(
-            st.lists(
-                st.integers(0, config.t_max), min_size=len(cuts) + 1, max_size=len(cuts) + 1
-            )
-        )
-        last.sort(reverse=True)
-        ends = [last[sum(cut <= index for cut in cuts)] for index in range(len(seed_sets))]
-    return Graph.from_edges(n, edges), seed_sets, betas, config, ends
+    return Graph.from_edges(n, edges), seed_sets, betas, config
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(si_cases())
 def test_shared_draw_engine_matches_per_seed_set_oracle(case):
     # up to 135 seed sets, so many cases span two or three 64-bit words per node
-    graph, seed_sets, betas, config, ends = case
-    assert_engine_matches_oracle(graph, seed_sets, config, betas, ends)
+    graph, seed_sets, betas, config = case
+    for beta in betas:
+        assert_engine_matches_oracle(graph, seed_sets, replace(config, beta=beta))
