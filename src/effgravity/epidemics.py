@@ -147,17 +147,27 @@ def _infected_counts(
     config: SIConfig,
     *,
     steps: Sequence[int] | None = None,
+    runs: Iterable[int] | None = None,
 ) -> Iterator[np.ndarray]:
     """Infected counts of one run at a time, shape (seed sets, t_max + 1)
     or, with ``steps``, (seed sets, len(steps)).
 
     ``seed_masks`` is a boolean (seed sets, n) array, and every seed set
-    spreads at ``config.beta`` for ``config.runs`` runs to ``config.t_max``.
-    All seed sets advance together: run r builds one generator and draws
-    one uniform per adjacency slot per step, and every seed set reads those
-    same draws. A slot is open when its draw is below beta, and a node
-    becomes infected when the source of any of its open incoming slots was
-    infected before the step.
+    spreads at ``config.beta`` to ``config.t_max`` in each run of ``runs``,
+    in that order (``range(config.runs)`` by default). All seed sets
+    advance together: run r builds one generator, seeded by
+    ``(config.seed, r)`` alone, and draws one uniform per adjacency slot per
+    step, and every seed set reads those same draws. A slot is open when its
+    draw is below beta, and a node becomes infected when the source of any
+    of its open incoming slots was infected before the step.
+
+    A run's draws do not depend on which other runs are simulated, so a
+    caller may leave out a run whose counts it already knows:
+    :func:`spreading_powers` leaves out the runs that a lower beta's pass
+    saw with every node infected in every set by the pass's first horizon.
+    The same draws open at least those slots at a higher beta, so such a
+    run counts n in every set at every horizon, and the caller adds that
+    integer n itself.
 
     ``steps``, if given, are the sorted steps in [0, t_max] whose counts the
     caller reads, and each run yields only those columns. Each is counted
@@ -200,7 +210,7 @@ def _infected_counts(
     live = np.empty_like(start_live)
     # the selection's per-slot scratch, written in place
     hit = np.empty_like(start_live)
-    for run in range(config.runs):
+    for run in range(config.runs) if runs is None else runs:
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, run)))
         infected[...] = start_words
         saturated[...] = start_saturated
@@ -273,6 +283,14 @@ def spreading_powers(graph: Graph, configs: Sequence[SIConfig]) -> list[np.ndarr
     all runs agree and that beta takes one run, which gives each node the
     size of its hop ball of radius ``t_max``.
 
+    The betas go in ascending order, and a pass skips the runs that a lower
+    beta's pass of its block saw saturated (all n nodes in every seed set)
+    at or before the pass's first horizon. Under the same draws a higher
+    beta opens every slot a lower one opens, and no infection is ever lost,
+    so such a run counts n in every set at each of the pass's horizons; it
+    adds exactly n to the integer totals, which give the same means as
+    simulating it.
+
     The vectors are read-only: configs with the same beta and ``t_max``
     get the same vector.
     """
@@ -285,6 +303,9 @@ def spreading_powers(graph: Graph, configs: Sequence[SIConfig]) -> list[np.ndarr
     powers = {(config.beta, config.t_max): np.empty(n) for config in configs}
     # the 1 keeps a graph with no nodes (and no slots) from dividing by 0
     block = max(1, 8 * _BLOCK_BYTES // max(graph.indices.size, n, 1))
+    # (block start, run) -> the first horizon at which a lower beta's pass
+    # counted all n nodes in every seed set of the block
+    saturated_by = {}
     for beta in sorted({beta for beta, _ in powers}):
         horizons = sorted(t_max for own, t_max in powers if own == beta)
         runs = 1 if beta == 1.0 else configs[0].runs
@@ -292,7 +313,18 @@ def spreading_powers(graph: Graph, configs: Sequence[SIConfig]) -> list[np.ndarr
         for start in range(0, n, block):
             size = min(block, n - start)
             seeds = np.eye(size, n, k=start, dtype=bool)
-            total = sum(_infected_counts(graph, seeds, config, steps=horizons))
+            todo = [
+                run for run in range(runs) if saturated_by.get((start, run), np.inf) > horizons[0]
+            ]
+            # each skipped run counts n in every set at every horizon
+            total = np.full((size, len(horizons)), n * (runs - len(todo)), dtype=np.int64)
+            counts = _infected_counts(graph, seeds, config, steps=horizons, runs=todo)
+            for run, run_counts in zip(todo, counts):
+                total += run_counts
+                full = (run_counts == n).all(axis=0)
+                if full.any():
+                    first = horizons[full.argmax()]
+                    saturated_by[start, run] = min(first, saturated_by.get((start, run), np.inf))
             for column, t_max in enumerate(horizons):
                 powers[beta, t_max][start : start + size] = total[:, column] / runs
     for power in powers.values():

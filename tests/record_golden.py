@@ -20,7 +20,9 @@ Rewrite the manifest after a deliberate output change with::
 
     PYTHONPATH=src python tests/record_golden.py
 
-and list every changed entry in CHANGES.md.
+and list every changed entry in CHANGES.md. Naming cases, as in
+``python tests/record_golden.py seven/rank-csv``, records only those and
+keeps every other record as it is.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -75,6 +78,11 @@ def _cases() -> dict[str, list[str]]:
     # and more seeds than nodes (exit 2); neither writes a file
     cases["pieces/rank-undamped-pagerank"] = ["rank", "--input", "pieces.edges", "--measures", "pagerank"]
     cases["seven/spread-k-past-n"] = ["spread", "--input", "seven.edges", "--measures", "dc", "--k", "8"]
+    # the default beta grid at 4 runs: runs that a lower beta saturated by
+    # t 5 are skipped at beta 0.6, 0.8 and 1
+    for fmt in ("csv", "json"):
+        source = ["--input", "seven.edges", "--format", fmt, "--measures", MEASURES]
+        cases[f"seven/evaluate-default-grid-{fmt}"] = ["evaluate", *source, "--k", "3", "--runs", "4"]
     return cases
 
 
@@ -124,8 +132,16 @@ def load_manifest() -> dict:
     return json.loads(MANIFEST.read_text(encoding="utf-8"))
 
 
-def record() -> None:
-    manifest = {name: run_case(name) for name in CASES}
+def record(names: list[str]) -> None:
+    """Record the named cases, or every case if none is named; the other
+    cases keep their records."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"no such case: {', '.join(unknown)}")
+    old = load_manifest() if names else {}
+    manifest = {
+        name: run_case(name) if not names or name in names else old[name] for name in CASES
+    }
     with open(MANIFEST, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=1)
         handle.write("\n")
@@ -133,4 +149,4 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

@@ -342,39 +342,56 @@ def test_evaluate_writes_three_tables(tmp_path, seven_node_file):
     assert (out / "rank_vs_spread_gm.csv").exists()
 
 
-def sweep_passes(t_max, runs=50):
-    """The passes of the default grid's betas 0.4, 0.6 and 0.8 at ``t_max``."""
-    return [(7, beta, t_max, runs, [t_max]) for beta in (0.4, 0.6, 0.8)]
+def every_run_but(*skipped, runs=50):
+    """Runs 0 .. runs - 1 without the ``skipped`` ones."""
+    return [run for run in range(runs) if run not in skipped]
+
+
+# the passes of the default grid's betas 0.4, 0.6 and 0.8 at t 5: each
+# skips the runs that beta 0.2 or a lower sweep beta saturated by t 5
+SWEEP_AT_5 = [
+    (7, 0.4, 5, 50, [5], every_run_but()),
+    (7, 0.6, 5, 50, [5], every_run_but(2, 6, 8, 10, 14, 16, 17, 20, 37, 43, 46)),
+    (7, 0.8, 5, 50, [5], [0, 4, 12, 13, 19, 21, 24, 26, 28, 29, 34, 38, 42, 49]),
+]
 
 
 @pytest.mark.parametrize(
     "options, passes",
     [
         # the sweep's betas at t 5, one pass each, with beta 0.2 read again
-        # at t 20; beta 1 takes one run
+        # at t 20; beta 1 takes one run, which a lower beta saturated by t 5
         (
             [],
-            [(7, 0.2, 20, 50, [5, 20]), *sweep_passes(5), (7, 1.0, 5, 1, [5])],
+            [(7, 0.2, 20, 50, [5, 20], every_run_but()), *SWEEP_AT_5, (7, 1.0, 5, 1, [5], [])],
         ),
-        # a rank-vs-spread beta outside the grid is one more pass
+        # a rank-vs-spread beta outside the grid is one more pass; what it
+        # saturates by t 20 skips nothing at the sweep's t 5
         (
             ["--beta", "0.3"],
             [
-                (7, 0.2, 5, 50, [5]),
-                (7, 0.3, 20, 50, [20]),
-                *sweep_passes(5),
-                (7, 1.0, 5, 1, [5]),
+                (7, 0.2, 5, 50, [5], every_run_but()),
+                (7, 0.3, 20, 50, [20], every_run_but()),
+                *SWEEP_AT_5,
+                (7, 1.0, 5, 1, [5], []),
             ],
         ),
         # rank-vs-spread at beta 1 is read from the beta = 1 pass at t 20
         (
             ["--beta", "1.0"],
-            [(7, 0.2, 5, 50, [5]), *sweep_passes(5), (7, 1.0, 20, 1, [5, 20])],
+            [(7, 0.2, 5, 50, [5], every_run_but()), *SWEEP_AT_5, (7, 1.0, 20, 1, [5, 20], [])],
         ),
-        # beta 0.2 is read at t 3 and at the sweep's longer t 9
+        # beta 0.2 is read at t 3 and at the sweep's longer t 9; every run
+        # is saturated by t 9 at beta 0.6 or lower, so beta 0.8 runs none
         (
             ["--t-max", "3", "--t-max-sweep", "9"],
-            [(7, 0.2, 9, 50, [3, 9]), *sweep_passes(9), (7, 1.0, 9, 1, [9])],
+            [
+                (7, 0.2, 9, 50, [3, 9], every_run_but()),
+                (7, 0.4, 9, 50, [9], every_run_but(6, 10, 14, 25, 36, 37, 47)),
+                (7, 0.6, 9, 50, [9], [4, 12, 28, 31, 34, 35, 41]),
+                (7, 0.8, 9, 50, [9], []),
+                (7, 1.0, 9, 1, [9], []),
+            ],
         ),
     ],
     ids=["defaults", "beta-off-grid", "beta-one", "short-spread"],
@@ -388,14 +405,16 @@ def test_evaluate_makes_one_si_pass_per_group(seven_node_file, monkeypatch, opti
     seen = []
     engine = effgravity.epidemics._infected_counts
 
-    def counted(graph, seed_masks, config, *, steps=None):
-        seen.append((len(seed_masks), config.beta, config.t_max, config.runs, steps))
-        return engine(graph, seed_masks, config, steps=steps)
+    def counted(graph, seed_masks, config, *, steps=None, runs=None):
+        runs = list(runs)
+        seen.append((len(seed_masks), config.beta, config.t_max, config.runs, steps, runs))
+        return engine(graph, seed_masks, config, steps=steps, runs=runs)
 
     monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counted)
     outputs = effgravity.cli.cmd_evaluate(args)
-    # the seven nodes fit in one block: one pass per beta, and each pass
-    # counts infections only at the horizons read from it
+    # the seven nodes fit in one block: one pass per beta, each counting
+    # infections only at the horizons read from it, and simulating only the
+    # runs that no lower beta saturated by its first horizon
     assert seen == passes
 
     # the tables are those of one spreading_power call per distinct clamped

@@ -361,13 +361,14 @@ def oracle_powers(graph, configs):
 
 
 def counting_engine(monkeypatch):
-    """Record (seed sets, beta, horizon, runs) of every engine pass."""
+    """Record (seed sets, beta, horizon, runs simulated) of every engine pass."""
     passes = []
     engine = effgravity.epidemics._infected_counts
 
-    def counted(graph, seed_masks, config, **options):
-        passes.append((len(seed_masks), config.beta, config.t_max, config.runs))
-        return engine(graph, seed_masks, config, **options)
+    def counted(graph, seed_masks, config, *, steps=None, runs=None):
+        runs = list(range(config.runs) if runs is None else runs)
+        passes.append((len(seed_masks), config.beta, config.t_max, runs))
+        return engine(graph, seed_masks, config, steps=steps, runs=runs)
 
     monkeypatch.setattr(effgravity.epidemics, "_infected_counts", counted)
     return passes
@@ -398,11 +399,13 @@ def test_spreading_powers_blocks_of_several_betas_match_oracle(monkeypatch):
     for power, oracle in zip(powers, oracle_powers(graph, configs)):
         assert power.tobytes() == oracle.tobytes()
     # one pass per beta and block, to that beta's last horizon; beta = 1
-    # takes one run
+    # takes one run. No block is saturated at beta 0.2 by t 3 or at beta
+    # 0.5 by t 1, the first horizons of beta 0.5 and 1, so no run is skipped
+    every = [0, 1, 2, 3]
     assert passes == (
-        [(8, 0.2, 7, 4)] * 2 + [(2, 0.2, 7, 4)]
-        + [(8, 0.5, 3, 4)] * 2 + [(2, 0.5, 3, 4)]
-        + [(8, 1.0, 3, 1)] * 2 + [(2, 1.0, 3, 1)]
+        [(8, 0.2, 7, every)] * 2 + [(2, 0.2, 7, every)]
+        + [(8, 0.5, 3, every)] * 2 + [(2, 0.5, 3, every)]
+        + [(8, 1.0, 3, [0])] * 2 + [(2, 1.0, 3, [0])]
     )
 
 
@@ -447,7 +450,9 @@ def test_spreading_powers_read_several_horizons_past_saturation(monkeypatch):
         for power, oracle in zip(powers, oracle_powers(graph, configs)):
             assert power.tobytes() == oracle.tobytes()
         assert powers[-1].tolist() == [graph.n] * graph.n
-    assert passes == [(6, 0.9, 40, 5), (6, 1.0, 40, 1), (15, 0.9, 40, 5), (15, 1.0, 40, 1)]
+    # beta 1 is first read at t 1, where no run of beta 0.9 is saturated
+    every = [0, 1, 2, 3, 4]
+    assert passes == [(6, 0.9, 40, every), (6, 1.0, 40, [0]), (15, 0.9, 40, every), (15, 1.0, 40, [0])]
 
 
 def test_spreading_powers_balls_count_only_reachable_nodes():
@@ -468,12 +473,115 @@ def test_spreading_powers_beta_one_is_one_run_of_hop_balls(monkeypatch):
     monkeypatch.setattr(effgravity.epidemics, "_BLOCK_BYTES", graph.indices.size)
     passes = counting_engine(monkeypatch)
     (power,) = spreading_powers(graph, [SIConfig(beta=1.0, t_max=t_max, runs=6, seed=2)])
-    assert passes == [(8, 1.0, t_max, 1), (7, 1.0, t_max, 1)]
+    assert passes == [(8, 1.0, t_max, [0]), (7, 1.0, t_max, [0])]
     balls = [
         np.count_nonzero((row >= 0) & (row <= t_max))
         for row in (hop_distances_by_queue(graph, s) for s in range(n))
     ]
     assert power.tolist() == balls
+
+
+def cliques(*sizes, bridge=False):
+    """Disjoint complete graphs on consecutive nodes, the last node of each
+    joined to the first of the next if ``bridge``."""
+    edges, first = [], 0
+    for size in sizes:
+        nodes = range(first, first + size)
+        edges += [(u, v) for u in nodes for v in nodes if u < v]
+        if bridge and first:
+            edges.append((first - 1, first))
+        first += size
+    return Graph.from_edges(first, edges)
+
+
+def assert_powers_match_oracle(graph, configs, monkeypatch):
+    """Compare spreading_powers with the oracle and return its passes."""
+    passes = counting_engine(monkeypatch)
+    powers = spreading_powers(graph, configs)
+    for power, oracle in zip(powers, oracle_powers(graph, configs)):
+        assert power.tobytes() == oracle.tobytes()
+    return passes
+
+
+def test_spreading_powers_skip_runs_a_lower_beta_saturated(monkeypatch):
+    # every run of beta 0.6 has all ten nodes in every set by t 4, so the
+    # passes of beta 0.9 and 1 at t 4 simulate no run
+    configs = [SIConfig(beta, 4, 5, 1) for beta in (0.6, 0.9, 1.0)]
+    passes = assert_powers_match_oracle(cliques(10), configs, monkeypatch)
+    assert passes == [(10, 0.6, 4, [0, 1, 2, 3, 4]), (10, 0.9, 4, []), (10, 1.0, 4, [])]
+
+
+def test_spreading_powers_skip_only_runs_saturated_by_the_first_horizon(monkeypatch):
+    # two 4-cliques joined by one edge have diameter 3: no single seed has
+    # every node by t 2, and at beta 0.6 every run has them all by t 8
+    graph = cliques(4, 4, bridge=True)
+    low = [SIConfig(0.6, 2, 5, 2), SIConfig(0.6, 8, 5, 2)]
+    assert oracle_powers(graph, low)[1].tolist() == [8.0] * 8
+    # so beta 0.9 read at t 2 simulates every run, and read at t 8 none
+    passes = assert_powers_match_oracle(graph, [*low, SIConfig(0.9, 2, 5, 2)], monkeypatch)
+    assert passes == [(8, 0.6, 8, [0, 1, 2, 3, 4]), (8, 0.9, 2, [0, 1, 2, 3, 4])]
+    passes = assert_powers_match_oracle(graph, [*low, SIConfig(0.9, 8, 5, 2)], monkeypatch)
+    assert passes == [(8, 0.6, 8, [0, 1, 2, 3, 4]), (8, 0.9, 8, [])]
+    # a pass between them that first sees the runs saturated at t 20 leaves
+    # the record at t 8
+    middle = [SIConfig(0.7, 2, 5, 2), SIConfig(0.7, 20, 5, 2)]
+    passes = assert_powers_match_oracle(graph, [*low, *middle, SIConfig(0.9, 8, 5, 2)], monkeypatch)
+    assert passes == [
+        (8, 0.6, 8, [0, 1, 2, 3, 4]), (8, 0.7, 20, [0, 1, 2, 3, 4]), (8, 0.9, 8, [])
+    ]
+
+
+def test_spreading_powers_skip_some_runs_of_each_block(monkeypatch):
+    # blocks of 4 and 2 nodes: beta 0.5 saturated run 2 of the first block
+    # and runs 1 and 2 of the second by t 2, and the other runs of beta 0.7
+    # still fall short of n in some sets
+    graph = cliques(6)
+    monkeypatch.setattr(effgravity.epidemics, "_BLOCK_BYTES", graph.indices.size // 2)
+    configs = [SIConfig(0.5, 2, 6, 1), SIConfig(0.7, 2, 6, 1)]
+    passes = assert_powers_match_oracle(graph, configs, monkeypatch)
+    every = [0, 1, 2, 3, 4, 5]
+    assert passes == [
+        (4, 0.5, 2, every), (2, 0.5, 2, every), (4, 0.7, 2, [0, 1, 3, 4, 5]), (2, 0.7, 2, [0, 3, 4, 5])
+    ]
+    assert oracle_powers(graph, configs)[1].min() < 6
+
+
+def test_spreading_powers_skip_no_run_on_two_components(monkeypatch):
+    # no run has every node in a set seeded on one of two components
+    configs = [SIConfig(beta, 5, 4, 0) for beta in (0.5, 0.9, 1.0)]
+    passes = assert_powers_match_oracle(cliques(4, 4), configs, monkeypatch)
+    every = [0, 1, 2, 3]
+    assert passes == [(8, 0.5, 5, every), (8, 0.9, 5, every), (8, 1.0, 5, [0])]
+
+
+@pytest.mark.parametrize("seed, simulated", [(1, []), (6, [0])])
+def test_spreading_powers_skip_beta_one_once_run_zero_saturated(monkeypatch, seed, simulated):
+    # beta = 1 takes run 0 alone, which beta 0.7 saturated by t 2 at seed 1
+    # and not at seed 6; at both seeds some other run falls short of n
+    graph = cliques(6)
+    configs = [SIConfig(0.7, 2, 4, seed), SIConfig(1.0, 2, 4, seed)]
+    passes = assert_powers_match_oracle(graph, configs, monkeypatch)
+    assert passes == [(6, 0.7, 2, [0, 1, 2, 3]), (6, 1.0, 2, simulated)]
+    assert oracle_powers(graph, configs)[0].min() < 6
+
+
+def test_spreading_powers_build_no_generator_for_a_skipped_run(monkeypatch):
+    graph = cliques(6)
+    monkeypatch.setattr(effgravity.epidemics, "_BLOCK_BYTES", graph.indices.size // 2)
+    streams = []
+    seed_sequence = np.random.SeedSequence
+
+    def recorded(entropy, *args, **kwargs):
+        streams.append(entropy)
+        return seed_sequence(entropy, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", recorded)
+    passes = counting_engine(monkeypatch)
+    spreading_powers(graph, [SIConfig(0.5, 2, 6, 1), SIConfig(0.7, 2, 6, 1)])
+    # one (seed, run) stream per simulated run: at beta 0.7, run 2 of the
+    # first block and runs 1 and 2 of the second are skipped
+    assert streams == [(1, run) for _, _, _, runs in passes for run in runs]
+    assert len(streams) == 6 + 6 + 5 + 4
 
 
 def test_spreading_powers_need_one_seed_and_run_count(seven_node_graph):
